@@ -302,7 +302,7 @@ ContentionComparison measureCounterContention() {
 /// Runs after the BenchReport reset on purpose: every sweep is fixed-size and
 /// single-threaded, so its counter increments are deterministic and belong in
 /// the gated section (they are what make batched_group_scores nonzero here).
-struct SessionScorerComparison {
+struct ScorerComparison {
   double referenceMillis = 0.0;
   double batchedMillis = 0.0;
   double referenceSessionsPerSec = 0.0;
@@ -311,7 +311,7 @@ struct SessionScorerComparison {
   std::size_t sessionsPerSweep = 0;
 };
 
-SessionScorerComparison measureSessionScorerSpeedup(
+ScorerComparison measureScorerSpeedup(
     const DiagnosisPipeline& pipeline, const std::vector<FaultResponse>& responses) {
   const SessionEngine& engine = pipeline.engine();
   const PreparedPartitionSet& prepared = pipeline.prepared();
@@ -327,7 +327,7 @@ SessionScorerComparison measureSessionScorerSpeedup(
     return best;
   };
 
-  SessionScorerComparison cmp;
+  ScorerComparison cmp;
   cmp.sessionsPerSweep = responses.size() * prepared.totalGroups();
   SessionBatchScratch scratch;
   // Warm-up both paths once (prepared tables are already built; this warms
@@ -395,8 +395,7 @@ void reportParallelSpeedup() {
   setGlobalThreadCount(1);
   const DiagnosisPipeline scoringPipeline(
       work.topology, presets::fig5Config(SchemeKind::TwoStep, /*maxPartitions=*/16));
-  const SessionScorerComparison scorer =
-      measureSessionScorerSpeedup(scoringPipeline, work.responses);
+  const ScorerComparison scorer = measureScorerSpeedup(scoringPipeline, work.responses);
   report.row({{"kind", "session_reference"},
               {"millis", scorer.referenceMillis},
               {"sessions_per_second", scorer.referenceSessionsPerSec},

@@ -248,7 +248,6 @@ DrReport evaluateWithCheckpoint(const DiagnosisPipeline& pipeline,
                                 const std::vector<FaultResponse>& responses,
                                 FaultRecordSink* sink, std::uint64_t sweepId,
                                 const RunControl& control) {
-  if (!sink) return pipeline.evaluate(responses, control);
   return evaluateWithCheckpointRange(pipeline, responses, sink, sweepId, 0, responses.size(),
                                      control);
 }
@@ -258,56 +257,68 @@ DrReport evaluateWithCheckpointRange(const DiagnosisPipeline& pipeline,
                                      FaultRecordSink* sink, std::uint64_t sweepId,
                                      std::size_t rangeLo, std::size_t rangeHi,
                                      const RunControl& control) {
-  // Mirrors DiagnosisPipeline::evaluate — disjoint per-fault slots filled in
-  // parallel, then an ordered reduction — with two extra per-fault paths:
-  // replay (fault already journaled: re-apply its counter deltas, skip the
-  // diagnosis) and record (publish the completed fault before the slot is
-  // filled). Both keep slot values and counter totals identical to the
-  // uninterrupted run.
+  // Faults are independent: slot i depends only on responses[i], so the
+  // parallel loop writes disjoint slots and the reduction below runs in
+  // fault-index order — DR output is bit-identical for every thread count.
+  // With a sink, each fault either replays (already journaled: re-apply its
+  // counter deltas, skip the diagnosis) or is recorded (published before its
+  // slot is filled); both keep slot values and counter totals identical to
+  // the uninterrupted run.
   rangeHi = std::min(rangeHi, responses.size());
   rangeLo = std::min(rangeLo, rangeHi);
-  const std::size_t count = rangeHi - rangeLo;
   struct Slot {
     std::size_t candidates = 0;
     std::size_t actual = 0;
     bool detected = false;
   };
-  std::vector<Slot> slots(count);
-  globalPool().parallelFor(count, [&](std::size_t slot) {
-    const std::size_t i = rangeLo + slot;
-    const FaultResponse& r = responses[i];
-    if (!r.detected()) return;
-    const std::uint32_t faultIndex = static_cast<std::uint32_t>(i);
-    if (const FaultRecord* prior = sink ? sink->find(sweepId, faultIndex) : nullptr) {
-      for (const auto& [counter, delta] : prior->counterDeltas) {
-        obs::count(static_cast<obs::Counter>(counter), delta);
+  std::vector<Slot> slots(rangeHi - rangeLo);
+  // Range (not element) dispatch: one contiguous fault chunk per worker lane,
+  // with the batch scorer's scratch living on the worker's stack for the
+  // whole chunk — no per-fault allocation, no cross-worker cache-line
+  // traffic on scratch state.
+  globalPool().parallelForRange(slots.size(), [&](std::size_t begin, std::size_t end) {
+    SessionBatchScratch scratch;
+    for (std::size_t slot = begin; slot < end; ++slot) {
+      const std::size_t i = rangeLo + slot;
+      const FaultResponse& r = responses[i];
+      if (!r.detected()) continue;
+      const std::uint32_t faultIndex = static_cast<std::uint32_t>(i);
+      if (const FaultRecord* prior = sink ? sink->find(sweepId, faultIndex) : nullptr) {
+        for (const auto& [counter, delta] : prior->counterDeltas) {
+          obs::count(static_cast<obs::Counter>(counter), delta);
+        }
+        obs::count(obs::Counter::JournalRecordsReplayed);
+        slots[slot] = Slot{static_cast<std::size_t>(prior->candidateCount),
+                           static_cast<std::size_t>(prior->actualCount), true};
+        continue;
       }
-      obs::count(obs::Counter::JournalRecordsReplayed);
-      slots[slot] = Slot{static_cast<std::size_t>(prior->candidateCount),
-                         static_cast<std::size_t>(prior->actualCount), true};
-      return;
-    }
-    // Cancellation lands here, never after the diagnosis below starts: each
-    // published record is a fault that ran to completion.
-    control.throwIfStopped();
-    FaultRecord record;
-    record.sweepId = sweepId;
-    record.faultIndex = faultIndex;
-    {
-      obs::DeltaCapture capture;
-      const FaultDiagnosis d = pipeline.diagnoseDigested(r, &record.verdictDigest);
-      record.candidateCount = d.candidateCount;
-      record.actualCount = d.actualCount;
-      const auto& deltas = capture.deltas();
-      for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
-        if (deltas[c] != 0) {
-          record.counterDeltas.emplace_back(static_cast<std::uint16_t>(c), deltas[c]);
+      // Cancellation lands here, never after the diagnosis below starts: each
+      // published record is a fault that ran to completion.
+      control.throwIfStopped();
+      if (!sink) {
+        const FaultDiagnosis d = pipeline.diagnose(r, &scratch);
+        slots[slot] = Slot{d.candidateCount, d.actualCount, true};
+        continue;
+      }
+      FaultRecord record;
+      record.sweepId = sweepId;
+      record.faultIndex = faultIndex;
+      {
+        obs::DeltaCapture capture;
+        const FaultDiagnosis d = pipeline.diagnose(r, &scratch, &record.verdictDigest);
+        record.candidateCount = d.candidateCount;
+        record.actualCount = d.actualCount;
+        const auto& deltas = capture.deltas();
+        for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
+          if (deltas[c] != 0) {
+            record.counterDeltas.emplace_back(static_cast<std::uint16_t>(c), deltas[c]);
+          }
         }
       }
+      sink->record(record);
+      slots[slot] = Slot{static_cast<std::size_t>(record.candidateCount),
+                         static_cast<std::size_t>(record.actualCount), true};
     }
-    if (sink) sink->record(record);
-    slots[slot] = Slot{static_cast<std::size_t>(record.candidateCount),
-                       static_cast<std::size_t>(record.actualCount), true};
   });
   DrAccumulator acc;
   for (const Slot& s : slots) {

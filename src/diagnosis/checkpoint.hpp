@@ -199,11 +199,11 @@ class TeeRecordSink : public FaultRecordSink {
   MemoryRecordSink* collector_;
 };
 
-/// DiagnosisPipeline::evaluate with checkpointing: journaled faults are
-/// replayed (counters re-applied, journal_records_replayed counted), missing
-/// faults are diagnosed, published to `sink`, and reduced — output
-/// bit-identical to an uninterrupted pipeline.evaluate(responses) at any
-/// thread count. `sink` may be null (degenerates to pipeline.evaluate).
+/// The DR batch loop, with checkpointing: journaled faults are replayed
+/// (counters re-applied, journal_records_replayed counted), missing faults
+/// are diagnosed, published to `sink`, and reduced — output bit-identical to
+/// an uninterrupted run at any thread count. `sink` may be null: no digest,
+/// no counter capture, no record (that is DiagnosisPipeline::evaluate).
 /// `control` is polled per fault; cancellation unwinds as OperationCancelled
 /// *between* faults, so every published record is a completed fault.
 DrReport evaluateWithCheckpoint(const DiagnosisPipeline& pipeline,

@@ -4,6 +4,7 @@
 #include "common/journal.hpp"
 #include "common/thread_pool.hpp"
 #include "diagnosis/adaptive_planner.hpp"
+#include "diagnosis/checkpoint.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fault_list.hpp"
 
@@ -17,7 +18,6 @@ SessionConfig sessionConfigFor(const DiagnosisConfig& config) {
   sc.misrTapMask = config.misrTapMask;
   sc.computeSignatures = config.pruning;
   sc.pruneDegree = config.pruneDegree;
-  sc.scorer = config.batchedScoring ? SessionScorer::Batched : SessionScorer::PerSession;
   return sc;
 }
 
@@ -43,127 +43,48 @@ DiagnosisPipeline::DiagnosisPipeline(const ScanTopology& topology, const Diagnos
 
 DiagnosisPipeline::~DiagnosisPipeline() = default;
 
-FaultDiagnosis DiagnosisPipeline::adaptiveDiagnose(const FaultResponse& response,
-                                                   std::uint64_t* verdictDigest) const {
+FaultDiagnosis DiagnosisPipeline::diagnose(const FaultResponse& response,
+                                           SessionBatchScratch* scratch,
+                                           std::uint64_t* verdictDigest) const {
   obs::count(obs::Counter::FaultsDiagnosed);
-  AdaptiveOutcome outcome = adaptive_->run(response);
-  if (verdictDigest) {
-    // Audit fingerprint over the *realized* schedule: which pool candidate
-    // each step picked, plus its verdict row — a resumed run replays the same
-    // greedy trajectory or the digest mismatch flags it.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t s = 0; s < outcome.chosen.size(); ++s) {
-      h = fnv1a64(static_cast<std::uint64_t>(outcome.chosen[s]), h);
-      const BitVector& row = outcome.verdicts.failing[s];
-      for (std::size_t w = 0; w < row.wordCount(); ++w) h = fnv1a64(row.word(w), h);
-    }
-    *verdictDigest = h;
-  }
   FaultDiagnosis out;
-  out.candidates = std::move(outcome.candidates);
-  out.candidateCount = out.candidates.cellCount();
   out.actualCount = response.failingCellCount();
-  out.sessionsSpent = outcome.sessionsUsed;
-  return out;
-}
-
-FaultDiagnosis DiagnosisPipeline::diagnose(const FaultResponse& response) const {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto digestRow = [&digest](const BitVector& row) {
+    for (std::size_t w = 0; w < row.wordCount(); ++w) digest = fnv1a64(row.word(w), digest);
+  };
   if (adaptive_) {
-    // Session runs dominate the adaptive loop; scoring rides along in the
-    // same phase (the loop interleaves compare and intersection by design).
-    obs::PhaseScope phase(obs::Phase::SignatureCompare);
-    return adaptiveDiagnose(response, nullptr);
-  }
-  // The public single-fault entry point carries the phase timers; the batch
-  // drivers below go through diagnoseUntimed() because per-fault clock reads
-  // cost ~5-10% of a microsecond-scale diagnosis (counters are relaxed
-  // atomics and stay on every path — they are the deterministic section).
-  obs::count(obs::Counter::FaultsDiagnosed);
-  GroupVerdicts verdicts;
-  {
-    obs::PhaseScope phase(obs::Phase::SignatureCompare);
-    verdicts = engine_.run(prepared_, response);
-  }
-  FaultDiagnosis out;
-  {
-    obs::PhaseScope phase(obs::Phase::CandidateIntersection);
+    AdaptiveOutcome outcome = adaptive_->run(response);
+    if (verdictDigest) {
+      // The *realized* schedule: which pool candidate each step picked, plus
+      // its verdict row — a resumed run replays the same greedy trajectory
+      // or the digest mismatch flags it.
+      for (std::size_t s = 0; s < outcome.chosen.size(); ++s) {
+        digest = fnv1a64(static_cast<std::uint64_t>(outcome.chosen[s]), digest);
+        digestRow(outcome.verdicts.failing[s]);
+      }
+    }
+    out.candidates = std::move(outcome.candidates);
+    out.sessionsSpent = outcome.sessionsUsed;
+  } else {
+    const GroupVerdicts verdicts = engine_.run(prepared_, response, scratch);
+    if (verdictDigest) {
+      for (const BitVector& row : verdicts.failing) digestRow(row);
+    }
     out.candidates = analyzer_.analyze(prepared_.partitions(), verdicts);
     if (config_.pruning) {
       out.candidates = pruner_.prune(prepared_, verdicts, out.candidates);
     }
   }
+  if (verdictDigest) *verdictDigest = digest;
   out.candidateCount = out.candidates.cellCount();
-  out.actualCount = response.failingCellCount();
-  return out;
-}
-
-FaultDiagnosis DiagnosisPipeline::diagnoseUntimed(const FaultResponse& response,
-                                                  SessionBatchScratch* scratch) const {
-  if (adaptive_) return adaptiveDiagnose(response, nullptr);
-  obs::count(obs::Counter::FaultsDiagnosed);
-  const GroupVerdicts verdicts = engine_.run(prepared_, response, scratch);
-  FaultDiagnosis out;
-  out.candidates = analyzer_.analyze(prepared_.partitions(), verdicts);
-  if (config_.pruning) {
-    out.candidates = pruner_.prune(prepared_, verdicts, out.candidates);
-  }
-  out.candidateCount = out.candidates.cellCount();
-  out.actualCount = response.failingCellCount();
-  return out;
-}
-
-FaultDiagnosis DiagnosisPipeline::diagnoseDigested(const FaultResponse& response,
-                                                   std::uint64_t* verdictDigest) const {
-  if (adaptive_) return adaptiveDiagnose(response, verdictDigest);
-  obs::count(obs::Counter::FaultsDiagnosed);
-  const GroupVerdicts verdicts = engine_.run(prepared_, response);
-  if (verdictDigest) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const BitVector& row : verdicts.failing) {
-      for (std::size_t w = 0; w < row.wordCount(); ++w) h = fnv1a64(row.word(w), h);
-    }
-    *verdictDigest = h;
-  }
-  FaultDiagnosis out;
-  out.candidates = analyzer_.analyze(prepared_.partitions(), verdicts);
-  if (config_.pruning) {
-    out.candidates = pruner_.prune(prepared_, verdicts, out.candidates);
-  }
-  out.candidateCount = out.candidates.cellCount();
-  out.actualCount = response.failingCellCount();
   return out;
 }
 
 DrReport DiagnosisPipeline::evaluate(const std::vector<FaultResponse>& responses,
                                      const RunControl& control) const {
-  // Faults are independent: slot i depends only on responses[i], so the
-  // parallel loop writes disjoint slots and the accumulation below runs in
-  // fault-index order — DR output is bit-identical for every thread count.
-  struct Slot {
-    std::size_t candidates = 0;
-    std::size_t actual = 0;
-    bool detected = false;
-  };
-  std::vector<Slot> slots(responses.size());
-  // Range (not element) dispatch: one contiguous fault chunk per worker lane,
-  // with the batch scorer's scratch living on the worker's stack for the
-  // whole chunk — no per-fault allocation, no cross-worker cache-line
-  // traffic on scratch state.
-  globalPool().parallelForRange(responses.size(), [&](std::size_t begin, std::size_t end) {
-    SessionBatchScratch scratch;
-    for (std::size_t i = begin; i < end; ++i) {
-      const FaultResponse& r = responses[i];
-      if (!r.detected()) continue;
-      control.throwIfStopped();
-      const FaultDiagnosis d = diagnoseUntimed(r, &scratch);
-      slots[i] = Slot{d.candidateCount, d.actualCount, true};
-    }
-  });
-  DrAccumulator acc;
-  for (const Slot& s : slots) {
-    if (s.detected) acc.add(s.candidates, s.actual);
-  }
-  return DrReport{acc.dr(), acc.faults(), acc.sumCandidates(), acc.sumActual()};
+  return evaluateWithCheckpointRange(*this, responses, /*sink=*/nullptr, /*sweepId=*/0, 0,
+                                     responses.size(), control);
 }
 
 std::vector<double> DiagnosisPipeline::evaluateSweep(

@@ -37,9 +37,6 @@ struct DiagnosisConfig {
   unsigned misrDegree = 16;
   std::uint64_t misrTapMask = 0;
   unsigned pruneDegree = 32;
-  /// False forces the per-session reference scorer everywhere (parity tests,
-  /// A/B benches); the diagnosis output is bit-identical either way.
-  bool batchedScoring = true;
 };
 
 struct FaultDiagnosis {
@@ -74,22 +71,25 @@ class DiagnosisPipeline {
   const SessionEngine& engine() const { return engine_; }
   const CandidateAnalyzer& analyzer() const { return analyzer_; }
   /// Non-null iff config().scheme == SchemeKind::Adaptive: the online
-  /// entropy-greedy scheduler the diagnose/evaluate entry points route
-  /// through (see adaptive_planner.hpp).
+  /// entropy-greedy scheduler diagnose() routes through (see
+  /// adaptive_planner.hpp).
   const AdaptivePlanner* adaptive() const { return adaptive_.get(); }
 
-  /// Diagnoses one fault: sessions → inclusion-exclusion → optional pruning.
-  FaultDiagnosis diagnose(const FaultResponse& response) const;
+  /// Diagnoses one fault: sessions → inclusion-exclusion → optional pruning,
+  /// or the planner's greedy loop on the adaptive scheme. Reads no clock
+  /// (per-fault clock reads would cost ~5-10% of a microsecond-scale
+  /// diagnosis); counters are the deterministic record of its work.
+  /// `scratch` (optional) is the calling worker's batch-scorer buffers,
+  /// reused across the faults of its chunk. `verdictDigest` (optional)
+  /// receives an FNV-1a digest of the realized schedule's verdict rows — the
+  /// audit fingerprint the checkpoint layer journals with each fault.
+  FaultDiagnosis diagnose(const FaultResponse& response, SessionBatchScratch* scratch = nullptr,
+                          std::uint64_t* verdictDigest = nullptr) const;
 
-  /// diagnose() minus the phase timers, plus an FNV-1a digest of the
-  /// per-partition group verdicts written to `verdictDigest` — the audit
-  /// fingerprint the checkpoint layer journals with each completed fault.
-  FaultDiagnosis diagnoseDigested(const FaultResponse& response,
-                                  std::uint64_t* verdictDigest) const;
-
-  /// DR over a set of detected-fault responses. `control` is polled at
+  /// DR over a set of detected-fault responses: evaluateWithCheckpoint
+  /// without a record sink (one loop serves both). `control` is polled at
   /// fault granularity; a trip unwinds as OperationCancelled (the default
-  /// RunControl is inert — identical cost and output to before).
+  /// RunControl is inert).
   DrReport evaluate(const std::vector<FaultResponse>& responses,
                     const RunControl& control = {}) const;
 
@@ -103,18 +103,6 @@ class DiagnosisPipeline {
                                     const RunControl& control = {}) const;
 
  private:
-  /// diagnose() without the phase timers — the batch loop body of evaluate /
-  /// evaluateSweep, where per-fault clock reads would dominate (counters,
-  /// the deterministic section, are identical to diagnose()). `scratch`
-  /// (optional) is the calling worker's private batch-scorer buffers, reused
-  /// across the faults of its chunk.
-  FaultDiagnosis diagnoseUntimed(const FaultResponse& response,
-                                 SessionBatchScratch* scratch = nullptr) const;
-  /// The adaptive-scheme body behind diagnose/diagnoseUntimed/diagnoseDigested
-  /// (the greedy loop replaces the run-schedule-then-intersect pipeline).
-  FaultDiagnosis adaptiveDiagnose(const FaultResponse& response,
-                                  std::uint64_t* verdictDigest) const;
-
   const ScanTopology* topology_;
   DiagnosisConfig config_;
   PreparedPartitionSet prepared_;

@@ -183,10 +183,4 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
   return out;
 }
 
-RecoveredDiagnosis DiagnosisRecovery::recover(const PreparedPartitionSet& prepared,
-                                              const GroupVerdicts& verdicts,
-                                              const PartitionRerun& rerun) const {
-  return recover(prepared.partitions(), verdicts, rerun);
-}
-
 }  // namespace scandiag

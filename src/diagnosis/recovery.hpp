@@ -39,7 +39,6 @@
 
 #include "diagnosis/candidate_analyzer.hpp"
 #include "diagnosis/cost_model.hpp"
-#include "diagnosis/prepared_partitions.hpp"
 
 namespace scandiag {
 
@@ -121,13 +120,6 @@ class DiagnosisRecovery {
   /// detection then goes straight to degradation.
   RecoveredDiagnosis recover(const std::vector<Partition>& partitions,
                              const GroupVerdicts& verdicts,
-                             const PartitionRerun& rerun) const;
-
-  /// Prepared-schedule entry point used by the per-fault hot path. Recovery
-  /// itself only reads group bit-vectors, so this delegates — the prepared
-  /// tables pay off inside `rerun` closures that call
-  /// SessionEngine::runPartition(prepared, p, ...).
-  RecoveredDiagnosis recover(const PreparedPartitionSet& prepared, const GroupVerdicts& verdicts,
                              const PartitionRerun& rerun) const;
 
  private:

@@ -331,7 +331,7 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
 GroupVerdicts SessionEngine::run(const PreparedPartitionSet& prepared,
                                  const FaultResponse& response,
                                  SessionBatchScratch* scratch) const {
-  if (config_.scorer == SessionScorer::Batched && prepared.batchReady()) {
+  if (prepared.batchReady()) {
     return runBatched(prepared, response, scratch);
   }
   return runImpl(prepared.partitions(), &prepared, response);

@@ -18,20 +18,21 @@
 // mode they can be computed on the side with a wider register so pruning
 // stays available without injecting aliasing into the verdicts.
 //
-// Two scorers produce these verdicts (SessionConfig::scorer):
+// Two scorers produce these verdicts:
 //
-//  * **Batched** (default hot path): MISR linearity means a session's error
-//    signature is the XOR of its cells' individual error signatures, and the
-//    group-membership structure is fixed per schedule — so ALL groups of ALL
-//    partitions are scored in one pass over the fault's failing cells against
-//    the PreparedPartitionSet's transposed position→global-group table, one
-//    XOR (or one bit-set) per (cell, partition). No per-group membership scan
+//  * **Batched** (the hot path, whenever the prepared schedule carries the
+//    batch layout): MISR linearity means a session's error signature is the
+//    XOR of its cells' individual error signatures, and the group-membership
+//    structure is fixed per schedule — so ALL groups of ALL partitions are
+//    scored in one pass over the fault's failing cells against the
+//    PreparedPartitionSet's transposed position→global-group table, one XOR
+//    (or one bit-set) per (cell, partition). No per-group membership scan
 //    ever runs. See docs/ARCHITECTURE.md §11.
-//  * **PerSession** (reference): the literal one-session-at-a-time evaluation
-//    (per-group intersects / per-partition signature bucketing). Kept as the
-//    parity oracle — tests/diagnosis/batched_parity_test holds the two
-//    bit-identical across schemes, circuits, thread counts, pruning, and
-//    noise — and as the fallback for bare (unprepared) schedules and the
+//  * **Reference** (runReference): the literal one-session-at-a-time
+//    evaluation (per-group intersects / per-partition signature bucketing).
+//    Kept as the parity oracle — tests/diagnosis/batched_parity_test holds
+//    the two bit-identical across schemes, circuits, thread counts, pruning,
+//    and noise — and as the fallback for bare (unprepared) schedules and the
 //    per-partition retry path of the recovery layer.
 #pragma once
 
@@ -54,11 +55,6 @@ enum class SignatureMode {
   Misr,   // group fails iff MISR error signature != 0
 };
 
-enum class SessionScorer {
-  Batched,     // one-pass scoring over the prepared schedule (hot path)
-  PerSession,  // per-group reference evaluation (parity oracle / fallback)
-};
-
 struct SessionConfig {
   SignatureMode mode = SignatureMode::Exact;
   std::size_t numPatterns = 128;
@@ -73,9 +69,6 @@ struct SessionConfig {
   /// Optional space compactor between the scan-out lines and the MISR (must
   /// outlive the engine). Null = one MISR input per chain.
   const SpaceCompactor* compactor = nullptr;
-  /// Which scorer run(prepared, ...) dispatches to. PerSession forces the
-  /// reference path everywhere (parity tests, A/B benches).
-  SessionScorer scorer = SessionScorer::Batched;
 };
 
 struct GroupVerdicts {
@@ -114,11 +107,10 @@ class SessionEngine {
   const ScanTopology& topology() const { return *topology_; }
   const SessionConfig& config() const { return config_; }
 
-  /// Hot-path entry point: dispatches to the batched scorer (default) or the
-  /// per-session reference per config().scorer; a prepared set without the
-  /// batch layout (batchReady() == false) also falls back to the reference.
-  /// Both scorers are bit-identical. `scratch` (optional) reuses buffers
-  /// across calls on the batched path.
+  /// Hot-path entry point: the batched scorer when the prepared set carries
+  /// the batch layout (batchReady()), else the per-session reference. Both
+  /// scorers are bit-identical. `scratch` (optional) reuses buffers across
+  /// calls on the batched path.
   GroupVerdicts run(const PreparedPartitionSet& prepared, const FaultResponse& response,
                     SessionBatchScratch* scratch = nullptr) const;
 
@@ -127,7 +119,7 @@ class SessionEngine {
                            SessionBatchScratch* scratch = nullptr) const;
 
   /// Per-session reference scorer over a prepared schedule — the parity
-  /// oracle runBatched() is tested against, regardless of config().scorer.
+  /// oracle runBatched() is tested against.
   GroupVerdicts runReference(const PreparedPartitionSet& prepared,
                              const FaultResponse& response) const;
 

@@ -336,7 +336,8 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
   const PartitionRerun rerun = [&](std::size_t partition, std::size_t) {
     return base_.engine().runPartition(prepared, partition, response);
   };
-  const RecoveredDiagnosis recovered = recovery_.recover(prepared, verdicts, rerun);
+  const RecoveredDiagnosis recovered =
+      recovery_.recover(prepared.partitions(), verdicts, rerun);
   out.inconsistencies = recovered.inconsistencies.size();
   out.extraSessions = recovered.retrySessions;
   out.cost += repeatedSessionsCost(recovered.retrySessions, numPatterns, chainLength);
@@ -454,7 +455,6 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
   out.candidates.cells = topology_->expandPositions(out.candidates.positions);
   out.candidateCount = out.candidates.cellCount();
   out.resolved = !degraded;
-  out.degraded = degraded;
   out.misdiagnosed = !response.failingCells.isSubsetOf(out.candidates.cells);
   if (degraded && !recoveryCounted) obs::count(obs::Counter::DegradedSupersets);
   return out;
@@ -511,7 +511,6 @@ DefectDiagnosis DefectZooPipeline::diagnoseIntermittent(const DefectScenario& sc
   out.candidates = unions.supersetFloor;
   out.candidateCount = out.candidates.cellCount();
   out.resolved = false;
-  out.degraded = true;
   obs::count(obs::Counter::DegradedSupersets);
 
   // Calibrated confidence: estimate the activation rate from group-verdict
@@ -565,14 +564,18 @@ FaultResponse DefectZooPipeline::effectiveResponse(const DefectScenario& scenari
   return composeUnionResponse(parts);
 }
 
-DefectZooReport DefectZooPipeline::evaluate(const std::vector<DefectScenario>& scenarios) const {
+DefectZooReport DefectZooPipeline::evaluate(const std::vector<DefectScenario>& scenarios,
+                                            const RunControl& control) const {
   DefectZooReport report;
   const std::size_t n = scenarios.size();
   std::vector<DefectDiagnosis> slots(n);
   // Index-partitioned workers + index-ordered fold: bit-identical at every
   // thread count (diagnose() is thread-safe const — the shared FaultSimulator
   // is only read, never simulated on).
-  globalPool().parallelFor(n, [&](std::size_t i) { slots[i] = diagnose(scenarios[i]); });
+  globalPool().parallelFor(n, [&](std::size_t i) {
+    control.throwIfStopped();
+    slots[i] = diagnose(scenarios[i]);
+  });
 
   DrAccumulator acc;
   double confidenceSum = 0.0;

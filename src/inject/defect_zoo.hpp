@@ -163,7 +163,6 @@ struct DefectDiagnosis {
   /// False = superset-only answer (CLI exit code 8): refinement incomplete,
   /// union clusters over budget, or intermittency degradation.
   bool resolved = true;
-  bool degraded = false;
   double confidence = 1.0;
   std::size_t inconsistencies = 0;
   std::size_t unionSplits = 0;
@@ -205,8 +204,10 @@ class DefectZooPipeline {
   /// degradation. Thread-safe const (parallel evaluate workers share it).
   DefectDiagnosis diagnose(const DefectScenario& scenario) const;
 
-  /// Diagnoses `scenarios`; bit-identical at every thread count.
-  DefectZooReport evaluate(const std::vector<DefectScenario>& scenarios) const;
+  /// Diagnoses `scenarios`; bit-identical at every thread count. `control`
+  /// is polled between scenarios; a trip unwinds as OperationCancelled.
+  DefectZooReport evaluate(const std::vector<DefectScenario>& scenarios,
+                           const RunControl& control = {}) const;
 
  private:
   DefectDiagnosis diagnosePermanent(const DefectScenario& scenario) const;

@@ -38,78 +38,57 @@ ResilientDiagnosis NoisyPipeline::diagnose(const FaultResponse& response,
     return out;
   }
 
-  if (const AdaptivePlanner* planner = base_.adaptive()) {
-    // Adaptive under noise: the planner decides on the *corrupted* rows,
-    // exactly as a scheduler driving a real noisy tester would — then the
-    // standard recovery pass (detect, bounded retry, degrade) runs over the
-    // realized schedule. Noise streams key on the step ordinal of that
-    // schedule, so a retry of step p (attempt >= 1) draws the stream a fixed
-    // schedule's partition p would.
-    obs::count(obs::Counter::FaultsDiagnosed);
-    const SessionEngine& engine = planner->engine();
-    const BitVector failingPositions = topology_->collapseCells(response.failingCells);
+  obs::count(obs::Counter::FaultsDiagnosed);
+  const BitVector failingPositions = topology_->collapseCells(response.failingCells);
+  // Attempt 0 over the realized schedule. Adaptive: the planner decides on
+  // the *corrupted* rows, exactly as a scheduler driving a real noisy tester
+  // would, and the realized schedule is its chosen pool entries. Noise
+  // streams key on the schedule step, so a retry of step p draws the stream a
+  // fixed schedule's partition p would (VerdictCorruptor::corrupt is
+  // corruptRow applied to each partition).
+  const AdaptivePlanner* planner = base_.adaptive();
+  const PreparedPartitionSet& prepared = planner ? planner->pool() : base_.prepared();
+  const SessionEngine& engine = planner ? planner->engine() : base_.engine();
+  AdaptiveOutcome outcome;
+  std::vector<Partition> adaptiveSchedule;
+  GroupVerdicts verdicts;
+  if (planner) {
     const AdaptivePlanner::RowObserver observer = [&](std::size_t step, std::size_t poolIndex,
                                                       PartitionVerdictRow& row) {
-      const CorruptionTrace trace =
-          corruptor_.corruptRow(row, planner->pool().partition(poolIndex), step,
-                                failingPositions, faultKey, /*attempt=*/0);
+      const CorruptionTrace trace = corruptor_.corruptRow(
+          row, prepared.partition(poolIndex), step, failingPositions, faultKey, /*attempt=*/0);
       out.injected.events.insert(out.injected.events.end(), trace.events.begin(),
                                  trace.events.end());
     };
-    const AdaptiveOutcome outcome = planner->run(response, observer);
-    if (out.injected.count() > 0) {
-      obs::count(obs::Counter::NoiseEventsInjected, out.injected.count());
-    }
-    const std::vector<Partition> schedule = planner->schedule(outcome);
-    const PartitionRerun rerun = [&](std::size_t p, std::size_t attempt) {
-      PartitionVerdictRow row = engine.runPartition(planner->pool(), outcome.chosen[p], response);
-      const CorruptionTrace trace =
-          corruptor_.corruptRow(row, schedule[p], p, failingPositions, faultKey, attempt);
-      if (trace.count() > 0) {
-        obs::count(obs::Counter::NoiseEventsInjected, trace.count());
-      }
-      return row;
-    };
-    RecoveredDiagnosis recovered = recovery_.recover(schedule, outcome.verdicts, rerun);
-    out.candidates = std::move(recovered.candidates);
-    out.candidateCount = out.candidates.cellCount();
-    out.confidence = recovered.confidence;
-    out.resolved = recovered.resolved;
-    out.inconsistencies = recovered.inconsistencies.size();
-    out.retrySessions = recovered.retrySessions;
+    outcome = planner->run(response, observer);
+    adaptiveSchedule = planner->schedule(outcome);
+    verdicts = std::move(outcome.verdicts);
+    // The adaptive spend is data-dependent; charge what actually ran.
     out.cost = adaptiveRunCost(outcome.sessionsUsed, config.numPatterns, chainLength);
-    out.cost += repeatedSessionsCost(recovered.retrySessions, config.numPatterns, chainLength);
-    out.emptyCandidates = out.candidateCount == 0;
-    out.misdiagnosed = !response.failingCells.isSubsetOf(out.candidates.cells);
-    return out;
+  } else {
+    verdicts = engine.run(prepared, response);
+    out.injected = corruptor_.corrupt(verdicts, prepared.partitions(), failingPositions,
+                                      faultKey, /*attempt=*/0);
   }
-
-  obs::count(obs::Counter::FaultsDiagnosed);
-  const PreparedPartitionSet& prepared = base_.prepared();
-  const std::vector<Partition>& partitions = prepared.partitions();
-  const SessionEngine& engine = base_.engine();
-  const BitVector failingPositions = topology_->collapseCells(response.failingCells);
-
-  GroupVerdicts verdicts = engine.run(prepared, response);
-  out.injected = corruptor_.corrupt(verdicts, partitions, failingPositions, faultKey,
-                                    /*attempt=*/0);
   if (out.injected.count() > 0) {
     obs::count(obs::Counter::NoiseEventsInjected, out.injected.count());
   }
+  const std::vector<Partition>& schedule = planner ? adaptiveSchedule : prepared.partitions();
 
-  // A retry re-runs the partition's sessions on the same noisy tester: fresh
+  // A retry re-runs one step's sessions on the same noisy tester: fresh
   // capture, fresh independent noise stream (attempt >= 1).
   const PartitionRerun rerun = [&](std::size_t p, std::size_t attempt) {
-    PartitionVerdictRow row = engine.runPartition(prepared, p, response);
+    PartitionVerdictRow row =
+        engine.runPartition(prepared, planner ? outcome.chosen[p] : p, response);
     const CorruptionTrace trace =
-        corruptor_.corruptRow(row, partitions[p], p, failingPositions, faultKey, attempt);
+        corruptor_.corruptRow(row, schedule[p], p, failingPositions, faultKey, attempt);
     if (trace.count() > 0) {
       obs::count(obs::Counter::NoiseEventsInjected, trace.count());
     }
     return row;
   };
 
-  RecoveredDiagnosis recovered = recovery_.recover(prepared, verdicts, rerun);
+  RecoveredDiagnosis recovered = recovery_.recover(schedule, verdicts, rerun);
   out.candidates = std::move(recovered.candidates);
   out.candidateCount = out.candidates.cellCount();
   out.confidence = recovered.confidence;
@@ -122,7 +101,8 @@ ResilientDiagnosis NoisyPipeline::diagnose(const FaultResponse& response,
   return out;
 }
 
-NoisyDrReport NoisyPipeline::evaluate(const std::vector<FaultResponse>& responses) const {
+NoisyDrReport NoisyPipeline::evaluate(const std::vector<FaultResponse>& responses,
+                                      const RunControl& control) const {
   // Same ordered-reduction contract as DiagnosisPipeline::evaluate: slot i
   // depends only on responses[i] and the fault-index-keyed noise stream, so
   // the report is bit-identical for every thread count.
@@ -141,6 +121,7 @@ NoisyDrReport NoisyPipeline::evaluate(const std::vector<FaultResponse>& response
   globalPool().parallelFor(responses.size(), [&](std::size_t i) {
     const FaultResponse& r = responses[i];
     if (!r.detected()) return;
+    control.throwIfStopped();
     const ResilientDiagnosis d = diagnose(r, static_cast<std::uint64_t>(i));
     slots[i] = Slot{d.candidateCount,    d.actualCount, true,        d.misdiagnosed,
                     d.emptyCandidates,   !d.resolved,   d.confidence, d.inconsistencies,

@@ -76,8 +76,10 @@ class NoisyPipeline {
   ResilientDiagnosis diagnose(const FaultResponse& response, std::uint64_t faultKey) const;
 
   /// Noisy DR + misdiagnosis report over detected responses; bit-identical
-  /// at every thread count.
-  NoisyDrReport evaluate(const std::vector<FaultResponse>& responses) const;
+  /// at every thread count. `control` is polled between faults; a trip
+  /// unwinds as OperationCancelled (the default RunControl is inert).
+  NoisyDrReport evaluate(const std::vector<FaultResponse>& responses,
+                         const RunControl& control = {}) const;
 
  private:
   const ScanTopology* topology_;

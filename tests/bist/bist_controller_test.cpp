@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "bist/phase_shifter.hpp"
 #include "diagnosis/interval_partitioner.hpp"
 #include "diagnosis/session_engine.hpp"
@@ -63,13 +66,15 @@ TEST(BistController, UndetectedFaultGivesZeroErrorSignature) {
   GTEST_SKIP() << "all faults detected; nothing to check";
 }
 
+// The circuit is a std::string so gtest prints it (and names the case) by
+// value; a const char* parameter prints as its address, which differs per run.
 class ControllerVsEngine
-    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
 
 TEST_P(ControllerVsEngine, ErrorSignaturesMatchAnalyticModel) {
   const auto [circuit, chains] = GetParam();
   const std::size_t numPatterns = 8;
-  Harness s(circuit, chains, numPatterns);
+  Harness s(circuit.c_str(), chains, numPatterns);
   const BistController ctrl(s.nl, s.topo, s.config);
 
   SessionConfig sessionConfig{SignatureMode::Misr, numPatterns};

@@ -1,6 +1,6 @@
 // Parity oracle for the batched MISR scorer (docs/ARCHITECTURE.md §11): the
-// per-session reference path (SessionScorer::PerSession) and the batched path
-// (SessionScorer::Batched) must be BIT-IDENTICAL in everything observable —
+// per-session reference path (SessionEngine::runReference) and the batched
+// path the pipelines take must be BIT-IDENTICAL in everything observable —
 // group verdicts, error signatures, diagnosis reports, and the deterministic
 // counter section — across all three partitioning schemes, five circuits,
 // thread counts {1, 2, 8}, with and without superposition pruning, and with
@@ -76,7 +76,7 @@ const CircuitWorkload& workloadFor(const std::string& name) {
   return it->second;
 }
 
-DiagnosisConfig configFor(SchemeKind scheme, bool pruning, bool batched,
+DiagnosisConfig configFor(SchemeKind scheme, bool pruning,
                           SignatureMode mode = SignatureMode::Exact) {
   DiagnosisConfig config;
   config.scheme = scheme;
@@ -85,8 +85,72 @@ DiagnosisConfig configFor(SchemeKind scheme, bool pruning, bool batched,
   config.numPatterns = 64;
   config.mode = mode;
   config.pruning = pruning;
-  config.batchedScoring = batched;
   return config;
+}
+
+/// DiagnosisPipeline::evaluate spelled out over reference-scorer verdicts:
+/// the pipeline's own analyzer (and pruner configuration), one fault at a
+/// time in index order. Counts faults_diagnosed per fault as diagnose() does,
+/// so every other counter delta comes from the scorer, analyzer and pruner.
+DrReport referenceEvaluate(const DiagnosisPipeline& pipeline,
+                           const std::vector<FaultResponse>& responses) {
+  const SuperpositionPruner pruner(pipeline.topology());
+  DrAccumulator acc;
+  for (const FaultResponse& r : responses) {
+    if (!r.detected()) continue;
+    obs::count(obs::Counter::FaultsDiagnosed);
+    const GroupVerdicts verdicts = pipeline.engine().runReference(pipeline.prepared(), r);
+    CandidateSet candidates = pipeline.analyzer().analyze(pipeline.partitions(), verdicts);
+    if (pipeline.config().pruning) {
+      candidates = pruner.prune(pipeline.prepared(), verdicts, candidates);
+    }
+    acc.add(candidates.cellCount(), r.failingCellCount());
+  }
+  return DrReport{acc.dr(), acc.faults(), acc.sumCandidates(), acc.sumActual()};
+}
+
+/// NoisyPipeline::evaluate's fixed-schedule ladder spelled out over
+/// reference-scorer verdicts: corrupt attempt 0, recover through corrupted
+/// re-runs, reduce in fault-index order with the same formulas.
+NoisyDrReport referenceNoisyEvaluate(const NoisyPipeline& noisy,
+                                     const std::vector<FaultResponse>& responses) {
+  const DiagnosisPipeline& pipeline = noisy.base();
+  const std::vector<Partition>& partitions = pipeline.partitions();
+  const VerdictCorruptor corruptor(noisy.noise());
+  const DiagnosisRecovery recovery(pipeline.topology(), noisy.retry());
+  DrAccumulator acc;
+  NoisyDrReport report;
+  double confidenceSum = 0.0;
+  std::size_t misdiagnosed = 0, empty = 0;
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    const FaultResponse& r = responses[i];
+    if (!r.detected()) continue;
+    const BitVector failing = pipeline.topology().collapseCells(r.failingCells);
+    GroupVerdicts verdicts = pipeline.engine().runReference(pipeline.prepared(), r);
+    corruptor.corrupt(verdicts, partitions, failing, i, /*attempt=*/0);
+    const PartitionRerun rerun = [&](std::size_t p, std::size_t attempt) {
+      PartitionVerdictRow row = pipeline.engine().runPartition(pipeline.prepared(), p, r);
+      corruptor.corruptRow(row, partitions[p], p, failing, i, attempt);
+      return row;
+    };
+    const RecoveredDiagnosis d = recovery.recover(partitions, verdicts, rerun);
+    acc.add(d.candidates.cellCount(), r.failingCellCount());
+    confidenceSum += d.confidence;
+    misdiagnosed += r.failingCells.isSubsetOf(d.candidates.cells) ? 0 : 1;
+    empty += d.candidates.cellCount() == 0 ? 1 : 0;
+    report.unresolved += d.resolved ? 0 : 1;
+    report.totalInconsistencies += d.inconsistencies.size();
+    report.totalRetrySessions += d.retrySessions;
+  }
+  const double n = static_cast<double>(acc.faults());
+  report.dr = acc.dr();
+  report.faults = acc.faults();
+  report.sumCandidates = acc.sumCandidates();
+  report.sumActual = acc.sumActual();
+  report.misdiagnosisRate = static_cast<double>(misdiagnosed) / n;
+  report.emptyRate = static_cast<double>(empty) / n;
+  report.meanConfidence = confidenceSum / n;
+  return report;
 }
 
 std::string caseName(const std::string& circuit, SchemeKind scheme, bool pruning) {
@@ -111,8 +175,7 @@ TEST_F(BatchedParity, VerdictsSignaturesAndCountersMatchPerFault) {
     for (SchemeKind scheme : kSchemes) {
       for (SignatureMode mode : {SignatureMode::Exact, SignatureMode::Misr}) {
         const DiagnosisPipeline pipeline(
-            work.topology,
-            configFor(scheme, /*pruning=*/mode == SignatureMode::Exact, true, mode));
+            work.topology, configFor(scheme, /*pruning=*/mode == SignatureMode::Exact, mode));
         ASSERT_TRUE(pipeline.prepared().batchReady());
         const SessionEngine& engine = pipeline.engine();
         std::size_t checked = 0;
@@ -148,20 +211,19 @@ TEST_F(BatchedParity, VerdictsSignaturesAndCountersMatchPerFault) {
 }
 
 TEST_F(BatchedParity, DrReportsBitIdenticalAcrossScorersThreadsAndPruning) {
-  // Pipeline-level oracle: full DR evaluation with batchedScoring on vs off,
-  // at 1/2/8 threads, with and without pruning. Double-precision DR values
-  // compare bitwise (==), not approximately.
+  // Pipeline-level oracle: full DR evaluation on the batched path vs the
+  // same pipeline's steps over reference-scorer verdicts, at 1/2/8 threads,
+  // with and without pruning. Double-precision DR values compare bitwise
+  // (==), not approximately.
   for (const char* circuit : kCircuits) {
     const CircuitWorkload& work = workloadFor(circuit);
     for (SchemeKind scheme : kSchemes) {
       for (bool pruning : {false, true}) {
-        const DiagnosisPipeline reference(work.topology,
-                                          configFor(scheme, pruning, /*batched=*/false));
-        const DiagnosisPipeline batched(work.topology,
-                                        configFor(scheme, pruning, /*batched=*/true));
+        const DiagnosisPipeline batched(work.topology, configFor(scheme, pruning));
+        ASSERT_TRUE(batched.prepared().batchReady());
         setGlobalThreadCount(1);
         const auto before = obs::MetricsRegistry::instance().snapshot();
-        const DrReport expected = reference.evaluate(work.responses);
+        const DrReport expected = referenceEvaluate(batched, work.responses);
         const auto mid = obs::MetricsRegistry::instance().snapshot();
         for (std::size_t threads : kThreadCounts) {
           setGlobalThreadCount(threads);
@@ -205,12 +267,9 @@ TEST_F(BatchedParity, NoisyPipelineBitIdenticalAcrossScorers) {
   for (const std::string circuit : {"s344", "s953"}) {
     const CircuitWorkload& work = workloadFor(circuit);
     for (SchemeKind scheme : kSchemes) {
-      const NoisyPipeline reference(work.topology,
-                                    configFor(scheme, false, /*batched=*/false), noise, retry);
-      const NoisyPipeline batched(work.topology, configFor(scheme, false, /*batched=*/true),
-                                  noise, retry);
+      const NoisyPipeline batched(work.topology, configFor(scheme, false), noise, retry);
       setGlobalThreadCount(1);
-      const NoisyDrReport expected = reference.evaluate(work.responses);
+      const NoisyDrReport expected = referenceNoisyEvaluate(batched, work.responses);
       for (std::size_t threads : kThreadCounts) {
         setGlobalThreadCount(threads);
         const std::string what =
@@ -235,8 +294,7 @@ TEST_F(BatchedParity, ScratchReuseMatchesFreshScratch) {
   // A worker reuses one SessionBatchScratch across its whole fault chunk;
   // stale buffer contents from fault i must never leak into fault i+1.
   const CircuitWorkload& work = workloadFor("s526");
-  const DiagnosisPipeline pipeline(work.topology,
-                                   configFor(SchemeKind::TwoStep, true, true));
+  const DiagnosisPipeline pipeline(work.topology, configFor(SchemeKind::TwoStep, true));
   const SessionEngine& engine = pipeline.engine();
   SessionBatchScratch reused;
   std::size_t checked = 0;

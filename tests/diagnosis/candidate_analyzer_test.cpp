@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "diagnosis/experiment_driver.hpp"
 #include "diagnosis/interval_partitioner.hpp"
 #include "netlist/synthetic_generator.hpp"
@@ -71,6 +73,13 @@ struct SoundnessParam {
   SchemeKind scheme;
   std::size_t chains;
 };
+
+// Prints (and so names) each case by value; gtest's default dumps the raw
+// bytes, which hold the circuit-name pointer and differ per run.
+void PrintTo(const SoundnessParam& param, std::ostream* os) {
+  *os << '(' << param.circuit << ", " << schemeName(param.scheme) << ", " << param.chains
+      << ')';
+}
 
 class SoundnessSweep : public ::testing::TestWithParam<SoundnessParam> {};
 

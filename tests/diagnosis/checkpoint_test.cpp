@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "diagnosis/adaptive_planner.hpp"
 #include "netlist/synthetic_generator.hpp"
 #include "obs/metrics.hpp"
 
@@ -252,8 +253,8 @@ TEST_F(CheckpointTest, VerdictDigestIsStableAcrossRuns) {
   Fixture& f = fixture();
   const FaultResponse& response = f.work.responses.front();
   std::uint64_t a = 0, b = 0;
-  const FaultDiagnosis da = f.pipeline.diagnoseDigested(response, &a);
-  const FaultDiagnosis db = f.pipeline.diagnoseDigested(response, &b);
+  const FaultDiagnosis da = f.pipeline.diagnose(response, nullptr, &a);
+  const FaultDiagnosis db = f.pipeline.diagnose(response, nullptr, &b);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, 0u);
   EXPECT_EQ(da.candidateCount, db.candidateCount);
@@ -261,6 +262,66 @@ TEST_F(CheckpointTest, VerdictDigestIsStableAcrossRuns) {
   const FaultDiagnosis plain = f.pipeline.diagnose(response);
   EXPECT_EQ(da.candidateCount, plain.candidateCount);
   EXPECT_EQ(da.actualCount, plain.actualCount);
+}
+
+/// The journaled digest layout: FNV-1a over the verdict words of each step of
+/// the realized schedule, adaptive steps prefixed by their pool index.
+/// Journals written before and after any refactor of diagnose() must agree.
+std::uint64_t expectedDigest(const DiagnosisPipeline& pipeline, const FaultResponse& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](const BitVector& row) {
+    for (std::size_t w = 0; w < row.wordCount(); ++w) h = fnv1a64(row.word(w), h);
+  };
+  if (const AdaptivePlanner* planner = pipeline.adaptive()) {
+    const AdaptiveOutcome outcome = planner->run(r);
+    for (std::size_t s = 0; s < outcome.chosen.size(); ++s) {
+      h = fnv1a64(static_cast<std::uint64_t>(outcome.chosen[s]), h);
+      fold(outcome.verdicts.failing[s]);
+    }
+  } else {
+    const GroupVerdicts verdicts = pipeline.engine().runReference(pipeline.prepared(), r);
+    for (const BitVector& row : verdicts.failing) fold(row);
+  }
+  return h;
+}
+
+TEST_F(CheckpointTest, DiagnoseMatchesWithAndWithoutScratchOnEveryScheme) {
+  // The one per-fault entry: a reused worker scratch and a digest request
+  // change neither the candidates nor the digest, on every scheme, with and
+  // without pruning (the adaptive scheme refuses pruning at construction).
+  Fixture& f = fixture();
+  for (const SchemeKind scheme : {SchemeKind::TwoStep, SchemeKind::RandomSelection,
+                                  SchemeKind::IntervalBased, SchemeKind::Adaptive}) {
+    for (const bool pruning : {false, true}) {
+      DiagnosisConfig config = smallConfig();
+      config.scheme = scheme;
+      config.pruning = pruning;
+      const std::string what = schemeName(scheme) + (pruning ? "+prune" : "");
+      if (scheme == SchemeKind::Adaptive && pruning) {
+        EXPECT_THROW(DiagnosisPipeline(f.work.topology, config), std::invalid_argument);
+        continue;
+      }
+      const DiagnosisPipeline pipeline(f.work.topology, config);
+      SessionBatchScratch scratch;
+      std::size_t checked = 0;
+      for (const FaultResponse& r : f.work.responses) {
+        if (!r.detected()) continue;
+        ++checked;
+        std::uint64_t fresh = 0, reused = 0;
+        const FaultDiagnosis a = pipeline.diagnose(r, nullptr, &fresh);
+        const FaultDiagnosis b = pipeline.diagnose(r, &scratch, &reused);
+        const FaultDiagnosis plain = pipeline.diagnose(r, &scratch);
+        EXPECT_EQ(a.candidates.cells, b.candidates.cells) << what;
+        EXPECT_EQ(a.candidates.cells, plain.candidates.cells) << what;
+        EXPECT_EQ(a.candidateCount, b.candidateCount) << what;
+        EXPECT_EQ(a.actualCount, b.actualCount) << what;
+        EXPECT_EQ(a.sessionsSpent, b.sessionsSpent) << what;
+        EXPECT_EQ(fresh, reused) << what;
+        EXPECT_EQ(fresh, expectedDigest(pipeline, r)) << what;
+      }
+      EXPECT_GT(checked, 0u) << what;
+    }
+  }
 }
 
 }  // namespace

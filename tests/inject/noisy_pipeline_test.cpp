@@ -8,6 +8,7 @@
 #include "common/thread_pool.hpp"
 #include "inject/noisy_pipeline.hpp"
 #include "netlist/synthetic_generator.hpp"
+#include "obs/metrics.hpp"
 
 namespace scandiag {
 namespace {
@@ -97,6 +98,22 @@ TEST(NoisyPipeline, ReportIsThreadCountInvariant) {
   EXPECT_EQ(one.totalInconsistencies, eight.totalInconsistencies);
   EXPECT_EQ(one.totalRetrySessions, eight.totalRetrySessions);
   EXPECT_EQ(one.unresolved, eight.unresolved);
+}
+
+TEST(NoisyPipeline, EvaluateStopsBeforeAnyFaultWhenCancelled) {
+  const ScanTopology topo = ScanTopology::singleChain(32);
+  NoiseConfig noise;
+  noise.flipRate = 0.1;
+  const NoisyPipeline pipeline(topo, smallConfig(), noise, RetryPolicy{});
+  CancellationToken token;
+  token.cancel("test cancel");
+  const auto diagnosed = [] {
+    return obs::MetricsRegistry::instance().snapshot().counter(obs::Counter::FaultsDiagnosed);
+  };
+  const std::uint64_t before = diagnosed();
+  EXPECT_THROW(pipeline.evaluate(singleCellResponses(32), RunControl{&token, nullptr}),
+               OperationCancelled);
+  EXPECT_EQ(diagnosed() - before, 0u);
 }
 
 // Silencing noise (fail->pass only — intermittency, X-masking, aliasing)

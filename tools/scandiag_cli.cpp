@@ -42,8 +42,8 @@
 //   --target X        DR target for plan (default 0.5)
 //   --metrics F       write a pipeline metrics snapshot (counters, phase
 //                     timers, worker utilization) to F as JSON after the
-//                     command finishes (any command; also flushed when the
-//                     command is interrupted and exits with code 6)
+//                     command finishes (any command; also written on exit 8
+//                     and flushed when the command is interrupted with exit 6)
 //
 // Class-sweep / shard options (soc-dr, merge-journals):
 //   --class-sweep     force the class-sweep protocol for soc1/d695 (rep:
@@ -60,7 +60,11 @@
 // Crash safety / long-run options (dr, soc-dr):
 //   --deadline-ms N   watchdog: cancel the run after N milliseconds of wall
 //                     clock and exit 6 with whatever was journaled/flushed
-//   --checkpoint F    journal every completed fault to F (fsync'd, CRC-framed)
+//                     (every mode: clean, --noise, --defects; SIGINT/SIGTERM
+//                     drain the same way)
+//   --checkpoint F    journal every completed fault to F (fsync'd, CRC-framed);
+//                     clean runs only — refused (exit 2) with the noise flags
+//                     and with --defects
 //   --resume          continue from F instead of starting over; refuses a
 //                     journal written for a different circuit/workload setup;
 //                     final DR/counters are bit-identical to an uninterrupted
@@ -91,7 +95,8 @@
 //                     ladder; soc-dr: k simultaneous failing cores (stuck-at
 //                     only; bridge/open/intermittent are core-local models).
 //                     Takes precedence over the noise flags. Incompatible with
-//                     --scheme adaptive and (dr) with --checkpoint/--resume.
+//                     --scheme adaptive and --checkpoint/--resume (soc-dr:
+//                     also --shard/--report).
 //   --refine-budget N extra interval sessions per scenario for active union
 //                     refinement (default 96; 0 = passive superset only)
 //   --atpg-budget N   PODEM mini-sessions per scenario when refinement stalls
@@ -124,7 +129,7 @@
 //      defect budget (--defects: k exceeded the resolvable cluster budget,
 //      the refinement/ATPG budget ran out, or intermittency degraded the
 //      answer; the printed candidates are a sound superset with calibrated
-//      confidence — degrade, never lie)
+//      confidence — degrade, never lie); --metrics is written as for 0
 
 #include <chrono>
 #include <cstdio>
@@ -290,6 +295,14 @@ CliRunState cliRunFrom(const Args& args, std::uint64_t setupDigest,
   return state;
 }
 
+/// Run state for the noisy and defect modes: the watchdog of a clean run,
+/// but no journal (a fault record carries no confidence or recovery counts).
+CliRunState unjournaledRunFrom(const Args& args, const std::string& mode) {
+  if (!args.get("checkpoint", "").empty() || args.getFlag("resume"))
+    throw std::invalid_argument(mode + " does not support --checkpoint/--resume");
+  return cliRunFrom(args, 0, "");
+}
+
 int cmdInfo(const Args& args) {
   const Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
   const Levelization lev = levelize(nl);
@@ -418,6 +431,7 @@ int cmdDiagnose(const Args& args) {
 }
 
 int drNoisy(const Netlist& nl, const Args& args, const NoiseConfig& noise) {
+  const CliRunState run = unjournaledRunFrom(args, "noisy dr");
   const DiagnosisConfig config = configFrom(args);
   WorkloadConfig wc;
   wc.numPatterns = config.numPatterns;
@@ -425,7 +439,7 @@ int drNoisy(const Netlist& nl, const Args& args, const NoiseConfig& noise) {
   wc.faultSeed = args.getN("seed", 0xFA17);
   const CircuitWorkload work = prepareWorkload(nl, wc, args.getN("chains", 1));
   const NoisyPipeline noisy(work.topology, config, noise, retryFrom(args));
-  const NoisyDrReport rep = noisy.evaluate(work.responses);
+  const NoisyDrReport rep = noisy.evaluate(work.responses, run.control());
 
   if (args.getFlag("json")) {
     JsonWriter json(std::cout);
@@ -462,8 +476,7 @@ int drNoisy(const Netlist& nl, const Args& args, const NoiseConfig& noise) {
 /// journal schema is per-single-fault); degraded scenarios map to exit 8.
 int drDefects(const Netlist& nl, const Args& args) {
   const DefectMix mix = parseDefectSpec(args.get("defects", ""));
-  if (!args.get("checkpoint", "").empty() || args.getFlag("resume"))
-    throw std::invalid_argument("--defects does not support --checkpoint/--resume");
+  const CliRunState run = unjournaledRunFrom(args, "--defects");
   const DiagnosisConfig config = configFrom(args);
   if (config.scheme == SchemeKind::Adaptive)
     throw std::invalid_argument("--defects is incompatible with --scheme adaptive");
@@ -488,7 +501,7 @@ int drDefects(const Netlist& nl, const Args& args) {
   policy.atpgSessionBudget = args.getN("atpg-budget", policy.atpgSessionBudget);
   policy.intermittentSamples = args.getN("samples", policy.intermittentSamples);
   const DefectZooPipeline zoo(sim, topology, config, policy);
-  const DefectZooReport rep = zoo.evaluate(scenarios);
+  const DefectZooReport rep = zoo.evaluate(scenarios, run.control());
 
   if (args.getFlag("json")) {
     JsonWriter json(std::cout);
@@ -644,6 +657,9 @@ int socClassSweepCmd(const Args& args, const std::string& spec, const Soc& soc,
 int socDrDefects(const Args& args, const Soc& soc, const WorkloadConfig& workload,
                  const DiagnosisConfig& config) {
   const DefectMix mix = parseDefectSpec(args.get("defects", ""));
+  if (args.options.count("shard") || args.options.count("report"))
+    throw std::invalid_argument("soc-dr --defects does not support --shard/--report");
+  const CliRunState run = unjournaledRunFrom(args, "soc-dr --defects");
   if (mix.bridges || mix.opens || mix.intermittentP > 0.0)
     throw std::invalid_argument(
         "soc-dr --defects models k simultaneous failing cores (stuck-at only); "
@@ -677,13 +693,15 @@ int socDrDefects(const Args& args, const Soc& soc, const WorkloadConfig& workloa
   };
   std::vector<Slot> slots(responses.size());
   globalPool().parallelFor(responses.size(), [&](std::size_t i) {
+    run.control().throwIfStopped();
     obs::count(obs::Counter::DefectScenariosRun);
     const FaultResponse& response = responses[i];
     const GroupVerdicts verdicts = pipeline.engine().run(prepared, response);
     const PartitionRerun rerun = [&](std::size_t p, std::size_t) {
       return pipeline.engine().runPartition(prepared, p, response);
     };
-    const RecoveredDiagnosis recovered = recovery.recover(prepared, verdicts, rerun);
+    const RecoveredDiagnosis recovered =
+        recovery.recover(prepared.partitions(), verdicts, rerun);
     slots[i].candidates = recovered.candidates.cellCount();
     slots[i].actual = response.failingCellCount();
     slots[i].misdiagnosed = !response.failingCells.isSubsetOf(recovered.candidates.cells);
@@ -1038,8 +1056,9 @@ int main(int argc, char** argv) {
     if (args.options.count("threads")) setGlobalThreadCount(args.getN("threads", 0));
     const int rc = dispatch(args);
     // A failed or unknown command did no meaningful work; don't let its
-    // metrics snapshot clobber a previous valid one at the same path.
-    if (rc == kExitOk) writeMetricsIfRequested(args);
+    // metrics snapshot clobber a previous valid one at the same path. Exit 8
+    // is a completed run with a sound superset, so its snapshot is written.
+    if (rc == kExitOk || rc == kExitDefectSuperset) writeMetricsIfRequested(args);
     return rc;
   } catch (const OperationCancelled& e) {
     // The journal (if any) holds every completed fault; the counters reflect
