@@ -72,11 +72,7 @@ int main() {
           const FaultResponse& r = perSeed[reseed ? p : 0][f];
           actual |= r.failingCells;
           const GroupVerdicts v = engine.run({partitions[p]}, r);
-          BitVector failingUnion(topology.maxChainLength());
-          for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-            if (v.failing[0].test(g)) failingUnion |= partitions[p].groups[g];
-          }
-          positions &= failingUnion;
+          positions &= partitions[p].failingUnion(v.failing[0]);
         }
         const BitVector candidates = topology.expandPositions(positions);
         acc.add(candidates.count(), actual.count());

@@ -99,13 +99,6 @@ void BM_LfsrStep(benchmark::State& state) {
 }
 BENCHMARK(BM_LfsrStep);
 
-void BM_GaloisLfsrStep(benchmark::State& state) {
-  GaloisLfsr lfsr(LfsrConfig{16, 0}, 0xACE1);
-  for (auto _ : state) benchmark::DoNotOptimize(lfsr.step());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_GaloisLfsrStep);
-
 void BM_MisrClock(benchmark::State& state) {
   Misr misr(16, primitiveTapMask(16), 8);
   std::uint64_t x = 0;

@@ -45,47 +45,4 @@ std::uint64_t Lfsr::lowBits(unsigned r) const {
   return state_ & ((std::uint64_t{1} << r) - 1);
 }
 
-GaloisLfsr::GaloisLfsr(const LfsrConfig& config, std::uint64_t seed)
-    : degree_(config.degree),
-      tapMask_(config.effectiveTapMask()),
-      stateMask_(degree_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << degree_) - 1) {
-  SCANDIAG_REQUIRE(degree_ >= 2 && degree_ <= 63, "LFSR degree must be in [2, 63]");
-  SCANDIAG_REQUIRE((tapMask_ & ~stateMask_) == 0, "tap mask exceeds degree");
-  SCANDIAG_REQUIRE(tapMask_ >> (degree_ - 1), "tap mask must include the top stage");
-  // The Fibonacci form's recurrence s_k = XOR_t s_{k-t} has the RECIPROCAL of
-  // p(x) as its characteristic polynomial; build the Galois feedback from the
-  // reciprocal too so both forms emit the same m-sequence (up to phase).
-  // p(x) terms below x^d are the taps t < d plus the implicit x^0; the
-  // reciprocal maps x^t -> x^(d-t).
-  feedbackMask_ = 0;
-  for (unsigned t = 1; t < degree_; ++t) {
-    if ((tapMask_ >> (t - 1)) & 1u) feedbackMask_ |= std::uint64_t{1} << (degree_ - t);
-  }
-  feedbackMask_ |= 1u;  // reciprocal of the leading x^d term
-  setState(seed);
-}
-
-void GaloisLfsr::setState(std::uint64_t state) {
-  state &= stateMask_;
-  SCANDIAG_REQUIRE(state != 0, "LFSR state must be nonzero");
-  state_ = state;
-}
-
-bool GaloisLfsr::step() {
-  // Internal-XOR form: when the top stage is 1, the polynomial (minus its
-  // leading term) is XORed into the shifted state — the standard "multiply by
-  // x modulo p(x)" update. Left-shift direction matches the Fibonacci form.
-  const bool out = (state_ >> (degree_ - 1)) & 1u;
-  state_ = (state_ << 1) & stateMask_;
-  if (out) state_ ^= feedbackMask_;  // multiply by x modulo the reciprocal polynomial
-  return out;
-}
-
-std::uint64_t GaloisLfsr::stepBits(unsigned n) {
-  SCANDIAG_REQUIRE(n <= 64, "at most 64 bits per call");
-  std::uint64_t bits = 0;
-  for (unsigned i = 0; i < n; ++i) bits |= static_cast<std::uint64_t>(step()) << i;
-  return bits;
-}
-
 }  // namespace scandiag

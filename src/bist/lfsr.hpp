@@ -54,34 +54,4 @@ class Lfsr {
   std::uint64_t state_;
 };
 
-/// Galois (internal-XOR) form of the same polynomial: one shift plus one
-/// conditional XOR per step instead of a parity computation — the form
-/// software PRPGs use when raw bit throughput matters. For the same
-/// polynomial it emits the same maximal-length output sequence as the
-/// Fibonacci form (up to a state-mapping / phase shift), which the tests
-/// verify; the two are interchangeable as bit sources but NOT as state
-/// machines (lowBits labels differ), so the selector hardware models stay on
-/// the Fibonacci form the paper describes.
-class GaloisLfsr {
- public:
-  GaloisLfsr(const LfsrConfig& config, std::uint64_t seed);
-
-  unsigned degree() const { return degree_; }
-  std::uint64_t state() const { return state_; }
-  void setState(std::uint64_t state);
-
-  /// One shift; returns the output bit (top stage before the shift).
-  bool step();
-
-  /// n output bits, LSB-first packed (n <= 64).
-  std::uint64_t stepBits(unsigned n);
-
- private:
-  unsigned degree_;
-  std::uint64_t tapMask_;
-  std::uint64_t feedbackMask_ = 0;
-  std::uint64_t stateMask_;
-  std::uint64_t state_;
-};
-
 }  // namespace scandiag

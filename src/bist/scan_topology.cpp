@@ -14,6 +14,7 @@ ScanTopology ScanTopology::singleChain(std::size_t numCells) {
 
 ScanTopology ScanTopology::blockChains(std::size_t numCells, std::size_t numChains) {
   SCANDIAG_REQUIRE(numChains >= 1, "need at least one chain");
+  SCANDIAG_REQUIRE(numCells >= 1, "circuit has no scan cells");
   SCANDIAG_REQUIRE(numChains <= numCells, "more chains than cells");
   std::vector<std::vector<std::size_t>> chains(numChains);
   const std::size_t base = numCells / numChains;

@@ -32,6 +32,7 @@ class ScanTopology {
 
   /// numChains chains of (near-)equal length; cells split into contiguous
   /// blocks so structural locality maps to positional locality per chain.
+  /// blockChains(n, 1) is singleChain(n).
   static ScanTopology blockChains(std::size_t numCells, std::size_t numChains);
 
   /// Arbitrary stitching: chains[c] lists cell ids from scan-out to scan-in.

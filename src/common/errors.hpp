@@ -1,8 +1,8 @@
 // Typed error hierarchy for external-input failures.
 //
-// The parsers (.bench netlists, .soc descriptions, tester session logs) face
-// data produced outside this process — truncated uploads, corrupted tester
-// dumps, hand-edited files. Every malformed input must surface as a typed
+// The parsers (.bench netlists, tester session logs) face data produced
+// outside this process — truncated uploads, corrupted tester dumps,
+// hand-edited files. Every malformed input must surface as a typed
 // exception carrying the source location, never as UB or silent acceptance,
 // so callers (and scandiag_cli's exit-code mapping) can distinguish
 //   * ParseError         — the bytes are wrong (carries a 1-based line),
@@ -20,7 +20,7 @@ namespace scandiag {
 
 class ParseError : public std::invalid_argument {
  public:
-  /// `format` names the input kind ("session log", ".soc", ".bench");
+  /// `format` names the input kind ("session log", ".bench");
   /// `line` is 1-based, 0 when the error is not tied to one line.
   ParseError(std::string format, int line, const std::string& message)
       : std::invalid_argument(compose(format, line, message)),

@@ -1,24 +1,17 @@
 #include "core/diagnoser.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "sim/fault_list.hpp"
 
 namespace scandiag {
 
-namespace {
-
-ScanTopology makeTopology(const Netlist& netlist, std::size_t numChains) {
-  SCANDIAG_REQUIRE(!netlist.dffs().empty(), "circuit has no scan cells");
-  return numChains <= 1 ? ScanTopology::singleChain(netlist.dffs().size())
-                        : ScanTopology::blockChains(netlist.dffs().size(), numChains);
-}
-
-}  // namespace
-
 Diagnoser::Diagnoser(Netlist netlist, DiagnoserOptions options)
     : netlist_(std::move(netlist)),
       options_(std::move(options)),
-      topology_(makeTopology(netlist_, options_.numChains)),
+      topology_(ScanTopology::blockChains(netlist_.dffs().size(),
+                                          std::max<std::size_t>(options_.numChains, 1))),
       patterns_(generatePatterns(netlist_, options_.diagnosis.numPatterns, options_.prpg)),
       faultSim_(netlist_, patterns_),
       pipeline_(topology_, options_.diagnosis) {}

@@ -1,6 +1,7 @@
 #include "diagnosis/adaptive_planner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,14 +12,15 @@ namespace scandiag {
 
 namespace {
 
-/// Largest power of two <= n (n >= 1). Random selection labels are bit
-/// fields, so every pool group count is normalized to a power of two — the
-/// same shape recommendGroupCount() produces.
-std::size_t floorPow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p * 2 <= n) p *= 2;
-  return p;
-}
+/// Score bonus (bits/session) for interval candidates while no verdict has
+/// been observed yet. The uniform-survivor model cannot see that fault cones
+/// cluster on the chain (the paper's §2.2 argument for step 1), so the blind
+/// first pick gets a thumb on the interval side of the scale.
+constexpr double kIntervalPrior = 0.1;
+
+/// Assumed failing-position spread before the first observed verdict row
+/// (afterwards the max observed failing-group count takes over).
+constexpr std::size_t kSpreadPrior = 2;
 
 /// Seed of random-selection stream k: the base seed advanced by k odd
 /// strides, masked to the LFSR width and bumped off the stuck all-zero state.
@@ -64,43 +66,31 @@ AdaptivePlanner::AdaptivePlanner(const ScanTopology& topology, const DiagnosisCo
     if (opts.intervalCandidates == 0 && opts.seedPool == 0) {
       throw std::invalid_argument("adaptive pool is empty: need interval or random candidates");
     }
-    // Group counts, clamped to the chain and normalized to powers of two
-    // (random-selection labels are bit fields), deduplicated in order.
-    std::vector<std::size_t> groupCounts;
-    const std::vector<std::size_t> requested =
-        opts.groupCandidates.empty() ? std::vector<std::size_t>{config.groupsPerPartition}
-                                     : opts.groupCandidates;
-    std::size_t minGroups = chainLength;
-    for (std::size_t g : requested) {
-      const std::size_t clamped = floorPow2(std::max<std::size_t>(std::min(g, chainLength), 1));
-      if (std::find(groupCounts.begin(), groupCounts.end(), clamped) != groupCounts.end()) {
-        continue;
-      }
-      groupCounts.push_back(clamped);
-      minGroups = std::min(minGroups, clamped);
-    }
+    // The group count, clamped to the chain and normalized to a power of two
+    // (random-selection labels are bit fields) — the same shape
+    // recommendGroupCount() produces.
+    const std::size_t groups = std::bit_floor(
+        std::max<std::size_t>(std::min(config.groupsPerPartition, chainLength), 1));
     // Enough random candidates per stream that the pool never runs dry before
     // the budget does, whatever the scorer picks.
-    const std::size_t maxSteps = std::max<std::size_t>(budget_ / std::max<std::size_t>(minGroups, 1), 1);
-    for (std::size_t g : groupCounts) {
-      IntervalPartitioner intervals(
-          IntervalPartitionerConfig{config.schemeConfig.lfsr, config.schemeConfig.rlen,
-                                    config.schemeConfig.intervalStartSeed},
-          chainLength, g);
-      for (std::size_t i = 0; i < opts.intervalCandidates; ++i) {
-        candidates.push_back(intervals.next());
-        kinds_.push_back(PoolKind::Interval);
-      }
-      for (std::size_t k = 0; k < opts.seedPool; ++k) {
-        RandomSelectionPartitioner randoms(
-            RandomSelectionConfig{
-                config.schemeConfig.lfsr,
-                poolSeed(config.schemeConfig.randomSeed, k, config.schemeConfig.lfsr.degree)},
-            chainLength, g);
-        for (std::size_t i = 0; i < maxSteps; ++i) {
-          candidates.push_back(randoms.next());
-          kinds_.push_back(PoolKind::Random);
-        }
+    const std::size_t maxSteps = std::max<std::size_t>(budget_ / groups, 1);
+    IntervalPartitioner intervals(
+        IntervalPartitionerConfig{config.schemeConfig.lfsr, config.schemeConfig.rlen,
+                                  config.schemeConfig.intervalStartSeed},
+        chainLength, groups);
+    for (std::size_t i = 0; i < opts.intervalCandidates; ++i) {
+      candidates.push_back(intervals.next());
+      kinds_.push_back(PoolKind::Interval);
+    }
+    for (std::size_t k = 0; k < opts.seedPool; ++k) {
+      RandomSelectionPartitioner randoms(
+          RandomSelectionConfig{
+              config.schemeConfig.lfsr,
+              poolSeed(config.schemeConfig.randomSeed, k, config.schemeConfig.lfsr.degree)},
+          chainLength, groups);
+      for (std::size_t i = 0; i < maxSteps; ++i) {
+        candidates.push_back(randoms.next());
+        kinds_.push_back(PoolKind::Random);
       }
     }
   }
@@ -143,7 +133,7 @@ double AdaptivePlanner::scoreCandidate(std::size_t index, const std::vector<std:
   if (!observedAnything && kinds_[index] == PoolKind::Interval) {
     // Blind first pick: the uniform model cannot see that fault cones cluster
     // on the chain (paper §2.2) — intervals get the clustering prior.
-    score += config_.schemeConfig.adaptive.intervalPrior;
+    score += kIntervalPrior;
   }
   return score;
 }
@@ -159,7 +149,6 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
   BitVector survivors(length, true);
   std::vector<char> used(poolSize, 0);
   std::vector<std::uint32_t> counts(pool_.totalGroups());
-  const std::size_t spreadPrior = std::clamp<std::size_t>(opts.spreadPrior, 1, 64);
   std::size_t observedSpread = 0;  // max failing-group count seen; 0 = nothing yet
   std::uint64_t pruned = 0;
 
@@ -182,7 +171,7 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
         const std::uint32_t* groups = pool_.groupsAtPosition(pos);
         for (std::size_t j = 0; j < poolSize; ++j) ++counts[groups[j]];
       }
-      const std::size_t spread = observedSpread > 0 ? observedSpread : spreadPrior;
+      const std::size_t spread = observedSpread > 0 ? observedSpread : kSpreadPrior;
       double bestScore = 0.0;
       for (std::size_t i = 0; i < poolSize; ++i) {
         if (used[i]) continue;
@@ -202,11 +191,7 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
     observedSpread = std::max<std::size_t>(observedSpread, std::max<std::size_t>(row.failing.count(), 1));
 
     const Partition& partition = pool_.partition(pick);
-    BitVector failingUnion(length);
-    for (std::size_t g = 0; g < partition.groupCount(); ++g) {
-      if (row.failing.test(g)) failingUnion |= partition.groups[g];
-    }
-    survivors &= failingUnion;
+    survivors &= partition.failingUnion(row.failing);
 
     const std::size_t after = survivors.count();
     pruned += static_cast<std::uint64_t>(before - after);

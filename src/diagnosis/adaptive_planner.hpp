@@ -7,16 +7,16 @@
 //
 //   1. A *candidate pool* of partitions is built once per pipeline (interval
 //      partitions with successive covering seeds, plus random-selection
-//      partitions from a small deterministic seed pool, per candidate group
-//      count) and prepared like any fixed schedule, so scoring can use the
-//      transposed position→group batch layout.
+//      partitions from a small deterministic seed pool, all at the
+//      configured group count) and prepared like any fixed schedule, so
+//      scoring can use the transposed position→group batch layout.
 //   2. Per fault, the surviving-candidate position set S starts as the whole
 //      selection axis. Each step scores every unchosen, affordable pool
 //      candidate by the expected log-reduction of S — the entropy view: a
 //      partition splitting S into groups of c_1..c_b survivors is expected to
 //      keep E = Σ_j c_j·(1 − (1 − c_j/n)^w) of the n = |S| positions, where w
 //      estimates how many failing positions the fault spreads over (max
-//      failing-group count observed so far; spreadPrior before the first
+//      failing-group count observed so far; 2 before the first
 //      observation). Score = (log2(n) − log2(E)) / sessions, so information
 //      is charged per session exactly as CostModel charges tester time.
 //   3. The best candidate (ties → lowest pool index) is run through

@@ -62,77 +62,6 @@ BinarySearchResult BinarySearchDiagnoser::diagnose(const FaultResponse& response
   return result;
 }
 
-BinarySearchResult BinarySearchDiagnoser::diagnoseWithOracle(const IntervalOracle& oracle,
-                                                             const RetryPolicy& policy) const {
-  const std::size_t length = topology_->maxChainLength();
-  BinarySearchResult result;
-  result.candidates.positions = BitVector(length);
-  std::size_t retryBudget = policy.enabled() ? policy.sessionBudget : 0;
-
-  auto query = [&](std::size_t lo, std::size_t hi) {
-    ++result.sessions;
-    return oracle(lo, hi, 0);
-  };
-  // Majority vote of the original verdict plus budget-capped re-queries;
-  // ties vote fail (superset-preserving, as in DiagnosisRecovery).
-  auto majority = [&](std::size_t lo, std::size_t hi, bool original) {
-    std::size_t failVotes = original ? 1 : 0, total = 1;
-    for (std::size_t attempt = 1; attempt <= policy.maxRetriesPerSession && retryBudget > 0;
-         ++attempt) {
-      --retryBudget;
-      ++result.retrySessions;
-      ++result.sessions;
-      if (oracle(lo, hi, attempt)) ++failVotes;
-      ++total;
-    }
-    return 2 * failVotes >= total;
-  };
-
-  // The root session gets verified up front when retrying is allowed: a
-  // flipped root pass is undetectable later and would silently report a
-  // fault-free device.
-  bool rootFails = query(0, length);
-  if (!rootFails && policy.enabled()) rootFails = majority(0, length, false);
-
-  std::vector<std::pair<std::size_t, std::size_t>> failing;
-  if (rootFails) failing.push_back({0, length});
-
-  while (!failing.empty()) {
-    const auto [lo, hi] = failing.back();
-    failing.pop_back();
-    if (hi - lo == 1) {
-      result.candidates.positions.set(lo);
-      continue;
-    }
-    const std::size_t mid = lo + (hi - lo) / 2;
-    // Unlike the trusted oracle, a passing left half proves nothing about
-    // the right half — both are queried.
-    bool leftFails = query(lo, mid);
-    bool rightFails = query(mid, hi);
-    if (!leftFails && !rightFails) {
-      // Parent failed, both halves pass: physically impossible. Retry both;
-      // if the verdict stands, keep the whole parent interval as candidates
-      // rather than losing the fault.
-      ++result.inconsistencies;
-      leftFails = majority(lo, mid, false);
-      rightFails = majority(mid, hi, false);
-      if (!leftFails && !rightFails) {
-        for (std::size_t p = lo; p < hi; ++p) result.candidates.positions.set(p);
-        result.resolved = false;
-        continue;
-      }
-    }
-    if (leftFails) failing.push_back({lo, mid});
-    if (rightFails) failing.push_back({mid, hi});
-  }
-
-  result.candidates.cells = topology_->expandPositions(result.candidates.positions);
-  const DiagnosisCost perSession = sessionCost(numPatterns_, length);
-  result.cost.sessions = result.sessions;
-  result.cost.clockCycles = perSession.clockCycles * result.sessions;
-  return result;
-}
-
 double BinarySearchDiagnoser::meanSessions(const std::vector<FaultResponse>& responses) const {
   std::size_t total = 0, count = 0;
   for (const FaultResponse& r : responses) {

@@ -17,7 +17,6 @@
 #include "bist/scan_topology.hpp"
 #include "diagnosis/candidate_analyzer.hpp"
 #include "diagnosis/cost_model.hpp"
-#include "diagnosis/recovery.hpp"
 #include "sim/fault_simulator.hpp"
 
 namespace scandiag {
@@ -27,19 +26,10 @@ struct BinarySearchResult {
   /// Sessions actually executed (inferred verdicts are free).
   std::size_t sessions = 0;
   DiagnosisCost cost;
-  /// Resilient path only: impossible verdict patterns seen (parent failed,
-  /// both halves passed), re-query sessions spent, and whether every
-  /// inconsistency was repaired within the budget.
-  std::size_t inconsistencies = 0;
-  std::size_t retrySessions = 0;
-  bool resolved = true;
 };
 
 /// Session verdict for the interval [lo, hi) of the selection axis.
-/// `attempt` is 0 for the first query and increments per retry of the same
-/// interval, so noisy oracles can draw independent reproducible streams.
-using IntervalOracle =
-    std::function<bool(std::size_t lo, std::size_t hi, std::size_t attempt)>;
+using IntervalOracle = std::function<bool(std::size_t lo, std::size_t hi)>;
 
 class BinarySearchDiagnoser {
  public:
@@ -47,15 +37,6 @@ class BinarySearchDiagnoser {
 
   /// Exact-verdict adaptive diagnosis of one fault's responses.
   BinarySearchResult diagnose(const FaultResponse& response) const;
-
-  /// Adaptive diagnosis against an untrusted oracle (noisy tester). Unlike
-  /// diagnose(), a passing left half no longer implies the right half fails
-  /// — both halves are queried — and the impossible pattern "parent failed,
-  /// both halves pass" triggers majority-voted re-queries under `policy`;
-  /// when the budget runs out the whole parent interval is kept as
-  /// candidates (superset) instead of silently losing the fault.
-  BinarySearchResult diagnoseWithOracle(const IntervalOracle& oracle,
-                                        const RetryPolicy& policy) const;
 
   /// Mean sessions over a set of responses (for the baselines bench).
   double meanSessions(const std::vector<FaultResponse>& responses) const;

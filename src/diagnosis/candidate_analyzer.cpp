@@ -43,11 +43,7 @@ CandidateSet CandidateAnalyzer::analyze(const std::vector<Partition>& partitions
   CandidateSet out;
   out.positions = BitVector(length, true);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    BitVector failingUnion(length);
-    for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-      if (verdicts.failing[p].test(g)) failingUnion |= partitions[p].groups[g];
-    }
-    out.positions &= failingUnion;
+    out.positions &= partitions[p].failingUnion(verdicts.failing[p]);
   }
   out.cells = topology_->expandPositions(out.positions);
   return out;
@@ -63,10 +59,7 @@ CheckedAnalysis CandidateAnalyzer::analyzeChecked(const std::vector<Partition>& 
   std::vector<BitVector> unions(partitions.size());
   bool anyFailing = false;
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    unions[p] = BitVector(length);
-    for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-      if (verdicts.failing[p].test(g)) unions[p] |= partitions[p].groups[g];
-    }
+    unions[p] = partitions[p].failingUnion(verdicts.failing[p]);
     anyFailing = anyFailing || unions[p].any();
   }
 
@@ -123,8 +116,7 @@ CheckedAnalysis CandidateAnalyzer::analyzeChecked(const std::vector<Partition>& 
 }
 
 UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& partitions,
-                                              const GroupVerdicts& verdicts,
-                                              std::size_t maxFaults) const {
+                                              const GroupVerdicts& verdicts) const {
   SCANDIAG_REQUIRE(partitions.size() == verdicts.failing.size(),
                    "verdicts do not match partitions");
   const std::size_t length = topology_->maxChainLength();
@@ -132,10 +124,7 @@ UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& part
   UnionAnalysis out;
   out.supersetFloor.positions = BitVector(length);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    BitVector failingUnion(length);
-    for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-      if (verdicts.failing[p].test(g)) failingUnion |= partitions[p].groups[g];
-    }
+    BitVector failingUnion = partitions[p].failingUnion(verdicts.failing[p]);
     if (failingUnion.none()) continue;  // a pass exonerates nothing here
     out.supersetFloor.positions |= failingUnion;
     bool merged = false;
@@ -150,7 +139,7 @@ UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& part
   }
 
   out.clusters = out.clusterPositions.size();
-  out.withinBudget = out.clusters <= maxFaults;
+  out.withinBudget = out.clusters <= kMaxUnionFaults;
   out.candidates.positions = BitVector(length);
   for (const BitVector& cluster : out.clusterPositions) out.candidates.positions |= cluster;
   out.candidates.cells = topology_->expandPositions(out.candidates.positions);

@@ -75,6 +75,11 @@ struct CheckedAnalysis {
   bool consistent() const { return inconsistencies.empty(); }
 };
 
+/// Simultaneous-fault budget of every union mode: analyzeUnion, recovery's
+/// union short-circuit and active union refinement resolve at most this many
+/// per-fault clusters; more degrade the answer to a guaranteed superset.
+inline constexpr std::size_t kMaxUnionFaults = 4;
+
 /// Result of the checked union mode (analyzeUnion): failing-group patterns
 /// interpreted as unions of per-fault cones instead of one cone.
 struct UnionAnalysis {
@@ -89,9 +94,9 @@ struct UnionAnalysis {
   /// superset with no modeling assumption at all.
   CandidateSet supersetFloor;
   std::size_t clusters = 0;
-  /// clusters <= the maxFaults budget passed in. When false the clustering
-  /// explanation needs more simultaneous faults than the caller is willing
-  /// to resolve — degrade to supersetFloor.
+  /// clusters <= kMaxUnionFaults. When false the clustering explanation
+  /// needs more simultaneous faults than the budget resolves — degrade to
+  /// supersetFloor.
   bool withinBudget = true;
 };
 
@@ -120,7 +125,7 @@ class CandidateAnalyzer {
   /// partitions contribute nothing (with an intermittent defect a pass does
   /// not exonerate).
   UnionAnalysis analyzeUnion(const std::vector<Partition>& partitions,
-                             const GroupVerdicts& verdicts, std::size_t maxFaults) const;
+                             const GroupVerdicts& verdicts) const;
 
  private:
   const ScanTopology* topology_;

@@ -152,11 +152,7 @@ std::vector<double> DiagnosisPipeline::evaluateSweep(
       std::vector<std::size_t>& counts = prefixCandidates[i];
       counts.reserve(partitions.size());
       for (std::size_t p = 0; p < partitions.size(); ++p) {
-        BitVector failingUnion(length);
-        for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-          if (verdicts.failing[p].test(g)) failingUnion |= partitions[p].groups[g];
-        }
-        positions &= failingUnion;
+        positions &= partitions[p].failingUnion(verdicts.failing[p]);
         counts.push_back(topology_->expandPositions(positions).count());
       }
     }
@@ -187,8 +183,8 @@ CircuitWorkload prepareWorkload(const Netlist& netlist, const WorkloadConfig& co
       universe.sample(std::min(universe.size(), config.numFaults * 4), config.faultSeed);
 
   CircuitWorkload out;
-  out.topology = numChains <= 1 ? ScanTopology::singleChain(netlist.dffs().size())
-                                : ScanTopology::blockChains(netlist.dffs().size(), numChains);
+  out.topology =
+      ScanTopology::blockChains(netlist.dffs().size(), std::max<std::size_t>(numChains, 1));
   out.responses = sim.collectDetected(candidates, config.numFaults);
   out.patternsApplied = config.numPatterns;
   return out;

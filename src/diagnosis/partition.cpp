@@ -25,6 +25,14 @@ std::vector<std::size_t> Partition::groupTable() const {
   return table;
 }
 
+BitVector Partition::failingUnion(const BitVector& failing) const {
+  BitVector out(length());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (failing.test(g)) out |= groups[g];
+  }
+  return out;
+}
+
 void Partition::validate() const {
   SCANDIAG_ASSERT(!groups.empty(), "partition has no groups");
   for (const BitVector& g : groups)

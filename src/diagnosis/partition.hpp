@@ -26,6 +26,10 @@ struct Partition {
   /// Per-position group index table (one pass; use for bulk lookups).
   std::vector<std::size_t> groupTable() const;
 
+  /// Union of the groups whose bit is set in `failing` (one verdict row):
+  /// every position a failing session keeps suspect.
+  BitVector failingUnion(const BitVector& failing) const;
+
   /// Checks disjointness and coverage; throws std::logic_error on violation.
   void validate() const;
 };

@@ -43,11 +43,7 @@ CandidateSet PerChainObservation::analyze(const std::vector<Partition>& partitio
   std::vector<BitVector> perChainPositions(W, BitVector(L, true));
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     for (std::size_t c = 0; c < W; ++c) {
-      BitVector failingUnion(L);
-      for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-        if (verdicts.failing[p][c].test(g)) failingUnion |= partitions[p].groups[g];
-      }
-      perChainPositions[c] &= failingUnion;
+      perChainPositions[c] &= partitions[p].failingUnion(verdicts.failing[p][c]);
     }
   }
 

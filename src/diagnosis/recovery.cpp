@@ -108,8 +108,7 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
     // degrade-never-lie superset floor.
     out.deterministicPartitions = deterministic.size();
     out.unionDiagnosis = true;
-    UnionAnalysis analysis =
-        analyzer_.analyzeUnion(partitions, repaired, policy_.maxUnionFaults);
+    UnionAnalysis analysis = analyzer_.analyzeUnion(partitions, repaired);
     out.unionClusters = analysis.clusters;
     if (analysis.clusters > 1) {
       obs::count(obs::Counter::UnionSplits, analysis.clusters - 1);
@@ -148,11 +147,7 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
     std::vector<BitVector> unions;
     unions.reserve(finalAnalysis.usedPartitions.size());
     for (const std::size_t p : finalAnalysis.usedPartitions) {
-      BitVector u(length);
-      for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-        if (repaired.failing[p].test(g)) u |= partitions[p].groups[g];
-      }
-      unions.push_back(std::move(u));
+      unions.push_back(partitions[p].failingUnion(repaired.failing[p]));
     }
     BitVector widened(length);
     for (std::size_t skip = 0; skip < unions.size(); ++skip) {

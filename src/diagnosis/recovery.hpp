@@ -16,8 +16,7 @@
 //      further is wasted budget. Recovery short-circuits after that single
 //      confirming re-run and re-analyzes the whole schedule in the checked
 //      union mode (CandidateAnalyzer::analyzeUnion), degrading to the
-//      superset floor when the cluster count exceeds
-//      RetryPolicy::maxUnionFaults.
+//      superset floor when the cluster count exceeds kMaxUnionFaults.
 //   2. Graceful degradation: partitions still inconsistent after the budget
 //      are excluded from the intersection entirely (analyzeChecked's skip),
 //      widening the candidate set instead of emptying it. If phantom groups
@@ -62,12 +61,6 @@ struct RetryPolicy {
   /// re-run costs its groupCount). 0 disables retrying: inconsistent
   /// partitions are dropped immediately.
   std::size_t sessionBudget = 0;
-  /// Simultaneous-fault budget for the checked union mode: when a
-  /// disjoint-failing-union partition replays bit-identically (a model
-  /// violation, not noise), recovery re-analyzes the schedule as a union of
-  /// up to this many per-fault cone clusters instead of burning the retry
-  /// budget. More clusters than this degrade to the superset floor.
-  std::size_t maxUnionFaults = 4;
 
   bool enabled() const { return sessionBudget > 0 && maxRetriesPerSession > 0; }
 };
@@ -92,7 +85,7 @@ struct RecoveredDiagnosis {
   /// kConfidenceFloor (see above for the scale).
   double confidence = 1.0;
   /// False when degradation was needed (a partition was dropped, a phantom
-  /// group survived the budget, or a union analysis exceeded maxUnionFaults)
+  /// group survived the budget, or a union analysis exceeded kMaxUnionFaults)
   /// — the CLI maps this to its own exit code.
   bool resolved = true;
   /// Suspect partitions whose re-run reproduced the original row bit-for-bit

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "diagnosis/interval_partitioner.hpp"
 #include "diagnosis/random_selection_partitioner.hpp"
@@ -38,31 +37,20 @@ std::string schemeName(SchemeKind kind);
 /// std::invalid_argument with the accepted spellings on anything else.
 SchemeKind parseSchemeKind(const std::string& name);
 
-/// Candidate-pool and scoring knobs for SchemeKind::Adaptive. Every field is
+/// Candidate-pool and budget knobs for SchemeKind::Adaptive. Every field is
 /// a deterministic input to pool construction and scoring: two runs with
 /// equal configs choose identical schedules for identical verdicts, at any
 /// thread count.
 struct AdaptivePoolConfig {
-  /// Independent random-selection seed streams per group count. Seed k of the
-  /// pool is randomSeed advanced by k odd strides, so streams never collide.
+  /// Independent random-selection seed streams. Seed k of the pool is
+  /// randomSeed advanced by k odd strides, so streams never collide.
   std::size_t seedPool = 3;
-  /// Interval partitions per group count (successive covering seeds, same
-  /// rule as the fixed interval scheme).
+  /// Interval partitions (successive covering seeds, same rule as the fixed
+  /// interval scheme).
   std::size_t intervalCandidates = 2;
-  /// Group counts offered to the scorer; empty = {groupsPerPartition}. Mixed
-  /// counts trade per-step information against per-step session cost.
-  std::vector<std::size_t> groupCandidates;
   /// Total session budget per fault; 0 = numPartitions * groupsPerPartition
   /// (equal tester time to the fixed schedule it replaces).
   std::size_t sessionBudget = 0;
-  /// Score bonus (bits/session) for interval candidates while no verdict has
-  /// been observed yet. The uniform-survivor model cannot see that fault
-  /// cones cluster on the chain (the paper's §2.2 argument for step 1), so
-  /// the blind first pick gets a thumb on the interval side of the scale.
-  double intervalPrior = 0.1;
-  /// Assumed failing-position spread before the first observed verdict row
-  /// (afterwards the max observed failing-group count takes over).
-  std::size_t spreadPrior = 2;
   /// Test hook: take the pool in index order instead of by score, with the
   /// pool reduced to the fixed TwoStep schedule — reproduces
   /// SchemeKind::TwoStep bit-for-bit (parity tests).

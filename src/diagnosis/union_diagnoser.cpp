@@ -68,7 +68,7 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
             return;
           }
           ++out.sessions;
-          if (!oracle(vlo, vhi, 0)) {
+          if (!oracle(vlo, vhi)) {
             setRange(out.exonerated, vlo, vhi);
             return;
           }
@@ -93,7 +93,7 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
           return;
         }
         ++out.sessions;
-        if (oracle(qlo, qhi, 0)) {
+        if (oracle(qlo, qhi)) {
           visit(qlo, qhi, /*knownFailing=*/true);
           visit(olo, ohi, /*knownFailing=*/false);
         } else {
@@ -114,7 +114,7 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
     if (c && !inRun) ++out.failingClusters;
     inRun = c;
   }
-  out.withinFaultBudget = out.failingClusters <= config_.maxFaults;
+  out.withinFaultBudget = out.failingClusters <= kMaxUnionFaults;
   out.cost = repeatedSessionsCost(out.sessions, numPatterns_, topology_->maxChainLength());
   return out;
 }

@@ -26,9 +26,9 @@
 //    strength of a passing session, so the result remains a sound superset
 //    (degrade-never-lie), just less sharp.
 //
-// The oracle abstracts the tester: oracle(lo, hi, attempt) is the verdict of
-// one session observing selection positions [lo, hi). Sessions are charged
-// at the standard CostModel rate.
+// The oracle abstracts the tester: oracle(lo, hi) is the verdict of one
+// session observing selection positions [lo, hi). Sessions are charged at
+// the standard CostModel rate.
 #pragma once
 
 #include <vector>
@@ -43,9 +43,6 @@ namespace scandiag {
 struct UnionRefineConfig {
   /// Interval sessions the refinement may spend (0 = passive result only).
   std::size_t sessionBudget = 96;
-  /// Simultaneous-fault budget: more isolated failing clusters than this
-  /// marks the result degraded (k exceeded the resolvable budget).
-  std::size_t maxFaults = 4;
 };
 
 struct UnionRefinement {
@@ -66,7 +63,8 @@ struct UnionRefinement {
   std::size_t failingClusters = 0;
   /// Budget sufficed: every candidate position was confirmed or exonerated.
   bool complete = false;
-  /// failingClusters <= maxFaults.
+  /// failingClusters <= kMaxUnionFaults; more marks the result degraded (k
+  /// exceeded the resolvable budget).
   bool withinFaultBudget = true;
   DiagnosisCost cost;
 

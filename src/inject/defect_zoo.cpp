@@ -31,6 +31,9 @@ constexpr std::uint64_t kPartitionMix = 0x27d4eb2f165667c5ULL;
 constexpr std::size_t kPoolSize = 256;     // bridge / open candidate pools
 constexpr std::size_t kMaxDrawTries = 64;  // draws per component before giving up
 
+// PODEM backtracks per capture-cell fault in the refinement stall breaker.
+constexpr std::size_t kAtpgBacktrackLimit = 2000;
+
 double parseProbability(const std::string& token) {
   std::size_t consumed = 0;
   double p = 0.0;
@@ -298,7 +301,7 @@ DefectZooPipeline::DefectZooPipeline(const FaultSimulator& simulator,
       topology_(&topology),
       base_(topology, config),
       recovery_(topology, policy.retry),
-      refiner_(topology, UnionRefineConfig{policy.refineSessionBudget, policy.maxFaults},
+      refiner_(topology, UnionRefineConfig{policy.refineSessionBudget},
                simulator.patterns().numPatterns()),
       policy_(policy),
       adiPrior_(adiPriorFromGoodCaptures(topology, simulator.goodCaptures())),
@@ -358,7 +361,7 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
   std::size_t clusters = recovered.unionDiagnosis ? recovered.unionClusters : 1;
   if (policy_.refineSessionBudget > 0 && candidates.positions.any()) {
     const BitVector truePositions = topology_->collapseCells(response.failingCells);
-    const IntervalOracle oracle = [&](std::size_t lo, std::size_t hi, std::size_t) {
+    const IntervalOracle oracle = [&](std::size_t lo, std::size_t hi) {
       for (std::size_t p = lo; p < hi; ++p) {
         if (truePositions.test(p)) return true;
       }
@@ -394,7 +397,7 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
           const GateId dff = dffs.at(topology_->chain(chain)[pos]);
           for (const bool stuckAt : {false, true}) {
             const AtpgResult result =
-                atpg_->generate(FaultSite{dff, 0, stuckAt}, policy_.atpgBacktrackLimit);
+                atpg_->generate(FaultSite{dff, 0, stuckAt}, kAtpgBacktrackLimit);
             if (result.outcome == AtpgOutcome::Detected) cubes.push_back(result.cube);
           }
         }
@@ -444,10 +447,10 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
       if (c && !inRun) ++clusters;
       inRun = c;
     }
-    if (unresolvedLeft > 0 || clusters > policy_.maxFaults) degraded = true;
+    if (unresolvedLeft > 0 || clusters > kMaxUnionFaults) degraded = true;
   }
 
-  if (clusters > policy_.maxFaults) out.confidence *= 0.5;
+  if (clusters > kMaxUnionFaults) out.confidence *= 0.5;
   if (unresolvedLeft > 0) out.confidence *= std::pow(0.97, static_cast<double>(unresolvedLeft));
   out.confidence = std::clamp(out.confidence, kConfidenceFloor, 1.0);
 
@@ -502,8 +505,7 @@ DefectDiagnosis DefectZooPipeline::diagnoseIntermittent(const DefectScenario& sc
   // even the union mode's per-cluster intersections are unsound — take the
   // superset floor across every observed session: a guaranteed superset of
   // everything that manifested, by construction (degrade-never-lie).
-  const UnionAnalysis unions =
-      base_.analyzer().analyzeUnion(allPartitions, all, policy_.maxFaults);
+  const UnionAnalysis unions = base_.analyzer().analyzeUnion(allPartitions, all);
   if (unions.clusters > 1) {
     out.unionSplits = unions.clusters - 1;
     obs::count(obs::Counter::UnionSplits, out.unionSplits);

@@ -138,15 +138,11 @@ class DefectScenarioGenerator {
 
 struct DefectPolicy {
   /// Recovery budget for the detection → retry → union short-circuit ladder.
-  RetryPolicy retry{/*maxRetriesPerSession=*/2, /*sessionBudget=*/256,
-                    /*maxUnionFaults=*/4};
+  RetryPolicy retry{/*maxRetriesPerSession=*/2, /*sessionBudget=*/256};
   /// Active-refinement interval sessions per scenario (0 disables).
   std::size_t refineSessionBudget = 96;
-  /// Simultaneous-fault budget for refinement cluster accounting.
-  std::size_t maxFaults = 4;
   /// PODEM mini-sessions per scenario when refinement stalls (0 disables).
   std::size_t atpgSessionBudget = 16;
-  std::size_t atpgBacktrackLimit = 2000;
   /// Full-schedule samples for intermittent scenarios (>= 1).
   std::size_t intermittentSamples = 3;
 };

@@ -1,5 +1,7 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
+
 #include "common/errors.hpp"
 #include "bist/prpg.hpp"
 #include "diagnosis/tester_log.hpp"
@@ -8,11 +10,6 @@
 namespace scandiag::serve {
 
 namespace {
-
-ScanTopology topologyFor(const Netlist& netlist, std::size_t numChains) {
-  return numChains <= 1 ? ScanTopology::singleChain(netlist.dffs().size())
-                        : ScanTopology::blockChains(netlist.dffs().size(), numChains);
-}
 
 DiagnoseReply errorReply(DiagnoseReply reply, std::string message) {
   reply.status = ReplyStatus::Error;
@@ -27,7 +24,8 @@ DiagnoseReply errorReply(DiagnoseReply reply, std::string message) {
 DiagnosisService::DiagnosisService(Netlist netlist, const ServiceConfig& config)
     : netlist_(std::move(netlist)),
       config_(config),
-      topology_(topologyFor(netlist_, config.numChains)),
+      topology_(ScanTopology::blockChains(netlist_.dffs().size(),
+                                          std::max<std::size_t>(config.numChains, 1))),
       patterns_(generatePatterns(netlist_, config.diagnosis.numPatterns, PrpgConfig{})),
       pipeline_(topology_, config.diagnosis),
       recovery_(topology_, RetryPolicy{}) {

@@ -11,7 +11,6 @@
 #include <string>
 #include <tuple>
 
-#include "bist/phase_shifter.hpp"
 #include "diagnosis/interval_partitioner.hpp"
 #include "diagnosis/session_engine.hpp"
 #include "netlist/synthetic_generator.hpp"
@@ -111,33 +110,6 @@ INSTANTIATE_TEST_SUITE_P(Configs, ControllerVsEngine,
                                            std::make_tuple("s298", std::size_t{3}),
                                            std::make_tuple("s344", std::size_t{2}),
                                            std::make_tuple("s526", std::size_t{4})));
-
-TEST(BistController, WorksWithStumpsParallelPatterns) {
-  // The controller is pattern-source agnostic: STUMPS phase-shifter patterns
-  // must drive it and agree with the analytic engine just like serial PRPG.
-  Harness s("s344", 2, 8);
-  const PatternSet stumps = generateStumpsPatterns(s.nl, s.topo, 8);
-  const BistController ctrl(s.nl, s.topo, s.config);
-
-  SessionConfig sessionConfig{SignatureMode::Misr, 8};
-  const SessionEngine engine(s.topo, sessionConfig);
-  IntervalPartitioner gen(IntervalPartitionerConfig{}, s.topo.maxChainLength(), 3);
-  const std::vector<Partition> partitions{gen.next()};
-
-  const FaultSimulator fsim(s.nl, stumps);
-  std::size_t checked = 0;
-  for (const FaultSite& fault : FaultList::enumerateCollapsed(s.nl).sample(15, 0x57)) {
-    const FaultResponse resp = fsim.simulate(fault);
-    if (!resp.detected()) continue;
-    ++checked;
-    const GroupVerdicts verdicts = engine.run(partitions, resp);
-    for (std::size_t g = 0; g < partitions[0].groupCount(); ++g) {
-      EXPECT_EQ(ctrl.sessionErrorSignature(stumps, partitions[0].groups[g], fault),
-                verdicts.errorSig[0][g]);
-    }
-  }
-  EXPECT_GT(checked, 3u);
-}
 
 TEST(BistController, ConfigValidation) {
   Harness s("s298", 1, 8);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <vector>
 
 namespace scandiag {
 namespace {
@@ -104,57 +103,6 @@ TEST(Lfsr, LabelDistributionRoughlyUniform) {
   for (std::size_t count : histogram) {
     EXPECT_NEAR(static_cast<double>(count), 16384.0, 64.0);
   }
-}
-
-class GaloisMaximalPeriod : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(GaloisMaximalPeriod, FullPeriodForPrimitivePolynomials) {
-  const unsigned degree = GetParam();
-  GaloisLfsr lfsr(LfsrConfig{degree, 0}, 1);
-  const std::uint64_t period = (1ull << degree) - 1;
-  const std::uint64_t start = lfsr.state();
-  std::uint64_t steps = 0;
-  do {
-    lfsr.step();
-    ++steps;
-    ASSERT_NE(lfsr.state(), 0u);
-    ASSERT_LE(steps, period);
-  } while (lfsr.state() != start);
-  EXPECT_EQ(steps, period);
-}
-
-INSTANTIATE_TEST_SUITE_P(Degrees, GaloisMaximalPeriod,
-                         ::testing::Values(3, 4, 6, 8, 10, 12, 14, 16));
-
-TEST(GaloisLfsr, OutputIsCyclicShiftOfFibonacciSequence) {
-  // Same primitive polynomial => same m-sequence, possibly phase-shifted.
-  const unsigned degree = 8;
-  const std::uint64_t period = (1ull << degree) - 1;
-  Lfsr fib(LfsrConfig{degree, 0}, 1);
-  GaloisLfsr gal(LfsrConfig{degree, 0}, 1);
-  std::vector<bool> f(period), g(period);
-  for (std::uint64_t i = 0; i < period; ++i) {
-    f[i] = fib.step();
-    g[i] = gal.step();
-  }
-  bool matched = false;
-  for (std::uint64_t shift = 0; shift < period && !matched; ++shift) {
-    bool same = true;
-    for (std::uint64_t i = 0; i < period && same; ++i)
-      same = (g[i] == f[(i + shift) % period]);
-    matched = same;
-  }
-  EXPECT_TRUE(matched) << "Galois output is not a shift of the Fibonacci m-sequence";
-}
-
-TEST(GaloisLfsr, StepBitsAndValidation) {
-  GaloisLfsr a(LfsrConfig{16, 0}, 0xACE1);
-  GaloisLfsr b(LfsrConfig{16, 0}, 0xACE1);
-  const std::uint64_t packed = a.stepBits(16);
-  for (unsigned i = 0; i < 16; ++i)
-    EXPECT_EQ((packed >> i) & 1, static_cast<std::uint64_t>(b.step()));
-  EXPECT_THROW(GaloisLfsr(LfsrConfig{16, 0}, 0), std::invalid_argument);
-  EXPECT_THROW(a.stepBits(65), std::invalid_argument);
 }
 
 TEST(Lfsr, InvalidConfigRejected) {

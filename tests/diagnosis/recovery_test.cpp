@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "diagnosis/binary_search_diagnoser.hpp"
 #include "diagnosis/experiment_driver.hpp"
 #include "diagnosis/interval_partitioner.hpp"
 #include "diagnosis/recovery.hpp"
@@ -297,49 +296,6 @@ TEST(DiagnosisRecovery, ReplayStableDisjointUnionShortCircuitsToUnionAnalysis) {
   // One extra cluster costs a single 0.9 penalty; nothing was repaired.
   EXPECT_DOUBLE_EQ(d.confidence, 0.9);
   EXPECT_GT(reruns, 0u);
-}
-
-// Adaptive baseline: a lying interval session is caught by the parent-fails/
-// both-halves-pass check and repaired by majority re-query.
-TEST(BinarySearchDiagnoser, OracleFlipRepairedByRequery) {
-  const ScanTopology topo = ScanTopology::singleChain(16);
-  const BinarySearchDiagnoser diagnoser(topo, 4);
-  const std::size_t failingPos = 7;
-  RetryPolicy policy;
-  policy.maxRetriesPerSession = 2;
-  policy.sessionBudget = 16;
-  std::size_t lies = 0;
-  const IntervalOracle oracle = [&](std::size_t lo, std::size_t hi, std::size_t attempt) {
-    const bool truth = lo <= failingPos && failingPos < hi;
-    if (lo == 0 && hi == 8 && attempt == 0) {
-      ++lies;
-      return false;  // one-shot fail->pass flip on the left half
-    }
-    return truth;
-  };
-  const BinarySearchResult r = diagnoser.diagnoseWithOracle(oracle, policy);
-  EXPECT_EQ(lies, 1u);
-  EXPECT_GE(r.inconsistencies, 1u);
-  EXPECT_GT(r.retrySessions, 0u);
-  EXPECT_TRUE(r.resolved);
-  EXPECT_EQ(r.candidates.positions.toIndices(), (std::vector<std::size_t>{failingPos}));
-}
-
-TEST(BinarySearchDiagnoser, OracleLieWithoutBudgetWidensInterval) {
-  const ScanTopology topo = ScanTopology::singleChain(16);
-  const BinarySearchDiagnoser diagnoser(topo, 4);
-  const std::size_t failingPos = 7;
-  const RetryPolicy noBudget;  // sessionBudget 0: no re-queries possible
-  const IntervalOracle oracle = [&](std::size_t lo, std::size_t hi, std::size_t attempt) {
-    if (lo == 0 && hi == 8 && attempt == 0) return false;
-    return lo <= failingPos && failingPos < hi;
-  };
-  const BinarySearchResult r = diagnoser.diagnoseWithOracle(oracle, noBudget);
-  EXPECT_FALSE(r.resolved);
-  EXPECT_GE(r.inconsistencies, 1u);
-  // The unrepairable parent interval is kept whole: superset, never empty.
-  EXPECT_TRUE(r.candidates.positions.test(failingPos));
-  EXPECT_GT(r.candidates.positions.count(), 1u);
 }
 
 }  // namespace

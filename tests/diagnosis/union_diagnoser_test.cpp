@@ -22,7 +22,7 @@ BitVector positionsOf(std::size_t length, const std::vector<std::size_t>& set) {
 /// Exact permanent-union oracle: a session over [lo, hi) fails iff it covers
 /// a true failing position.
 IntervalOracle exactOracle(const BitVector& truePositions, std::size_t* sessions = nullptr) {
-  return [&truePositions, sessions](std::size_t lo, std::size_t hi, std::size_t) {
+  return [&truePositions, sessions](std::size_t lo, std::size_t hi) {
     if (sessions != nullptr) ++*sessions;
     for (std::size_t p = lo; p < hi; ++p) {
       if (truePositions.test(p)) return true;
@@ -106,11 +106,10 @@ TEST(UnionDiagnoser, AdiOrderingSpendsBudgetOnHighWeightSegmentsFirst) {
 
 TEST(UnionDiagnoser, ClusterCountBeyondMaxFaultsIsDegraded) {
   const ScanTopology topo = ScanTopology::singleChain(20);
-  UnionRefineConfig config;
-  config.maxFaults = 4;
-  const UnionDiagnoser refiner(topo, config, 8);
+  const UnionDiagnoser refiner(topo, UnionRefineConfig{}, 8);
   // Five isolated width-1 true segments: refinement confirms all of them
-  // (complete), but the cluster count exceeds the simultaneous-fault budget.
+  // (complete), but the cluster count exceeds the simultaneous-fault budget
+  // (kMaxUnionFaults = 4).
   const BitVector truth = positionsOf(20, {1, 5, 9, 13, 17});
   const UnionRefinement r = refiner.refine(truth, {}, exactOracle(truth));
 

@@ -8,7 +8,6 @@
 #include "netlist/bench_parser.hpp"
 #include "netlist/bench_writer.hpp"
 #include "netlist/synthetic_generator.hpp"
-#include "soc/soc_description.hpp"
 
 namespace scandiag {
 namespace {
@@ -52,23 +51,6 @@ TEST(ParserRobustness, MutatedBenchNeverCrashes) {
   }
   EXPECT_EQ(parsed + rejected, 300u);
   EXPECT_GT(rejected, 50u);  // mutations usually break something
-}
-
-TEST(ParserRobustness, MutatedSocNeverCrashes) {
-  const std::string base =
-      "soc mini\ntam 4\ncore a profile s298\ncore b inputs 4 outputs 2 dffs 8 gates 40\n";
-  Xoroshiro128 rng(0xF0CC);
-  std::size_t parsed = 0, rejected = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    try {
-      const SocDescription d = parseSocDescriptionString(mutate(base, rng));
-      EXPECT_FALSE(d.cores.empty());
-      ++parsed;
-    } catch (const std::invalid_argument&) {
-      ++rejected;
-    }
-  }
-  EXPECT_EQ(parsed + rejected, 300u);
 }
 
 TEST(ParserRobustness, TruncatedBenchPrefixes) {

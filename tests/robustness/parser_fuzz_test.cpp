@@ -1,7 +1,7 @@
 // Randomized-input smoke: 100 seeded corruptions of each external format
-// (tester session logs, .soc descriptions, .bench netlists) must come back
-// as a clean typed error or a structurally valid parse — never a crash, an
-// over-allocation, or a half-built object. Complements the mutation sweep in
+// (tester session logs, .bench netlists) must come back as a clean typed
+// error or a structurally valid parse — never a crash, an over-allocation,
+// or a half-built object. Complements the mutation sweep in
 // tests/netlist/parser_robustness_test.cpp by checking the *typed* error
 // contract (ParseError with a line number, FileNotFoundError for bad paths).
 
@@ -15,7 +15,6 @@
 #include "netlist/bench_parser.hpp"
 #include "netlist/bench_writer.hpp"
 #include "netlist/synthetic_generator.hpp"
-#include "soc/soc_description.hpp"
 
 namespace scandiag {
 namespace {
@@ -80,23 +79,6 @@ TEST(ParserFuzz, HundredCorruptTesterLogs) {
   EXPECT_GT(rejected, 20u);  // the mutations are not gentle
 }
 
-TEST(ParserFuzz, HundredCorruptSocDescriptions) {
-  const std::string base =
-      "soc fuzz\ntam 4\ncore a profile s298\ncore b inputs 4 outputs 2 dffs 8 gates 40\n";
-  std::size_t rejected = 0;
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
-    Xoroshiro128 rng(0x50C + seed);
-    try {
-      const SocDescription d = parseSocDescriptionString(corrupt(base, rng));
-      EXPECT_FALSE(d.cores.empty());
-    } catch (const ParseError& e) {
-      EXPECT_EQ(e.format(), ".soc");
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 20u);
-}
-
 TEST(ParserFuzz, HundredCorruptBenchFiles) {
   const std::string base = writeBenchString(generateNamedCircuit("s298"));
   std::size_t rejected = 0;
@@ -115,7 +97,6 @@ TEST(ParserFuzz, HundredCorruptBenchFiles) {
 
 TEST(ParserFuzz, MissingFilesThrowTypedError) {
   EXPECT_THROW(parseTesterLogFile("/nonexistent/tester.log"), FileNotFoundError);
-  EXPECT_THROW(parseSocDescriptionFile("/nonexistent/chip.soc"), FileNotFoundError);
   EXPECT_THROW(parseBenchFile("/nonexistent/c17.bench"), FileNotFoundError);
   try {
     parseTesterLogFile("/nonexistent/tester.log");
@@ -135,13 +116,6 @@ TEST(ParserFuzz, TrailingTokensRejected) {
   EXPECT_THROW(parseTesterLogString("sessions 2 4\nverdict 0 0 fail sig 1f junk\n"),
                ParseError);
   EXPECT_THROW(parseTesterLogString("sessions 2 4\nverdict 0 0 fail sig 1fzz\n"), ParseError);
-}
-
-TEST(ParserFuzz, NegativeSocCountsRejected) {
-  EXPECT_THROW(parseSocDescriptionString("soc x\ntam 4\ncore a inputs -3 outputs 2 dffs 8 gates 40\n"),
-               ParseError);
-  EXPECT_THROW(parseSocDescriptionString("soc x\ntam 4\ncore a inputs 4 outputs 2 dffs 8 gates 99999999999\n"),
-               ParseError);
 }
 
 TEST(ParserFuzz, ParseErrorCarriesLineNumber) {

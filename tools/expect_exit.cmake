@@ -1,0 +1,23 @@
+# Runs a command and fails unless it exits with exactly EXPECTED_EXIT.
+# WILL_FAIL only checks for "nonzero", so it cannot tell a usage error
+# (exit 2) from an internal failure (exit 1).
+#
+#   cmake -DEXPECTED_EXIT=2 -P expect_exit.cmake -- <command> [args...]
+set(command "")
+set(collect FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(collect)
+    list(APPEND command "${CMAKE_ARGV${i}}")
+  elseif("${CMAKE_ARGV${i}}" STREQUAL "--")
+    set(collect TRUE)
+  endif()
+endforeach()
+if(NOT command)
+  message(FATAL_ERROR "expect_exit.cmake: no command after --")
+endif()
+
+execute_process(COMMAND ${command} RESULT_VARIABLE rc)
+if(NOT "${rc}" STREQUAL "${EXPECTED_EXIT}")
+  message(FATAL_ERROR "expected exit ${EXPECTED_EXIT}, got '${rc}' from: ${command}")
+endif()

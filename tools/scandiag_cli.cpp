@@ -131,6 +131,7 @@
 //      answer; the printed candidates are a sound superset with calibrated
 //      confidence — degrade, never lie); --metrics is written as for 0
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -252,6 +253,14 @@ std::optional<NoiseConfig> noiseFrom(const Args& args) {
   return noise;
 }
 
+/// --faults (dr, soc-dr, plan). Zero faults leaves nothing to diagnose — DR
+/// would be 0/0 — so it is a usage error, not an empty run.
+std::size_t faultsFrom(const Args& args, std::size_t def) {
+  const std::size_t faults = args.getN("faults", def);
+  if (faults == 0) throw std::invalid_argument("--faults must be at least 1");
+  return faults;
+}
+
 RetryPolicy retryFrom(const Args& args) {
   RetryPolicy retry;
   retry.sessionBudget = args.getN("retry-budget", 0);
@@ -327,9 +336,8 @@ int cmdEmit(const Args& args) {
 int diagnoseNoisy(const Netlist& nl, const Args& args, const FaultSite& fault,
                   const std::string& faultSpec, const NoiseConfig& noise) {
   const DiagnosisConfig config = configFrom(args);
-  const std::size_t chains = args.getN("chains", 1);
-  const ScanTopology topology = chains <= 1 ? ScanTopology::singleChain(nl.dffs().size())
-                                            : ScanTopology::blockChains(nl.dffs().size(), chains);
+  const ScanTopology topology = ScanTopology::blockChains(
+      nl.dffs().size(), std::max<std::size_t>(args.getN("chains", 1), 1));
   const PatternSet patterns = generatePatterns(nl, config.numPatterns, PrpgConfig{});
   const FaultSimulator sim(nl, patterns);
   const FaultResponse response = sim.simulate(fault);
@@ -435,7 +443,7 @@ int drNoisy(const Netlist& nl, const Args& args, const NoiseConfig& noise) {
   const DiagnosisConfig config = configFrom(args);
   WorkloadConfig wc;
   wc.numPatterns = config.numPatterns;
-  wc.numFaults = args.getN("faults", 500);
+  wc.numFaults = faultsFrom(args, 500);
   wc.faultSeed = args.getN("seed", 0xFA17);
   const CircuitWorkload work = prepareWorkload(nl, wc, args.getN("chains", 1));
   const NoisyPipeline noisy(work.topology, config, noise, retryFrom(args));
@@ -476,18 +484,17 @@ int drNoisy(const Netlist& nl, const Args& args, const NoiseConfig& noise) {
 /// journal schema is per-single-fault); degraded scenarios map to exit 8.
 int drDefects(const Netlist& nl, const Args& args) {
   const DefectMix mix = parseDefectSpec(args.get("defects", ""));
+  const std::size_t count = faultsFrom(args, 100);
   const CliRunState run = unjournaledRunFrom(args, "--defects");
   const DiagnosisConfig config = configFrom(args);
   if (config.scheme == SchemeKind::Adaptive)
     throw std::invalid_argument("--defects is incompatible with --scheme adaptive");
-  const std::size_t chains = args.getN("chains", 1);
-  const ScanTopology topology = chains <= 1 ? ScanTopology::singleChain(nl.dffs().size())
-                                            : ScanTopology::blockChains(nl.dffs().size(), chains);
+  const ScanTopology topology = ScanTopology::blockChains(
+      nl.dffs().size(), std::max<std::size_t>(args.getN("chains", 1), 1));
   const PatternSet patterns = generatePatterns(nl, config.numPatterns, PrpgConfig{});
   const FaultSimulator sim(nl, patterns);
   const DefectScenarioGenerator generator(sim, mix);
 
-  const std::size_t count = args.getN("faults", 100);
   std::vector<DefectScenario> scenarios;
   scenarios.reserve(count);
   // Serial: generation fault-simulates on the shared simulator (diagnosis
@@ -546,6 +553,8 @@ int cmdDr(const Args& args) {
   if (args.options.count("defects")) return drDefects(nl, args);
   if (const std::optional<NoiseConfig> noise = noiseFrom(args)) return drNoisy(nl, args, *noise);
 
+  const std::size_t faults = faultsFrom(args, 500);
+  const std::size_t seed = args.getN("seed", 0xFA17);
   DiagnoserOptions opts;
   opts.diagnosis = configFrom(args);
   opts.numChains = args.getN("chains", 1);
@@ -555,14 +564,13 @@ int cmdDr(const Args& args) {
   digest = setupDigestPiece("cells", diag.netlist().dffs().size(), digest);
   digest = setupDigestPiece("chains", opts.numChains, digest);
   digest = setupDigestPiece("patterns", opts.diagnosis.numPatterns, digest);
-  digest = setupDigestPiece("faults", args.getN("faults", 500), digest);
-  digest = setupDigestPiece("seed", args.getN("seed", 0xFA17), digest);
+  digest = setupDigestPiece("faults", faults, digest);
+  digest = setupDigestPiece("seed", seed, digest);
   digest = setupDigestPiece("schema", obs::kMetricsSchemaVersion, digest);
   CliRunState run =
       cliRunFrom(args, digest, "scandiag dr " + diag.netlist().name());
   const DrReport rep =
-      diag.evaluateResolution(args.getN("faults", 500), args.getN("seed", 0xFA17),
-                              run.control(), run.checkpoint.get());
+      diag.evaluateResolution(faults, seed, run.control(), run.checkpoint.get());
   if (args.getFlag("json")) {
     JsonWriter json(std::cout);
     json.beginObject()
@@ -758,7 +766,7 @@ int cmdSocDr(const Args& args) {
   const std::string which = args.positionalAt(1, "soc spec");
   const Soc soc = buildSocFromSpec(which);
   WorkloadConfig workload = presets::socWorkload();
-  workload.numFaults = args.getN("faults", 500);
+  workload.numFaults = faultsFrom(args, 500);
   workload.numPatterns = args.getN("patterns", 128);
   const bool preset = which == "soc1" || which == "d695";
   DiagnosisConfig config =
@@ -823,7 +831,7 @@ int cmdPlan(const Args& args) {
   const Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
   WorkloadConfig wc;
   wc.numPatterns = args.getN("patterns", 128);
-  wc.numFaults = args.getN("faults", 200);
+  wc.numFaults = faultsFrom(args, 200);
   const CircuitWorkload work = prepareWorkload(nl, wc, args.getN("chains", 1));
 
   PlanRequest request;
@@ -871,9 +879,8 @@ int cmdOffline(const Args& args) {
   if (logPath.empty()) throw std::invalid_argument("offline needs --log <file>");
   const std::size_t cells = args.getN("cells", 0);
   if (cells == 0) throw std::invalid_argument("offline needs --cells <scan cell count>");
-  const std::size_t chains = args.getN("chains", 1);
-  const ScanTopology topology = chains <= 1 ? ScanTopology::singleChain(cells)
-                                            : ScanTopology::blockChains(cells, chains);
+  const ScanTopology topology =
+      ScanTopology::blockChains(cells, std::max<std::size_t>(args.getN("chains", 1), 1));
   const TesterLog log = parseTesterLogFile(logPath);
   DiagnosisConfig config = configFrom(args);
   config.numPartitions = args.getN("partitions", log.numPartitions);
