@@ -77,21 +77,6 @@ void BM_FaultSimulateOneReference(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultSimulateOneReference);
 
-void BM_ParallelFaultGrading(benchmark::State& state) {
-  // 64-fault-per-pass grading vs one-fault-at-a-time (BM_FaultSimulateOne).
-  const Netlist& nl = circuit();
-  const PatternSet pats = generatePatterns(nl, 128);
-  const ParallelFaultSimulator sim(nl, pats);
-  const auto faults = FaultList::enumerateCollapsed(nl).sample(256, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.detectFaults(faults));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(faults.size()));
-  state.SetLabel("faults graded");
-}
-BENCHMARK(BM_ParallelFaultGrading);
-
 void BM_LfsrStep(benchmark::State& state) {
   Lfsr lfsr(LfsrConfig{16, 0}, 0xACE1);
   for (auto _ : state) benchmark::DoNotOptimize(lfsr.step());

@@ -13,6 +13,9 @@
 // input itself was never inspected.
 #pragma once
 
+#include <cerrno>
+#include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -52,5 +55,19 @@ class FileNotFoundError : public std::runtime_error {
  private:
   std::string path_;
 };
+
+/// Parses a command-line count or seed: the whole of `text` must be one
+/// unsigned integer in strtoull base-0 syntax (decimal, 0x hex, leading-0
+/// octal) that fits in 64 bits. A sign, whitespace, trailing characters or
+/// overflow throw std::invalid_argument naming `what` (a usage error).
+inline std::uint64_t parseUnsigned(const std::string& text, const std::string& what) {
+  const bool digitFirst = !text.empty() && text[0] >= '0' && text[0] <= '9';
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = digitFirst ? std::strtoull(text.c_str(), &end, 0) : 0;
+  if (!digitFirst || *end != '\0' || errno == ERANGE)
+    throw std::invalid_argument(what + " needs an unsigned number, got '" + text + "'");
+  return value;
+}
 
 }  // namespace scandiag

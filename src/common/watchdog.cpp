@@ -7,70 +7,19 @@
 
 namespace scandiag {
 
-namespace {
-
-std::int64_t nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             Watchdog::Clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 Watchdog::Watchdog(CancellationToken& token, std::chrono::milliseconds totalBudget)
-    : token_(&token), totalDeadline_(Clock::now() + totalBudget) {
-  for (auto& b : phaseBudgetMs_) b.store(0, std::memory_order_relaxed);
-}
-
-void Watchdog::setPhaseBudget(WatchdogPhase phase, std::chrono::milliseconds budget) {
-  phaseBudgetMs_[static_cast<int>(phase)].store(budget.count(), std::memory_order_relaxed);
-}
-
-void Watchdog::beginPhase(WatchdogPhase phase) {
-  const std::int64_t budgetMs =
-      phaseBudgetMs_[static_cast<int>(phase)].load(std::memory_order_relaxed);
-  activePhase_.store(static_cast<int>(phase), std::memory_order_relaxed);
-  phaseDeadlineNs_.store(budgetMs > 0 ? nowNs() + budgetMs * 1'000'000 : 0,
-                         std::memory_order_release);
-}
-
-void Watchdog::endPhase() {
-  phaseDeadlineNs_.store(0, std::memory_order_release);
-  activePhase_.store(-1, std::memory_order_relaxed);
-}
+    : token_(&token), totalDeadline_(Clock::now() + totalBudget) {}
 
 bool Watchdog::poll() {
   if (token_->cancelled()) return true;
-  const char* reason = nullptr;
-  if (Clock::now() >= totalDeadline_) {
-    reason = "watchdog: total budget exceeded";
-  } else {
-    const std::int64_t phaseDeadline = phaseDeadlineNs_.load(std::memory_order_acquire);
-    if (phaseDeadline != 0 && nowNs() >= phaseDeadline) {
-      switch (static_cast<WatchdogPhase>(activePhase_.load(std::memory_order_relaxed))) {
-        case WatchdogPhase::PatternGen:
-          reason = "watchdog: pattern-gen phase budget exceeded";
-          break;
-        case WatchdogPhase::FaultSim:
-          reason = "watchdog: fault-sim phase budget exceeded";
-          break;
-        case WatchdogPhase::SessionEval:
-          reason = "watchdog: session-eval phase budget exceeded";
-          break;
-        default:
-          reason = "watchdog: phase budget exceeded";
-          break;
-      }
-    }
-  }
-  if (!reason) return false;
+  if (Clock::now() < totalDeadline_) return false;
   // Count the trip exactly once even when many workers poll past the
   // deadline concurrently.
   bool expected = false;
   if (tripped_.compare_exchange_strong(expected, true, std::memory_order_relaxed)) {
     obs::count(obs::Counter::WatchdogCancels);
   }
-  token_->cancel(reason);
+  token_->cancel("watchdog: total budget exceeded");
   return true;
 }
 

@@ -7,17 +7,16 @@
 //    SIGTERM) and the watchdog set, and that workers poll at fault-batch
 //    granularity. Setting it is async-signal-safe (a relaxed atomic store of
 //    a flag plus a pointer to a static-lifetime reason string).
-//  * **Watchdog** — monotonic-clock (steady_clock) deadlines: one total
-//    budget plus optional per-phase budgets (pattern-gen, fault-sim,
-//    session-eval). There is no background thread; workers call poll() at
-//    the same batch granularity, which compares now() against the active
-//    deadline and trips the token (once) when exceeded. Trips count the
-//    watchdog_cancels metric.
+//  * **Watchdog** — one monotonic-clock (steady_clock) deadline for the
+//    whole run. There is no background thread; workers call poll() at the
+//    same batch granularity, which compares now() against the deadline and
+//    trips the token (once) when exceeded. Trips count the watchdog_cancels
+//    metric.
 //
 // RunControl bundles an optional token + watchdog into the single parameter
-// drivers thread through DiagnosisPipeline / ParallelFaultSimulator /
-// SocExperimentDriver. A default RunControl{} is fully inert: shouldStop()
-// is two null checks, so un-instrumented runs stay bit-identical and free.
+// drivers thread through DiagnosisPipeline / SocExperimentDriver. A default
+// RunControl{} is fully inert: shouldStop() is two null checks, so
+// un-instrumented runs stay bit-identical and free.
 //
 // Cancellation unwinds as OperationCancelled, thrown from the checkpoint
 // (never mid-fault), so every journaled record is a completed fault and the
@@ -26,7 +25,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -70,15 +68,6 @@ class CancellationToken {
   std::atomic<const char*> reason_{nullptr};
 };
 
-/// Deadline phases with individually budgetable time. Matches the obs::Phase
-/// stages that dominate sweep wall-clock.
-enum class WatchdogPhase : int {
-  PatternGen = 0,
-  FaultSim,
-  SessionEval,
-  kCount,
-};
-
 class Watchdog {
  public:
   using Clock = std::chrono::steady_clock;
@@ -87,13 +76,8 @@ class Watchdog {
   /// budgets trip on the first poll (useful for deterministic trip tests).
   Watchdog(CancellationToken& token, std::chrono::milliseconds totalBudget);
 
-  /// Optional per-phase budget; the clock for a phase starts at beginPhase().
-  void setPhaseBudget(WatchdogPhase phase, std::chrono::milliseconds budget);
-  void beginPhase(WatchdogPhase phase);
-  void endPhase();
-
-  /// Checks deadlines and trips the token when one is exceeded. Cheap enough
-  /// for fault-batch granularity (one clock read + a few atomic loads).
+  /// Checks the deadline and trips the token when it is exceeded. Cheap
+  /// enough for fault-batch granularity (one clock read + one atomic load).
   /// Returns true when the token is (now) cancelled. Thread-safe; the trip
   /// itself happens exactly once and increments watchdog_cancels.
   bool poll();
@@ -103,10 +87,6 @@ class Watchdog {
  private:
   CancellationToken* token_;
   Clock::time_point totalDeadline_;
-  // Per-phase: budget (ms, 0 = unbudgeted) and active-phase deadline.
-  std::atomic<std::int64_t> phaseBudgetMs_[static_cast<int>(WatchdogPhase::kCount)];
-  std::atomic<std::int64_t> phaseDeadlineNs_{0};  // 0 = no phase active
-  std::atomic<int> activePhase_{-1};
   std::atomic<bool> tripped_{false};
 };
 

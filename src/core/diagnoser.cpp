@@ -12,7 +12,7 @@ Diagnoser::Diagnoser(Netlist netlist, DiagnoserOptions options)
       options_(std::move(options)),
       topology_(ScanTopology::blockChains(netlist_.dffs().size(),
                                           std::max<std::size_t>(options_.numChains, 1))),
-      patterns_(generatePatterns(netlist_, options_.diagnosis.numPatterns, options_.prpg)),
+      patterns_(generatePatterns(netlist_, options_.diagnosis.numPatterns)),
       faultSim_(netlist_, patterns_),
       pipeline_(topology_, options_.diagnosis) {}
 

@@ -26,7 +26,6 @@ struct DiagnoserOptions {
   DiagnosisConfig diagnosis{};
   /// Number of internal scan chains the DFFs are stitched into.
   std::size_t numChains = 1;
-  PrpgConfig prpg{};
 };
 
 class Diagnoser {

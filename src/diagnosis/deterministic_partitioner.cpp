@@ -8,18 +8,27 @@
 
 namespace scandiag {
 
-DeterministicIntervalPartitioner::DeterministicIntervalPartitioner(
-    const DeterministicIntervalConfig& config, std::size_t chainLength, std::size_t groupCount)
+namespace {
+
+/// Boundary rotation between successive partitions, as a fraction of the
+/// interval length. A rational fraction like 1/2 revisits the same boundary
+/// phases after a couple of partitions (gcd(step, length) phases exist); the
+/// golden-ratio fraction makes the phase sequence near-equidistributed, which
+/// is the strongest form of this baseline.
+constexpr double kRotationFraction = 0.381966;
+
+}  // namespace
+
+DeterministicIntervalPartitioner::DeterministicIntervalPartitioner(std::size_t chainLength,
+                                                                   std::size_t groupCount)
     : chainLength_(chainLength), groupCount_(groupCount) {
   SCANDIAG_REQUIRE(chainLength >= 1, "empty scan chain");
   SCANDIAG_REQUIRE(groupCount >= 1 && groupCount <= chainLength,
                    "group count must be in [1, chain length]");
-  SCANDIAG_REQUIRE(config.rotationFraction >= 0.0 && config.rotationFraction < 1.0,
-                   "rotation fraction must be in [0, 1)");
   intervalLength_ = (chainLength + groupCount - 1) / groupCount;
   rotationStep_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::llround(config.rotationFraction *
-                                               static_cast<double>(intervalLength_))));
+      1, static_cast<std::size_t>(
+             std::llround(kRotationFraction * static_cast<double>(intervalLength_))));
 }
 
 Partition DeterministicIntervalPartitioner::next() {

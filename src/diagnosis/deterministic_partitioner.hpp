@@ -14,19 +14,9 @@
 
 namespace scandiag {
 
-struct DeterministicIntervalConfig {
-  /// Boundary rotation between successive partitions, as a fraction of the
-  /// interval length. A rational fraction like 1/2 revisits the same boundary
-  /// phases after a couple of partitions (gcd(step, length) phases exist);
-  /// the golden-ratio fraction makes the phase sequence near-equidistributed,
-  /// which is the strongest form of this baseline.
-  double rotationFraction = 0.381966;
-};
-
 class DeterministicIntervalPartitioner final : public PartitionScheme {
  public:
-  DeterministicIntervalPartitioner(const DeterministicIntervalConfig& config,
-                                   std::size_t chainLength, std::size_t groupCount);
+  DeterministicIntervalPartitioner(std::size_t chainLength, std::size_t groupCount);
 
   Partition next() override;
   std::string name() const override { return "deterministic-interval"; }

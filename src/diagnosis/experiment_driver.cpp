@@ -22,6 +22,10 @@ SessionConfig sessionConfigFor(const DiagnosisConfig& config) {
 }
 
 std::vector<Partition> buildPartitions(const DiagnosisConfig& config, std::size_t chainLength) {
+  // An empty schedule runs no session, so checked analysis would read it as
+  // "nothing failed" and exonerate every cell.
+  SCANDIAG_REQUIRE(config.numPartitions >= 1,
+                   "a partition schedule needs at least one partition");
   auto scheme =
       makeScheme(config.scheme, config.schemeConfig, chainLength, config.groupsPerPartition);
   return takePartitions(*scheme, config.numPartitions);

@@ -61,8 +61,7 @@ std::unique_ptr<PartitionScheme> makeScheme(SchemeKind kind, const SchemeConfig&
     case SchemeKind::TwoStep:
       return std::make_unique<TwoStepScheme>(config, chainLength, groupCount);
     case SchemeKind::DeterministicInterval:
-      return std::make_unique<DeterministicIntervalPartitioner>(DeterministicIntervalConfig{},
-                                                                chainLength, groupCount);
+      return std::make_unique<DeterministicIntervalPartitioner>(chainLength, groupCount);
     case SchemeKind::Adaptive:
       throw std::invalid_argument(
           "adaptive has no fixed partition sequence: partitions are chosen online per fault "

@@ -51,15 +51,6 @@ double parseProbability(const std::string& token) {
 
 }  // namespace
 
-const char* defectKindName(DefectKind kind) {
-  switch (kind) {
-    case DefectKind::StuckAt: return "stuck-at";
-    case DefectKind::Bridge: return "bridge";
-    case DefectKind::StuckOpen: return "stuck-open";
-  }
-  return "?";
-}
-
 DefectMix parseDefectSpec(const std::string& spec) {
   DefectMix mix;
   mix.bridges = false;

@@ -50,8 +50,6 @@ enum class DefectKind : std::uint8_t {
   StuckOpen,
 };
 
-const char* defectKindName(DefectKind kind);
-
 /// Parsed form of the CLI's `--defects k[,bridge][,open][,intermittent:p]`.
 struct DefectMix {
   /// Simultaneous defects per scenario.

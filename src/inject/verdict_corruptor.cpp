@@ -25,20 +25,6 @@ void checkRate(double rate, const char* name) {
 
 }  // namespace
 
-const char* corruptionKindName(CorruptionEvent::Kind kind) {
-  switch (kind) {
-    case CorruptionEvent::Kind::VerdictFlip:
-      return "verdict-flip";
-    case CorruptionEvent::Kind::Intermittent:
-      return "intermittent";
-    case CorruptionEvent::Kind::XMask:
-      return "x-mask";
-    case CorruptionEvent::Kind::Aliasing:
-      return "misr-aliasing";
-  }
-  return "unknown";
-}
-
 VerdictCorruptor::VerdictCorruptor(const NoiseConfig& config) : config_(config) {
   checkRate(config.flipRate, "flipRate");
   checkRate(config.intermittentRate, "intermittentRate");

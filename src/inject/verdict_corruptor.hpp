@@ -55,8 +55,6 @@ struct CorruptionEvent {
   bool nowFailing = false;
 };
 
-const char* corruptionKindName(CorruptionEvent::Kind kind);
-
 struct CorruptionTrace {
   std::vector<CorruptionEvent> events;
 

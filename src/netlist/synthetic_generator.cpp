@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "common/assert.hpp"
@@ -10,6 +11,37 @@
 namespace scandiag {
 
 namespace {
+
+// Generator shape. Changing any value changes every generated netlist (and so
+// every golden); GoldenValues.GeneratedNetlistFingerprint pins all profiles.
+constexpr std::uint64_t kSeed = 1;
+/// Number of combinational logic levels between scan-out and capture.
+constexpr std::size_t kLevels = 6;
+/// Half-width of the fanin selection window as a fraction of the position
+/// axis. Smaller → tighter fault-cone clusters.
+constexpr double kLocalityWindow = 0.01;
+/// Probability that a fanin taps a source (PI / scan cell) instead of the
+/// previous logic level (keeps logic shallow and testable).
+constexpr double kSourceTap = 0.05;
+/// Probability that a fanin ignores locality and taps anywhere in the
+/// previous level (long global wires).
+constexpr double kGlobalTap = 0.005;
+/// Gate-type mix in percent. XOR/XNOR propagate errors unconditionally, so
+/// their share controls how far fault effects travel — i.e. how many scan
+/// cells a typical fault corrupts.
+constexpr unsigned kPctNand = 25, kPctNor = 18, kPctAnd = 9, kPctOr = 9;
+constexpr unsigned kPctNot = 10, kPctBuf = 4, kPctXor = 15, kPctXnor = 10;
+static_assert(kPctNand + kPctNor + kPctAnd + kPctOr + kPctNot + kPctBuf + kPctXor + kPctXnor ==
+              100);
+/// Share of 3-input gates among the variable-arity types (rest are 2-input).
+constexpr unsigned kPctArity3 = 20;
+/// High-fanout "hub" nets (clock enables, control signals): kPctHub percent
+/// of each level's gates become hubs, and each fanin taps a hub with
+/// probability kHubTap. Hubs give a minority of faults very wide cones — the
+/// heavy tail of failing-cell counts the paper observes in real circuits
+/// ("some faults may cause a large number of failing scan cells").
+constexpr unsigned kPctHub = 3;
+constexpr double kHubTap = 0.02;
 
 struct Slot {
   GateId id;
@@ -42,22 +74,22 @@ const Slot& pickNear(const std::vector<Slot>& slots, double p, double window,
   }
 }
 
-GateType sampleGateType(const GeneratorOptions& o, Xoroshiro128& rng) {
+GateType sampleGateType(Xoroshiro128& rng) {
   // Weighted mix; inverting gates keep internal signal probabilities near 1/2
   // (random-pattern testability), XOR share keeps error propagation alive.
   const std::uint64_t r = rng.nextBelow(100);
-  std::uint64_t acc = o.pctNand;
+  std::uint64_t acc = kPctNand;
   if (r < acc) return GateType::Nand;
-  if (r < (acc += o.pctNor)) return GateType::Nor;
-  if (r < (acc += o.pctAnd)) return GateType::And;
-  if (r < (acc += o.pctOr)) return GateType::Or;
-  if (r < (acc += o.pctNot)) return GateType::Not;
-  if (r < (acc += o.pctBuf)) return GateType::Buf;
-  if (r < (acc += o.pctXor)) return GateType::Xor;
+  if (r < (acc += kPctNor)) return GateType::Nor;
+  if (r < (acc += kPctAnd)) return GateType::And;
+  if (r < (acc += kPctOr)) return GateType::Or;
+  if (r < (acc += kPctNot)) return GateType::Not;
+  if (r < (acc += kPctBuf)) return GateType::Buf;
+  if (r < (acc += kPctXor)) return GateType::Xor;
   return GateType::Xnor;
 }
 
-std::size_t arityFor(GateType t, const GeneratorOptions& o, Xoroshiro128& rng) {
+std::size_t arityFor(GateType t, Xoroshiro128& rng) {
   switch (t) {
     case GateType::Not:
     case GateType::Buf:
@@ -66,7 +98,7 @@ std::size_t arityFor(GateType t, const GeneratorOptions& o, Xoroshiro128& rng) {
     case GateType::Xnor:
       return 2;
     default:
-      return rng.nextBelow(100) < o.pctArity3 ? 3 : 2;
+      return rng.nextBelow(100) < kPctArity3 ? 3 : 2;
   }
 }
 
@@ -86,13 +118,13 @@ std::uint64_t mixName(std::uint64_t seed, std::string_view name) {
 
 }  // namespace
 
-Netlist generateCircuit(const Iscas89Profile& profile, const GeneratorOptions& options) {
+Netlist generateCircuit(const Iscas89Profile& profile) {
   SCANDIAG_REQUIRE(profile.numInputs > 0, "profile needs at least one input");
   SCANDIAG_REQUIRE(profile.numDffs > 0, "profile needs at least one DFF");
   SCANDIAG_REQUIRE(profile.numGates >= 1, "profile needs at least one gate");
   SCANDIAG_REQUIRE(profile.numOutputs >= 1, "profile needs at least one output");
 
-  Xoroshiro128 rng(mixName(options.seed, profile.name));
+  Xoroshiro128 rng(mixName(kSeed, profile.name));
   Netlist nl(profile.name);
 
   // --- Sources with stratified positions; DFF ordinal order == position order
@@ -114,7 +146,7 @@ Netlist generateCircuit(const Iscas89Profile& profile, const GeneratorOptions& o
   // --- Level sizing: roughly equal levels, last level capped at the number of
   // available consumers (DFFs + POs) so every last-level gate is observed.
   const std::size_t numConsumers = profile.numDffs + profile.numOutputs;
-  std::size_t numLevels = std::min(options.levels, profile.numGates / 3 + 1);
+  std::size_t numLevels = std::min(kLevels, profile.numGates / 3 + 1);
   numLevels = std::max<std::size_t>(numLevels, 1);
   std::vector<std::size_t> levelSize(numLevels, profile.numGates / numLevels);
   for (std::size_t l = 0; l < profile.numGates % numLevels; ++l) ++levelSize[l];
@@ -139,26 +171,26 @@ Netlist generateCircuit(const Iscas89Profile& profile, const GeneratorOptions& o
       // Stratified position with jitter keeps each level sorted by pos.
       const double p = (static_cast<double>(i) + rng.nextDouble()) /
                        static_cast<double>(std::max<std::size_t>(levelSize[l], 1));
-      const GateType type = sampleGateType(options, rng);
-      const std::size_t arity = arityFor(type, options, rng);
+      const GateType type = sampleGateType(rng);
+      const std::size_t arity = arityFor(type, rng);
       std::vector<GateId> fanins;
       fanins.reserve(arity);
       for (std::size_t k = 0; k < arity; ++k) {
         const double roll = rng.nextDouble();
         GateId pick;
-        if (!prevHubs.empty() && roll < options.hubTap) {
+        if (!prevHubs.empty() && roll < kHubTap) {
           pick = prevHubs[rng.nextBelow(prevHubs.size())];
-        } else if (roll < options.hubTap + options.globalTap) {
+        } else if (roll < kHubTap + kGlobalTap) {
           pick = prev[rng.nextBelow(prev.size())].id;
-        } else if (l > 0 && roll < options.hubTap + options.globalTap + options.sourceTap) {
-          pick = pickNear(sources, p, options.localityWindow, rng).id;
+        } else if (l > 0 && roll < kHubTap + kGlobalTap + kSourceTap) {
+          pick = pickNear(sources, p, kLocalityWindow, rng).id;
         } else {
-          pick = pickNear(prev, p, options.localityWindow, rng).id;
+          pick = pickNear(prev, p, kLocalityWindow, rng).id;
         }
         // Prefer distinct fanins; duplicates are legal but uninteresting.
         for (int retry = 0; retry < 3 && std::find(fanins.begin(), fanins.end(), pick) != fanins.end();
              ++retry) {
-          pick = pickNear(prev, p, options.localityWindow, rng).id;
+          pick = pickNear(prev, p, kLocalityWindow, rng).id;
         }
         fanins.push_back(pick);
       }
@@ -169,7 +201,7 @@ Netlist generateCircuit(const Iscas89Profile& profile, const GeneratorOptions& o
     // would dominate the netlist).
     if (levelSize[l] >= 8) {
       const std::size_t hubCount =
-          std::max<std::size_t>(levelSize[l] * options.pctHub / 100, 1);
+          std::max<std::size_t>(levelSize[l] * kPctHub / 100, 1);
       for (std::size_t h = 0; h < hubCount; ++h)
         hubs[l].push_back(levels[l][rng.nextBelow(levels[l].size())].id);
     }
@@ -242,7 +274,7 @@ Netlist generateCircuit(const Iscas89Profile& profile, const GeneratorOptions& o
     for (const Slot& s : levels[l]) {
       if (uses[s.id] != 0 || isPo[s.id]) continue;
       if (!sinks.empty()) {
-        const GateId sink = pickNear(sinks, s.pos, options.localityWindow, rng).id;
+        const GateId sink = pickNear(sinks, s.pos, kLocalityWindow, rng).id;
         nl.appendFanin(sink, s.id);
         ++uses[s.id];
       } else {
@@ -256,8 +288,8 @@ Netlist generateCircuit(const Iscas89Profile& profile, const GeneratorOptions& o
   return nl;
 }
 
-Netlist generateNamedCircuit(std::string_view name, const GeneratorOptions& options) {
-  return generateCircuit(iscas89Profile(name), options);
+Netlist generateNamedCircuit(std::string_view name) {
+  return generateCircuit(iscas89Profile(name));
 }
 
 }  // namespace scandiag

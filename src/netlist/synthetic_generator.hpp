@@ -9,53 +9,23 @@
 // interval-based partitioning. A small global-wire probability reproduces the
 // occasional long-range signal (resets, control) that de-clusters some cones.
 //
-// The generator is fully deterministic: (profile, options) → identical netlist
-// on every platform.
+// The generator is fully deterministic: a profile → identical netlist on every
+// platform. Its shape parameters are fixed constants (synthetic_generator.cpp).
 #pragma once
-
-#include <cstdint>
 
 #include "netlist/iscas89_profiles.hpp"
 #include "netlist/netlist.hpp"
 
 namespace scandiag {
 
-struct GeneratorOptions {
-  std::uint64_t seed = 1;
-  /// Number of combinational logic levels between scan-out and capture.
-  std::size_t levels = 6;
-  /// Half-width of the fanin selection window as a fraction of the position
-  /// axis. Smaller → tighter fault-cone clusters.
-  double localityWindow = 0.01;
-  /// Probability that a fanin taps a source (PI / scan cell) instead of the
-  /// previous logic level (keeps logic shallow and testable).
-  double sourceTap = 0.05;
-  /// Probability that a fanin ignores locality and taps anywhere in the
-  /// previous level (long global wires).
-  double globalTap = 0.005;
-  /// Gate-type mix in percent (must sum to 100). XOR/XNOR propagate errors
-  /// unconditionally, so their share controls how far fault effects travel —
-  /// i.e. how many scan cells a typical fault corrupts.
-  unsigned pctNand = 25, pctNor = 18, pctAnd = 9, pctOr = 9;
-  unsigned pctNot = 10, pctBuf = 4, pctXor = 15, pctXnor = 10;
-  /// Share of 3-input gates among the variable-arity types (rest are 2-input).
-  unsigned pctArity3 = 20;
-  /// High-fanout "hub" nets (clock enables, control signals): pctHub percent
-  /// of each level's gates become hubs, and each fanin taps a hub with
-  /// probability hubTap. Hubs give a minority of faults very wide cones — the
-  /// heavy tail of failing-cell counts the paper observes in real circuits
-  /// ("some faults may cause a large number of failing scan cells").
-  unsigned pctHub = 3;
-  double hubTap = 0.02;
-};
-
 /// Builds a circuit matching `profile`'s PI/PO/DFF/gate counts exactly.
 /// Postconditions: validate() passes; every DFF has a D driver; every
 /// combinational gate has at least one observing path (PO or DFF).
-Netlist generateCircuit(const Iscas89Profile& profile, const GeneratorOptions& options = {});
+/// The generator seed is mixed with the profile name, so equal-size profiles
+/// with different names get distinct netlists.
+Netlist generateCircuit(const Iscas89Profile& profile);
 
-/// generateCircuit(iscas89Profile(name), options), with the seed additionally
-/// mixed with the name so each named circuit is distinct under equal options.
-Netlist generateNamedCircuit(std::string_view name, const GeneratorOptions& options = {});
+/// generateCircuit(iscas89Profile(name)).
+Netlist generateNamedCircuit(std::string_view name);
 
 }  // namespace scandiag

@@ -18,18 +18,16 @@
 //    every shim below (count(), PhaseScope, WorkerScope) compiles to nothing
 //    — zero instructions on the hot paths. The registry class itself stays
 //    available (a few hundred bytes) so exporters and tests still link.
-//  * Enabled build, runtime off (`SCANDIAG_METRICS=off` environment variable
-//    or setEnabled(false)): one relaxed atomic load + branch per site.
-//  * Enabled: one relaxed CAS per counter add — into the calling thread's own
-//    cache-line-padded counter stripe (kCounterStripes round-robin lanes), so
-//    concurrent adds from pool workers neither contend nor false-share — and
-//    two steady_clock reads per scope. Counters sit at per-fault / per-partition
-//    granularity, never
-//    inside bit-level inner loops. PhaseScope/WorkerScope are costlier (the
-//    clock reads) and are therefore kept OFF the per-fault bodies of the
-//    batch DR loops — they wrap single-fault APIs, per-batch regions, and
-//    per-partition retry paths only. That split keeps metrics-on overhead
-//    under the 2% budget bench_perf is checked against.
+//  * Default build: one relaxed CAS per counter add — into the calling
+//    thread's own cache-line-padded counter stripe (kCounterStripes
+//    round-robin lanes), so concurrent adds from pool workers neither contend
+//    nor false-share — and two steady_clock reads per scope. Counters sit at
+//    per-fault / per-partition granularity, never inside bit-level inner
+//    loops. PhaseScope/WorkerScope are costlier (the clock reads) and are
+//    therefore kept OFF the per-fault bodies of the batch DR loops — they
+//    wrap single-fault APIs, per-batch regions, and per-partition retry paths
+//    only. That split keeps metrics-on overhead under the 2% budget bench_perf
+//    is checked against.
 //
 // The registry is a header-inline singleton so that low-level code (e.g. the
 // thread pool in scandiag_common) can record into it without a link-time
@@ -41,8 +39,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #ifndef SCANDIAG_METRICS_ENABLED
@@ -63,7 +59,7 @@ enum class Counter : unsigned {
   PartitionsEvaluated,      // partition verdict rows computed
   PartitionsGenerated,      // partitions produced by any partitioner
   FaultsSimulated,          // single-fault cone simulations (FaultSimulator)
-  FaultsGraded,             // 64-way batch gradings (ParallelFaultSimulator)
+  FaultsGraded,             // retired slot, always 0 (kept: journals store indices)
   FaultsDiagnosed,          // full diagnose() invocations (clean + noisy)
   SignatureWordsHashed,     // 64-bit error-stream words folded into signatures
   RetrySessionsSpent,       // extra sessions charged to the recovery budget
@@ -201,15 +197,11 @@ inline constexpr std::size_t kCounterStripes = 16;
 
 class MetricsRegistry {
  public:
-  /// Process-wide instance. First use decides the initial runtime state from
-  /// the SCANDIAG_METRICS environment variable (off|0|false disable).
+  /// Process-wide instance.
   static MetricsRegistry& instance() {
     static MetricsRegistry registry;
     return registry;
   }
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void setEnabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
   /// Saturating add: the counter sticks at UINT64_MAX instead of wrapping, so
   /// a long-running service degrades to "at least this many" rather than
@@ -271,14 +263,7 @@ class MetricsRegistry {
   }
 
  private:
-  MetricsRegistry() { enabled_.store(initialEnabled(), std::memory_order_relaxed); }
-
-  static bool initialEnabled() {
-    const char* env = std::getenv("SCANDIAG_METRICS");
-    if (env == nullptr) return true;
-    return !(std::strcmp(env, "off") == 0 || std::strcmp(env, "OFF") == 0 ||
-             std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0);
-  }
+  MetricsRegistry() = default;
 
   static void saturatingAdd(std::atomic<std::uint64_t>& cell, std::uint64_t n) {
     std::uint64_t cur = cell.load(std::memory_order_relaxed);
@@ -293,8 +278,7 @@ class MetricsRegistry {
   }
 
   /// One block of counter cells, padded out to its own cache line(s) so
-  /// stripes never share a line with each other (or with enabled_, which
-  /// every count() reads).
+  /// stripes never share a line with each other.
   struct alignas(64) CounterStripe {
     std::array<std::atomic<std::uint64_t>, kNumCounters> cells{};
   };
@@ -316,7 +300,6 @@ class MetricsRegistry {
     return stripe;
   }
 
-  std::atomic<bool> enabled_{true};
   std::array<CounterStripe, kCounterStripes> stripes_{};
   // Phase timers are low-frequency (per-batch / single-fault API scopes
   // only), so a shared array is fine; worker lanes are padded above.
@@ -339,11 +322,8 @@ inline thread_local std::array<std::uint64_t, kNumCounters>* tlsDeltaSink = null
 }  // namespace detail
 
 inline void count(Counter c, std::uint64_t n = 1) {
-  MetricsRegistry& registry = MetricsRegistry::instance();
-  if (registry.enabled()) {
-    registry.add(c, n);
-    if (detail::tlsDeltaSink) (*detail::tlsDeltaSink)[static_cast<std::size_t>(c)] += n;
-  }
+  MetricsRegistry::instance().add(c, n);
+  if (detail::tlsDeltaSink) (*detail::tlsDeltaSink)[static_cast<std::size_t>(c)] += n;
 }
 
 /// Captures the counter increments made by the current thread while in scope.
@@ -374,12 +354,8 @@ class DeltaCapture {
 /// RAII phase timer: accumulates the scope's wall time into one Phase.
 class PhaseScope {
  public:
-  explicit PhaseScope(Phase phase)
-      : phase_(phase), active_(MetricsRegistry::instance().enabled()) {
-    if (active_) start_ = std::chrono::steady_clock::now();
-  }
+  explicit PhaseScope(Phase phase) : phase_(phase), start_(std::chrono::steady_clock::now()) {}
   ~PhaseScope() {
-    if (!active_) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     MetricsRegistry::instance().addPhase(
         phase_,
@@ -391,7 +367,6 @@ class PhaseScope {
 
  private:
   Phase phase_;
-  bool active_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -399,11 +374,8 @@ class PhaseScope {
 class WorkerScope {
  public:
   explicit WorkerScope(std::size_t lane)
-      : lane_(lane), active_(MetricsRegistry::instance().enabled()) {
-    if (active_) start_ = std::chrono::steady_clock::now();
-  }
+      : lane_(lane), start_(std::chrono::steady_clock::now()) {}
   ~WorkerScope() {
-    if (!active_) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     MetricsRegistry::instance().recordWorker(
         lane_,
@@ -415,7 +387,6 @@ class WorkerScope {
 
  private:
   std::size_t lane_;
-  bool active_;
   std::chrono::steady_clock::time_point start_;
 };
 

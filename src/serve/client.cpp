@@ -52,14 +52,16 @@ class ClientSocket {
   std::string why_;
 };
 
+constexpr std::uint64_t kBackoffBaseMs = 20;
+constexpr std::uint64_t kBackoffCapMs = 2000;
+
 /// Capped exponential backoff with jitter: uniform over [delay/2, delay]
 /// where delay = min(base * 2^(attempt-1), cap). The half-floor keeps the
 /// average wait meaningful; the jitter decorrelates a fleet of clients.
-void backoff(const ClientOptions& options, std::size_t attempt, Xoroshiro128& rng) {
-  std::uint64_t delay = options.backoffBaseMs;
-  for (std::size_t i = 1; i < attempt && delay < options.backoffCapMs; ++i) delay *= 2;
-  if (delay > options.backoffCapMs) delay = options.backoffCapMs;
-  if (delay == 0) return;
+void backoff(std::size_t attempt, Xoroshiro128& rng) {
+  std::uint64_t delay = kBackoffBaseMs;
+  for (std::size_t i = 1; i < attempt && delay < kBackoffCapMs; ++i) delay *= 2;
+  if (delay > kBackoffCapMs) delay = kBackoffCapMs;
   const std::uint64_t jittered = delay / 2 + rng.nextBelow(delay - delay / 2 + 1);
   std::this_thread::sleep_for(std::chrono::milliseconds(jittered));
 }
@@ -73,7 +75,7 @@ DiagnoseReply requestDiagnosis(const ClientOptions& options, const DiagnoseReque
   const std::size_t attempts = options.maxAttempts == 0 ? 1 : options.maxAttempts;
   std::string lastFailure = "no attempts made";
   for (std::size_t attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) backoff(options, attempt - 1, rng);
+    if (attempt > 1) backoff(attempt - 1, rng);
     ClientSocket sock(options.socketPath);
     if (sock.fd() < 0) {
       lastFailure = sock.why();  // server down or restarting: retryable
@@ -127,7 +129,7 @@ StatsReply fetchStats(const ClientOptions& options) {
   const std::size_t attempts = options.maxAttempts == 0 ? 1 : options.maxAttempts;
   std::string lastFailure = "no attempts made";
   for (std::size_t attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) backoff(options, attempt - 1, rng);
+    if (attempt > 1) backoff(attempt - 1, rng);
     ClientSocket sock(options.socketPath);
     if (sock.fd() < 0) {
       lastFailure = sock.why();

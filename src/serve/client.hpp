@@ -27,10 +27,7 @@ struct ClientOptions {
   std::string socketPath;
   /// Attempts total (first try + retries). 1 = no retrying.
   std::size_t maxAttempts = 5;
-  /// Backoff before attempt k (1-based retries): base * 2^(k-1), capped,
-  /// then jittered to a uniform draw over [delay/2, delay].
-  std::size_t backoffBaseMs = 20;
-  std::size_t backoffCapMs = 2000;
+  /// Seeds the retry backoff jitter (see client.cpp).
   std::uint64_t jitterSeed = 0xC11E57;
   /// Whole-frame I/O deadline per read/write.
   std::size_t ioTimeoutMs = 5000;

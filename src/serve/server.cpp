@@ -195,14 +195,8 @@ int DiagnosisServer::run() {
 }
 
 void DiagnosisServer::shedConnection(int fd) {
-  const std::uint64_t id = nextRequestId();
-  stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-  stats_.shed.fetch_add(1, std::memory_order_relaxed);
-  obs::count(obs::Counter::ServeRequestsShed);
-  if (accounting_) {
-    accounting_->accepted(id);
-    accounting_->terminal(id, RequestOutcome::Shed);
-  }
+  const std::uint64_t id = bookAccepted();
+  bookTerminal(id, RequestOutcome::Shed);
   DiagnoseReply busy;
   busy.status = ReplyStatus::Busy;
   busy.requestId = id;
@@ -264,12 +258,10 @@ void DiagnosisServer::serveConnection(Connection& conn) {
       // Slowloris or idle: the peer had the whole I/O budget for one frame.
       return;
     } catch (const FrameFormatError&) {
-      stats_.framesRejected.fetch_add(1, std::memory_order_relaxed);
-      obs::count(obs::Counter::ServeFramesRejected);
+      bookRejectedFrame();
       return;  // a byte stream that lied about itself cannot be re-synced
     } catch (const FrameCorruptError&) {
-      stats_.framesRejected.fetch_add(1, std::memory_order_relaxed);
-      obs::count(obs::Counter::ServeFramesRejected);
+      bookRejectedFrame();
       return;
     } catch (const FrameIoError&) {
       return;
@@ -309,8 +301,7 @@ bool DiagnosisServer::dispatchFrame(Connection& conn, const Frame& frame) {
     case kDiagnoseRequestFrame:
       break;  // handled below
     default:
-      stats_.framesRejected.fetch_add(1, std::memory_order_relaxed);
-      obs::count(obs::Counter::ServeFramesRejected);
+      bookRejectedFrame();
       return false;
   }
 
@@ -320,14 +311,11 @@ bool DiagnosisServer::dispatchFrame(Connection& conn, const Frame& frame) {
   } catch (const FrameFormatError&) {
     // The frame's CRC was fine but its content lies about itself — same
     // rejection class as a bad frame.
-    stats_.framesRejected.fetch_add(1, std::memory_order_relaxed);
-    obs::count(obs::Counter::ServeFramesRejected);
+    bookRejectedFrame();
     return false;
   }
 
-  const std::uint64_t id = nextRequestId();
-  stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-  if (accounting_) accounting_->accepted(id);
+  const std::uint64_t id = bookAccepted();
 
   DiagnoseReply reply;
   try {
@@ -362,11 +350,9 @@ bool DiagnosisServer::dispatchFrame(Connection& conn, const Frame& frame) {
 
   switch (reply.status) {
     case ReplyStatus::Ok:
-      obs::count(obs::Counter::ServeRequestsOk);
       bookTerminal(id, RequestOutcome::Ok);
       return true;
     case ReplyStatus::Deadline:
-      obs::count(obs::Counter::ServeDeadlineDegraded);
       bookTerminal(id, RequestOutcome::Degraded);
       return true;
     case ReplyStatus::Error:
@@ -379,14 +365,37 @@ bool DiagnosisServer::dispatchFrame(Connection& conn, const Frame& frame) {
   return false;
 }
 
+std::uint64_t DiagnosisServer::bookAccepted() {
+  const std::uint64_t id = requestIds_.fetch_add(1, std::memory_order_relaxed);
+  stats_.accepted.fetch_add(1, std::memory_order_relaxed);
+  if (accounting_) accounting_->accepted(id);
+  return id;
+}
+
 void DiagnosisServer::bookTerminal(std::uint64_t requestId, RequestOutcome outcome) {
   switch (outcome) {
-    case RequestOutcome::Ok: stats_.ok.fetch_add(1, std::memory_order_relaxed); break;
-    case RequestOutcome::Shed: stats_.shed.fetch_add(1, std::memory_order_relaxed); break;
-    case RequestOutcome::Degraded: stats_.degraded.fetch_add(1, std::memory_order_relaxed); break;
-    case RequestOutcome::Aborted: stats_.aborted.fetch_add(1, std::memory_order_relaxed); break;
+    case RequestOutcome::Ok:
+      stats_.ok.fetch_add(1, std::memory_order_relaxed);
+      obs::count(obs::Counter::ServeRequestsOk);
+      break;
+    case RequestOutcome::Shed:
+      stats_.shed.fetch_add(1, std::memory_order_relaxed);
+      obs::count(obs::Counter::ServeRequestsShed);
+      break;
+    case RequestOutcome::Degraded:
+      stats_.degraded.fetch_add(1, std::memory_order_relaxed);
+      obs::count(obs::Counter::ServeDeadlineDegraded);
+      break;
+    case RequestOutcome::Aborted:
+      stats_.aborted.fetch_add(1, std::memory_order_relaxed);
+      break;
   }
   if (accounting_) accounting_->terminal(requestId, outcome);
+}
+
+void DiagnosisServer::bookRejectedFrame() {
+  stats_.framesRejected.fetch_add(1, std::memory_order_relaxed);
+  obs::count(obs::Counter::ServeFramesRejected);
 }
 
 }  // namespace scandiag::serve

@@ -137,8 +137,12 @@ class DiagnosisServer {
   /// Returns false when the connection must close (protocol garbage, abort).
   bool dispatchFrame(Connection& conn, const Frame& frame);
   void shedConnection(int fd);
+  // Each serve event is booked at exactly one of these sites, which update
+  // ServeStats, the obs counters and the ledger together.
+  /// Assigns the next request id and books ACCEPTED.
+  std::uint64_t bookAccepted();
   void bookTerminal(std::uint64_t requestId, RequestOutcome outcome);
-  std::uint64_t nextRequestId() { return requestIds_.fetch_add(1, std::memory_order_relaxed); }
+  void bookRejectedFrame();
 
   const DiagnosisService* service_;
   ServeOptions options_;

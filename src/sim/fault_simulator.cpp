@@ -218,14 +218,6 @@ FaultResponse FaultSimulator::simulateReference(const FaultSite& fault) const {
   return resp;
 }
 
-std::vector<FaultResponse> FaultSimulator::simulateAll(
-    const std::vector<FaultSite>& faults) const {
-  std::vector<FaultResponse> out;
-  out.reserve(faults.size());
-  for (const FaultSite& f : faults) out.push_back(simulate(f));
-  return out;
-}
-
 std::vector<FaultResponse> FaultSimulator::collectDetected(
     const std::vector<FaultSite>& candidates, std::size_t target) const {
   std::vector<FaultResponse> out;

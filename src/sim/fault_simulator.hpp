@@ -59,13 +59,13 @@ struct FaultResponse {
 };
 
 /// Thread ownership: one FaultSimulator instance is owned by one thread at a
-/// time. simulate()/simulateAll()/collectDetected() reuse per-instance scratch
-/// buffers (and briefly mutate the good-value store in place, restoring it
-/// before returning), so concurrent calls on a *shared* instance are not
-/// allowed — create one simulator per worker instead (cheap relative to a
-/// batch of faults; this is what the SoC driver and ParallelFaultSimulator
-/// do). The read-only accessors (goodValue/goodCaptures/...) observe the
-/// fault-free state whenever no simulate() call is in flight.
+/// time. simulate()/collectDetected() reuse per-instance scratch buffers (and
+/// briefly mutate the good-value store in place, restoring it before
+/// returning), so concurrent calls on a *shared* instance are not allowed —
+/// create one simulator per thread instead (cheap relative to a batch of
+/// faults; this is what the SoC driver and the serve lease pool do). The
+/// read-only accessors (goodValue/goodCaptures/...) observe the fault-free
+/// state whenever no simulate() call is in flight.
 class FaultSimulator {
  public:
   FaultSimulator(const Netlist& netlist, const PatternSet& patterns);
@@ -87,7 +87,6 @@ class FaultSimulator {
   /// fault cone's gates instead of copying the whole good-value vector per
   /// 64-pattern word). Output is bit-identical to simulateReference().
   FaultResponse simulate(const FaultSite& fault) const;
-  std::vector<FaultResponse> simulateAll(const std::vector<FaultSite>& faults) const;
 
   /// Reference implementation: recomputes the cone and copies the full
   /// good-value vector per word (the pre-cache algorithm). Kept as the parity

@@ -26,7 +26,7 @@ Soc assembleSoc(const std::string& socName, std::vector<CoreInstance> cores,
 }  // namespace
 
 Soc buildSocFromModules(const std::string& socName, const std::vector<std::string>& modules,
-                        std::size_t tamWidth, const GeneratorOptions& options) {
+                        std::size_t tamWidth) {
   // Arena: one generated netlist per distinct module name; repeated names
   // alias it (the generator is deterministic, so the dedup is exact).
   std::map<std::string, std::shared_ptr<const Netlist>> arena;
@@ -35,7 +35,7 @@ Soc buildSocFromModules(const std::string& socName, const std::vector<std::strin
   for (const std::string& m : modules) {
     auto it = arena.find(m);
     if (it == arena.end()) {
-      it = arena.emplace(m, std::make_shared<const Netlist>(generateNamedCircuit(m, options)))
+      it = arena.emplace(m, std::make_shared<const Netlist>(generateNamedCircuit(m)))
                .first;
     }
     cores.push_back(CoreInstance{m, it->second, 0});
@@ -43,19 +43,14 @@ Soc buildSocFromModules(const std::string& socName, const std::vector<std::strin
   return assembleSoc(socName, std::move(cores), tamWidth);
 }
 
-Soc buildSoc1(const GeneratorOptions& options) {
-  return buildSocFromModules("soc1", sixLargestIscas89(), /*tamWidth=*/1, options);
-}
+Soc buildSoc1() { return buildSocFromModules("soc1", sixLargestIscas89(), /*tamWidth=*/1); }
 
-Soc buildD695(const GeneratorOptions& options, std::size_t tamWidth) {
-  return buildSocFromModules("d695", d695Iscas89Modules(), tamWidth, options);
-}
+Soc buildD695() { return buildSocFromModules("d695", d695Iscas89Modules(), /*tamWidth=*/8); }
 
 Soc buildReplicatedSoc(const std::string& module, std::size_t replication,
-                       std::size_t tamWidth, const GeneratorOptions& options) {
+                       std::size_t tamWidth) {
   SCANDIAG_REQUIRE(replication >= 1, "replication must be >= 1");
-  const auto shared =
-      std::make_shared<const Netlist>(generateNamedCircuit(module, options));
+  const auto shared = std::make_shared<const Netlist>(generateNamedCircuit(module));
   std::vector<CoreInstance> cores;
   cores.reserve(replication);
   for (std::size_t k = 0; k < replication; ++k) {
@@ -65,9 +60,9 @@ Soc buildReplicatedSoc(const std::string& module, std::size_t replication,
                      tamWidth);
 }
 
-Soc buildSocFromSpec(const std::string& spec, const GeneratorOptions& options) {
-  if (spec == "soc1") return buildSoc1(options);
-  if (spec == "d695") return buildD695(options);
+Soc buildSocFromSpec(const std::string& spec) {
+  if (spec == "soc1") return buildSoc1();
+  if (spec == "d695") return buildD695();
   if (spec.rfind("rep:", 0) == 0) {
     // rep:<module>x<R>[:w<W>]
     std::string body = spec.substr(4);
@@ -96,7 +91,7 @@ Soc buildSocFromSpec(const std::string& spec, const GeneratorOptions& options) {
     if (replication == 0) {
       throw std::invalid_argument("bad SOC spec '" + spec + "': replication must be >= 1");
     }
-    return buildReplicatedSoc(module, replication, tamWidth, options);
+    return buildReplicatedSoc(module, replication, tamWidth);
   }
   throw std::invalid_argument("unknown SOC spec '" + spec +
                               "' (expected soc1, d695, or rep:<module>x<R>[:w<W>])");

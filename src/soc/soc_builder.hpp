@@ -24,22 +24,22 @@ namespace scandiag {
 /// name (repeated names alias the same arena netlist) and threads `tamWidth`
 /// meta chains through the instances in daisy-chain order.
 Soc buildSocFromModules(const std::string& socName, const std::vector<std::string>& modules,
-                        std::size_t tamWidth, const GeneratorOptions& options = {});
+                        std::size_t tamWidth);
 
 /// Six largest ISCAS-89 circuits, single meta scan chain.
-Soc buildSoc1(const GeneratorOptions& options = {});
+Soc buildSoc1();
 
 /// d695 variant: 8 ISCAS-89 modules, 8-bit TAM.
-Soc buildD695(const GeneratorOptions& options = {}, std::size_t tamWidth = 8);
+Soc buildD695();
 
 /// `replication` instances of one module (named "<module>#<k>") sharing a
 /// single generated netlist, behind a `tamWidth`-bit TAM.
 Soc buildReplicatedSoc(const std::string& module, std::size_t replication,
-                       std::size_t tamWidth, const GeneratorOptions& options = {});
+                       std::size_t tamWidth);
 
 /// SOC spec grammar shared by the CLI and benches:
 ///   "soc1" | "d695" | "rep:<module>x<R>[:w<W>]"  (e.g. "rep:s38584x702:w8").
 /// Throws std::invalid_argument on a malformed spec or unknown module.
-Soc buildSocFromSpec(const std::string& spec, const GeneratorOptions& options = {});
+Soc buildSocFromSpec(const std::string& spec);
 
 }  // namespace scandiag

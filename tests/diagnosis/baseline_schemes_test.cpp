@@ -15,7 +15,7 @@ namespace {
 // ---- DeterministicIntervalPartitioner --------------------------------------
 
 TEST(DeterministicPartitioner, EqualLengthIntervalsCoverChain) {
-  DeterministicIntervalPartitioner gen(DeterministicIntervalConfig{}, 100, 8);
+  DeterministicIntervalPartitioner gen(100, 8);
   const Partition p = gen.next();
   EXPECT_NO_THROW(p.validate());
   EXPECT_EQ(gen.intervalLength(), 13u);  // ceil(100/8)
@@ -26,7 +26,7 @@ TEST(DeterministicPartitioner, EqualLengthIntervalsCoverChain) {
 }
 
 TEST(DeterministicPartitioner, SuccessivePartitionsRotateBoundaries) {
-  DeterministicIntervalPartitioner gen(DeterministicIntervalConfig{}, 100, 4);
+  DeterministicIntervalPartitioner gen(100, 4);
   const Partition a = gen.next();
   const Partition b = gen.next();
   bool anyDiff = false;
@@ -37,7 +37,7 @@ TEST(DeterministicPartitioner, SuccessivePartitionsRotateBoundaries) {
 TEST(DeterministicPartitioner, GoldenRotationVisitsManyPhases) {
   // Eight successive partitions must have eight distinct group-0 masks (a
   // half-length rotation would only produce ~2).
-  DeterministicIntervalPartitioner gen(DeterministicIntervalConfig{}, 211, 16);
+  DeterministicIntervalPartitioner gen(211, 16);
   std::vector<BitVector> firstGroups;
   for (int i = 0; i < 8; ++i) firstGroups.push_back(gen.next().groups[0]);
   for (std::size_t i = 0; i < firstGroups.size(); ++i)
@@ -46,13 +46,8 @@ TEST(DeterministicPartitioner, GoldenRotationVisitsManyPhases) {
 }
 
 TEST(DeterministicPartitioner, ParameterValidation) {
-  EXPECT_THROW(DeterministicIntervalPartitioner(DeterministicIntervalConfig{}, 0, 4),
-               std::invalid_argument);
-  EXPECT_THROW(DeterministicIntervalPartitioner(DeterministicIntervalConfig{}, 3, 4),
-               std::invalid_argument);
-  DeterministicIntervalConfig bad;
-  bad.rotationFraction = 1.0;
-  EXPECT_THROW(DeterministicIntervalPartitioner(bad, 10, 2), std::invalid_argument);
+  EXPECT_THROW(DeterministicIntervalPartitioner(0, 4), std::invalid_argument);
+  EXPECT_THROW(DeterministicIntervalPartitioner(3, 4), std::invalid_argument);
 }
 
 TEST(DeterministicPartitioner, AvailableThroughFactory) {

@@ -62,7 +62,6 @@ Fixture& fixture() {
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::MetricsRegistry::instance().setEnabled(true);
     obs::MetricsRegistry::instance().reset();
     globalCancelToken().reset();
   }

@@ -240,5 +240,13 @@ TEST(DefectZooPipelineTest, AdaptiveSchemeIsRejected) {
                std::logic_error);
 }
 
+TEST(DefectZooPipelineTest, ZeroPartitionsIsRejected) {
+  const ZooFixture f;
+  DiagnosisConfig empty = f.config;
+  empty.numPartitions = 0;
+  EXPECT_THROW(DefectZooPipeline(f.sim, f.topology, empty, DefectPolicy{}),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace scandiag

@@ -228,5 +228,16 @@ TEST(NoisyPipeline, CostAccountsForRetrySessions) {
   EXPECT_TRUE(sawRetry) << "flip rate produced no suspect partitions at this seed";
 }
 
+TEST(NoisyPipeline, ZeroPartitionsIsRejected) {
+  // An empty schedule would read as "every session passed" and exonerate
+  // every true failing cell.
+  const ScanTopology topo = ScanTopology::singleChain(32);
+  DiagnosisConfig config = smallConfig();
+  config.numPartitions = 0;
+  NoiseConfig noise;
+  noise.flipRate = 0.01;
+  EXPECT_THROW(NoisyPipeline(topo, config, noise, RetryPolicy{}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace scandiag

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/scandiag.hpp"
 
 namespace scandiag {
@@ -56,22 +59,42 @@ TEST(GoldenValues, S9234TwoStepWithAndWithoutPruning) {
 }
 
 TEST(GoldenValues, GeneratedNetlistFingerprint) {
-  // Cheap structural fingerprint of the s953 reconstruction: any generator
-  // change shows up here before it confuses a DR comparison downstream.
-  const Netlist nl = generateNamedCircuit("s953");
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (GateId id = 0; id < nl.gateCount(); ++id) {
-    hash ^= static_cast<std::uint64_t>(nl.gate(id).type);
-    hash *= 0x100000001b3ULL;
-    for (GateId f : nl.gate(id).fanins) {
-      hash ^= f;
+  // Cheap structural fingerprint of every profile's reconstruction: any
+  // generator change shows up here before it confuses a DR comparison
+  // downstream.
+  const std::map<std::string, std::uint64_t> expected{
+      {"s27", 0x9b475cc4dd36ddbeULL}, {"s208", 0x83092c7c236b880fULL},
+      {"s298", 0xe864c780c6088dc2ULL}, {"s344", 0x2fa41bca41e6cdffULL},
+      {"s349", 0xe20b152195d43264ULL}, {"s382", 0x7f7fb37bf506b463ULL},
+      {"s386", 0xb4af91fcc27d3b15ULL}, {"s400", 0x7389491aa6ce9e09ULL},
+      {"s420", 0x85b74f9a3d7f0073ULL}, {"s444", 0x501fca7b10f0b824ULL},
+      {"s510", 0xd413f6082bc7520dULL}, {"s526", 0x6c9c1743ecc3a7dcULL},
+      {"s641", 0xcca273bd1a343fa0ULL}, {"s713", 0xac7edd9d3d60a0c1ULL},
+      {"s820", 0xe59d545fffeba5ebULL}, {"s832", 0x602a2b623eeeb8f9ULL},
+      {"s838", 0xa9ef7d2f7252b1cfULL}, {"s953", 0xb6cd5024a69d89c8ULL},
+      {"s1196", 0x303231646f759ce3ULL}, {"s1238", 0x191afa2934028c8aULL},
+      {"s1423", 0x8622b05ba88d7a77ULL}, {"s1488", 0xa351ab501df89707ULL},
+      {"s1494", 0xbfb13e7179b5f59fULL}, {"s5378", 0x63cde476b9287385ULL},
+      {"s9234", 0x8ef32434cbbde264ULL}, {"s13207", 0x097001e72cad8149ULL},
+      {"s15850", 0x652c7c09cb4fec70ULL}, {"s35932", 0x4c5f32ee2608c4a1ULL},
+      {"s38417", 0xf7e950ac4913f885ULL}, {"s38584", 0x29ffe4512c01a906ULL},
+  };
+  ASSERT_EQ(expected.size(), iscas89Profiles().size());
+  for (const Iscas89Profile& profile : iscas89Profiles()) {
+    const Netlist nl = generateNamedCircuit(profile.name);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (GateId id = 0; id < nl.gateCount(); ++id) {
+      hash ^= static_cast<std::uint64_t>(nl.gate(id).type);
       hash *= 0x100000001b3ULL;
+      for (GateId f : nl.gate(id).fanins) {
+        hash ^= f;
+        hash *= 0x100000001b3ULL;
+      }
     }
+    EXPECT_EQ(hash, expected.at(std::string(profile.name)))
+        << "netlist generator output changed for " << profile.name
+        << "; new fingerprint = 0x" << std::hex << hash;
   }
-  EXPECT_EQ(hash, [] {
-    // Self-calibrating on first failure: print the new value in the message.
-    return 0xb6cd5024a69d89c8ULL;
-  }()) << "netlist generator output changed; new fingerprint = 0x" << std::hex << hash;
 }
 
 }  // namespace

@@ -51,14 +51,6 @@ TEST(SyntheticGenerator, DeterministicForSameSeed) {
   EXPECT_EQ(writeBenchString(a), writeBenchString(b));
 }
 
-TEST(SyntheticGenerator, SeedChangesNetlist) {
-  GeneratorOptions o1, o2;
-  o2.seed = 2;
-  const Netlist a = generateCircuit(iscas89Profile("s953"), o1);
-  const Netlist b = generateCircuit(iscas89Profile("s953"), o2);
-  EXPECT_NE(writeBenchString(a), writeBenchString(b));
-}
-
 TEST(SyntheticGenerator, DifferentNamesProduceDifferentStructure) {
   // Equal-size custom profiles with different names must differ (the seed is
   // mixed with the circuit name).
@@ -72,9 +64,7 @@ TEST(SyntheticGenerator, UnknownProfileNameThrows) {
 }
 
 TEST(SyntheticGenerator, RespectsLevelBound) {
-  GeneratorOptions o;
-  o.levels = 6;
-  const Netlist nl = generateCircuit(iscas89Profile("s1423"), o);
+  const Netlist nl = generateNamedCircuit("s1423");
   const Levelization lev = levelize(nl);
   EXPECT_LE(lev.maxLevel, 6u + 1);  // +1 slack for observability-sweep fanins
 }

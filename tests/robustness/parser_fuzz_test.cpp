@@ -133,5 +133,15 @@ TEST(ParserFuzz, DffFaninArityEnforced) {
                ParseError);
 }
 
+TEST(ParserFuzz, NumericOptionsAreWholeUnsignedNumbers) {
+  EXPECT_EQ(parseUnsigned("12", "n"), 12u);
+  EXPECT_EQ(parseUnsigned("0x7E57ED", "n"), 0x7E57EDu);
+  EXPECT_EQ(parseUnsigned("18446744073709551615", "n"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "12x", "-5", "+5", " 5", "5 ", "0x", "1e3",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(parseUnsigned(bad, "n"), std::invalid_argument) << "input: '" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace scandiag

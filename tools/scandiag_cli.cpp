@@ -116,7 +116,8 @@
 // Exit codes:
 //   0  success
 //   1  internal/runtime failure
-//   2  usage error (bad flag, unknown scheme, missing argument)
+//   2  usage error (bad flag, unknown scheme, missing argument, a numeric
+//      option that is not one whole unsigned number, zero partitions)
 //   3  input file not found
 //   4  input file failed to parse
 //   5  diagnosis still inconsistent after the retry budget was exhausted
@@ -205,7 +206,7 @@ struct Args {
   }
   std::size_t getN(const std::string& key, std::size_t def) const {
     const auto it = options.find(key);
-    return it == options.end() ? def : std::strtoull(it->second.c_str(), nullptr, 0);
+    return it == options.end() ? def : parseUnsigned(it->second, "option --" + key);
   }
   double getD(const std::string& key, double def) const {
     const auto it = options.find(key);
@@ -931,7 +932,7 @@ int cmdOffline(const Args& args) {
 
 int cmdPartitions(const Args& args) {
   const std::size_t length =
-      std::strtoull(args.positionalAt(1, "chain length").c_str(), nullptr, 0);
+      parseUnsigned(args.positionalAt(1, "chain length"), "chain length");
   if (length == 0) throw std::invalid_argument("partitions needs a positive chain length");
   DiagnosisConfig config = configFrom(args);
   const auto partitions = buildPartitions(config, length);

@@ -23,7 +23,8 @@
 //   0  terminal reply received (Ok, or Deadline with a usable superset)
 //   1  request failed (server Error reply, retry budget exhausted, protocol
 //      garbage)
-//   2  usage error
+//   2  usage error (including a numeric option that is not one whole
+//      unsigned number)
 //   3  --log file not found
 //   5  reply unresolved (deadline degraded or widened superset) — the
 //      candidates printed are a sound superset, same meaning as scandiag's
@@ -32,13 +33,13 @@
 //      defect budget (deadline pressure or union beyond the fault budget) —
 //      same meaning as scandiag's exit 8
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
 
+#include "common/errors.hpp"
 #include "common/json.hpp"
 #include "serve/client.hpp"
 
@@ -83,7 +84,7 @@ struct Args {
   }
   std::size_t getN(const std::string& key, std::size_t def) const {
     const auto it = options.find(key);
-    return it == options.end() ? def : std::strtoull(it->second.c_str(), nullptr, 0);
+    return it == options.end() ? def : parseUnsigned(it->second, "option --" + key);
   }
   bool getFlag(const std::string& key) const {
     const auto it = flags.find(key);
