@@ -1,22 +1,26 @@
 #include "atpg/podem.hpp"
 
-#include <array>
+#include <algorithm>
 #include <memory>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "netlist/cone_analysis.hpp"
 
 namespace scandiag {
 
 namespace {
 
 // 3-valued logic: 0, 1, X.
-enum V3 : std::uint8_t { V0 = 0, V1 = 1, VX = 2 };
+using V3 = std::uint8_t;
+constexpr V3 V0 = 0;
+constexpr V3 V1 = 1;
+constexpr V3 VX = 2;
 
 V3 v3Not(V3 a) { return a == VX ? VX : (a == V0 ? V1 : V0); }
 
-V3 evalGate3(GateType type, const std::vector<GateId>& fanins,
-             const std::vector<V3>& values, int faultPin, V3 forced) {
+V3 evalGate3(GateType type, const GateId* fanins, std::size_t arity, const V3* values,
+             int faultPin, V3 forced) {
   auto in = [&](std::size_t k) -> V3 {
     return static_cast<int>(k) == faultPin ? forced : values[fanins[k]];
   };
@@ -28,7 +32,7 @@ V3 evalGate3(GateType type, const std::vector<GateId>& fanins,
     case GateType::And:
     case GateType::Nand: {
       bool anyX = false;
-      for (std::size_t k = 0; k < fanins.size(); ++k) {
+      for (std::size_t k = 0; k < arity; ++k) {
         const V3 v = in(k);
         if (v == V0) return type == GateType::And ? V0 : V1;
         anyX |= (v == VX);
@@ -39,7 +43,7 @@ V3 evalGate3(GateType type, const std::vector<GateId>& fanins,
     case GateType::Or:
     case GateType::Nor: {
       bool anyX = false;
-      for (std::size_t k = 0; k < fanins.size(); ++k) {
+      for (std::size_t k = 0; k < arity; ++k) {
         const V3 v = in(k);
         if (v == V1) return type == GateType::Or ? V1 : V0;
         anyX |= (v == VX);
@@ -50,7 +54,7 @@ V3 evalGate3(GateType type, const std::vector<GateId>& fanins,
     case GateType::Xor:
     case GateType::Xnor: {
       std::uint8_t parity = type == GateType::Xnor ? 1 : 0;
-      for (std::size_t k = 0; k < fanins.size(); ++k) {
+      for (std::size_t k = 0; k < arity; ++k) {
         const V3 v = in(k);
         if (v == VX) return VX;
         parity ^= v;
@@ -105,56 +109,128 @@ void TestCube::applyTo(PatternSet& patterns, std::size_t t, const Netlist& netli
   }
 }
 
-PodemAtpg::PodemAtpg(const Netlist& netlist) : netlist_(&netlist), lev_(levelize(netlist)) {}
+PodemAtpg::PodemAtpg(const Netlist& netlist) : PodemAtpg(LogicSimulator(netlist)) {}
+
+PodemAtpg::PodemAtpg(LogicSimulator simulator) : sim_(std::move(simulator)) {
+  const Netlist& nl = sim_.netlist();
+  const Levelization& lev = sim_.levelization();
+  const std::size_t n = nl.gateCount();
+  const auto& fanouts = nl.fanouts();
+  type_.resize(n);
+  faninStart_.assign(n + 1, 0);
+  fanoutStart_.assign(n + 1, 0);
+  for (GateId id = 0; id < n; ++id) {
+    const Gate& g = nl.gate(id);
+    type_[id] = g.type;
+    fanin_.insert(fanin_.end(), g.fanins.begin(), g.fanins.end());
+    faninStart_[id + 1] = static_cast<std::uint32_t>(fanin_.size());
+    // A DFF's D edge is sequential: only combinational users get events.
+    for (GateId user : fanouts[id]) {
+      if (!isSourceType(nl.gate(user).type)) fanout_.push_back(user);
+    }
+    fanoutStart_[id + 1] = static_cast<std::uint32_t>(fanout_.size());
+  }
+
+  orderPos_.assign(n, 0);
+  for (std::size_t i = 0; i < lev.order.size(); ++i)
+    orderPos_[lev.order[i]] = static_cast<std::uint32_t>(i);
+
+  allX_.assign(n, VX);
+  for (GateId id = 0; id < n; ++id) {
+    if (type_[id] == GateType::Const0) allX_[id] = V0;
+    if (type_[id] == GateType::Const1) allX_[id] = V1;
+  }
+  for (GateId id : lev.order) allX_[id] = eval(id, allX_.data(), FaultSite::kOutputPin, VX);
+}
+
+std::uint8_t PodemAtpg::eval(GateId id, const std::uint8_t* plane, int pin,
+                             std::uint8_t forced) const {
+  return evalGate3(type_[id], fanin_.data() + faninStart_[id],
+                   faninStart_[id + 1] - faninStart_[id], plane, pin, forced);
+}
 
 AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimit) const {
-  const Netlist& nl = *netlist_;
+  const Netlist& nl = sim_.netlist();
   SCANDIAG_REQUIRE(fault.gate < nl.gateCount(), "fault site out of range");
   AtpgResult result;
 
   // The "fault line" whose good value must be the complement of the stuck
   // value: the site's output, or the driver seen by the faulted pin.
   const GateId faultLine =
-      fault.isOutputFault() ? fault.gate : nl.gate(fault.gate).fanins[fault.pin];
+      fault.isOutputFault() ? fault.gate : fanin_[faninStart_[fault.gate] + fault.pin];
   const V3 stuck = fault.stuckAt ? V1 : V0;
   const V3 activate = v3Not(stuck);
-  const bool dffPinFault =
-      !fault.isOutputFault() && nl.gate(fault.gate).type == GateType::Dff;
+  const bool dffPinFault = !fault.isOutputFault() && type_[fault.gate] == GateType::Dff;
 
-  std::vector<V3> good(nl.gateCount(), VX);
-  std::vector<V3> faulty(nl.gateCount(), VX);
+  std::vector<V3> good = allX_;
+  std::vector<V3> faulty = allX_;
   std::vector<Decision> decisions;
 
-  // Observation points: primary outputs and DFF D drivers.
-  std::vector<std::pair<GateId, GateId>> obs;  // (line in good/faulty planes, owner)
-  for (GateId po : nl.outputs()) obs.push_back({po, po});
-  for (GateId dff : nl.dffs()) obs.push_back({nl.gate(dff).fanins[0], dff});
-
-  auto imply = [&] {
-    for (GateId id = 0; id < nl.gateCount(); ++id) {
-      const GateType t = nl.gate(id).type;
-      if (t == GateType::Const0) good[id] = faulty[id] = V0;
-      if (t == GateType::Const1) good[id] = faulty[id] = V1;
-      if (t == GateType::Input || t == GateType::Dff) {
-        good[id] = VX;
-        faulty[id] = VX;
-      }
-    }
-    for (const Decision& d : decisions) good[d.source] = faulty[d.source] = d.value ? V1 : V0;
-    if (fault.isOutputFault() && isSourceType(nl.gate(fault.gate).type))
-      faulty[fault.gate] = stuck;
-    for (GateId id : lev_.order) {
-      const Gate& g = nl.gate(id);
-      good[id] = evalGate3(g.type, g.fanins, good, FaultSite::kOutputPin, VX);
-      if (id == fault.gate && fault.isOutputFault()) {
-        faulty[id] = stuck;
-      } else if (id == fault.gate && !fault.isOutputFault()) {
-        faulty[id] = evalGate3(g.type, g.fanins, faulty, fault.pin, stuck);
-      } else {
-        faulty[id] = evalGate3(g.type, g.fanins, faulty, FaultSite::kOutputPin, VX);
-      }
+  // Event queue: one bucket per level. A gate's users sit at strictly higher
+  // levels, so one low-to-high sweep settles every change.
+  const Levelization& lev = sim_.levelization();
+  std::vector<std::vector<GateId>> buckets(lev.maxLevel + 1);
+  std::vector<std::uint8_t> queued(nl.gateCount(), 0);
+  auto schedule = [&](GateId id) {
+    for (std::uint32_t e = fanoutStart_[id]; e < fanoutStart_[id + 1]; ++e) {
+      const GateId user = fanout_[e];
+      if (queued[user]) continue;
+      queued[user] = 1;
+      buckets[lev.level[user]].push_back(user);
     }
   };
+  auto imply = [&] {
+    for (std::vector<GateId>& bucket : buckets) {
+      for (const GateId id : bucket) {
+        queued[id] = 0;
+        const V3 g = eval(id, good.data(), FaultSite::kOutputPin, VX);
+        V3 f;
+        if (id != fault.gate) {
+          f = eval(id, faulty.data(), FaultSite::kOutputPin, VX);
+        } else {
+          f = fault.isOutputFault() ? stuck : eval(id, faulty.data(), fault.pin, stuck);
+        }
+        if (g == good[id] && f == faulty[id]) continue;
+        good[id] = g;
+        faulty[id] = f;
+        schedule(id);
+      }
+      bucket.clear();
+    }
+  };
+  // A source-output fault stays pinned to its stuck value in the faulty plane.
+  auto assign = [&](GateId source, V3 value) {
+    good[source] = value;
+    faulty[source] = fault.isOutputFault() && source == fault.gate ? stuck : value;
+    schedule(source);
+  };
+
+  // Inject the fault. A DFF D-pin fault lives in the capture, not in either
+  // plane.
+  if (fault.isOutputFault()) {
+    faulty[fault.gate] = stuck;
+  } else if (!dffPinFault) {
+    faulty[fault.gate] = eval(fault.gate, faulty.data(), fault.pin, stuck);
+  }
+  if (faulty[fault.gate] != good[fault.gate]) schedule(fault.gate);
+  imply();
+
+  // Only the fault's fanout cone can carry a D: the D-frontier scans its
+  // combinational gates in levelized order (the first qualifying gate picks
+  // the objective), and the observation check its PO / DFF-driver lines.
+  std::vector<GateId> cone;
+  std::vector<GateId> coneObs;
+  if (!dffPinFault) {
+    FaultCone reach = computeCone(nl, lev, fault.gate);
+    // computeCone breaks level ties by id; the frontier must follow lev.order.
+    cone = std::move(reach.gates);
+    std::sort(cone.begin(), cone.end(),
+              [&](GateId a, GateId b) { return orderPos_[a] < orderPos_[b]; });
+    coneObs = std::move(reach.reachableOutputs);
+    for (std::size_t k = reach.reachableDffs.findFirst(); k != BitVector::npos;
+         k = reach.reachableDffs.findNext(k))
+      coneObs.push_back(nl.gate(nl.dffs()[k]).fanins[0]);
+  }
 
   auto isD = [&](GateId line) {
     return good[line] != VX && faulty[line] != VX && good[line] != faulty[line];
@@ -163,41 +239,39 @@ AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimi
   auto observed = [&] {
     // A DFF D-pin fault is observed at its own cell once activated.
     if (dffPinFault) return good[faultLine] == activate;
-    for (const auto& [line, owner] : obs) {
-      (void)owner;
+    for (GateId line : coneObs) {
       if (isD(line)) return true;
     }
     return false;
   };
 
   auto dFrontierPick = [&]() -> std::optional<std::pair<GateId, V3>> {
-    for (GateId id : lev_.order) {
+    for (GateId id : cone) {
       if (good[id] != VX && faulty[id] != VX) continue;  // output already set
-      const Gate& g = nl.gate(id);
       // For a pin fault, the D is injected *inside* the owning gate's
       // evaluation, so the owner belongs to the frontier as soon as the
       // fault is activated even though no fanin carries a plane-level D.
       bool hasD = !fault.isOutputFault() && id == fault.gate && good[faultLine] == activate;
       GateId xInput = kInvalidGate;
-      for (GateId f : g.fanins) {
+      for (std::uint32_t e = faninStart_[id]; e < faninStart_[id + 1]; ++e) {
+        const GateId f = fanin_[e];
         if (isD(f)) hasD = true;
         if (good[f] == VX && xInput == kInvalidGate) xInput = f;
       }
       if (hasD && xInput != kInvalidGate)
-        return std::make_pair(xInput, nonControlling(g.type));
+        return std::make_pair(xInput, nonControlling(type_[id]));
     }
     return std::nullopt;
   };
 
   // Backtrace an objective to a source decision through X-valued gates.
   auto backtrace = [&](GateId line, V3 target) -> std::optional<std::pair<GateId, bool>> {
-    while (!isSourceType(nl.gate(line).type)) {
-      const Gate& g = nl.gate(line);
-      if (invertingType(g.type)) target = v3Not(target);
+    while (!isSourceType(type_[line])) {
+      if (invertingType(type_[line])) target = v3Not(target);
       GateId next = kInvalidGate;
-      for (GateId f : g.fanins) {
-        if (good[f] == VX) {
-          next = f;
+      for (std::uint32_t e = faninStart_[line]; e < faninStart_[line + 1]; ++e) {
+        if (good[fanin_[e]] == VX) {
+          next = fanin_[e];
           break;
         }
       }
@@ -207,6 +281,8 @@ AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimi
     return std::make_pair(line, target == V1);
   };
 
+  // Flips the deepest unflipped decision, resetting every popped source to X
+  // on the way; the caller implies the result.
   auto backtrack = [&]() -> bool {
     while (!decisions.empty()) {
       Decision& d = decisions.back();
@@ -214,15 +290,16 @@ AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimi
         d.flipped = true;
         d.value = !d.value;
         ++result.stats.backtracks;
+        assign(d.source, d.value ? V1 : V0);
         return true;
       }
+      assign(d.source, VX);
       decisions.pop_back();
     }
     return false;
   };
 
   while (true) {
-    imply();
     if (good[faultLine] == activate && observed()) {
       result.outcome = AtpgOutcome::Detected;
       result.cube.care = BitVector(nl.gateCount());
@@ -262,10 +339,13 @@ AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimi
         result.outcome = AtpgOutcome::Untestable;
         return result;
       }
+      imply();
       continue;
     }
     decisions.push_back(Decision{decision->first, decision->second, false});
     ++result.stats.decisions;
+    assign(decision->first, decision->second ? V1 : V0);
+    imply();
   }
 }
 
@@ -279,10 +359,10 @@ std::vector<TestCube> PodemAtpg::generateCompactSet(const std::vector<FaultSite>
   std::size_t patternsInSim = 0;
   auto rebuild = [&] {
     if (cubes.empty()) return;
-    patterns = std::make_unique<PatternSet>(*netlist_, cubes.size());
-    for (std::size_t t = 0; t < cubes.size(); ++t)
-      cubes[t].applyTo(*patterns, t, *netlist_, 0xF111);
-    sim = std::make_unique<FaultSimulator>(*netlist_, *patterns);
+    const Netlist& nl = sim_.netlist();
+    patterns = std::make_unique<PatternSet>(nl, cubes.size());
+    for (std::size_t t = 0; t < cubes.size(); ++t) cubes[t].applyTo(*patterns, t, nl, 0xF111);
+    sim = std::make_unique<FaultSimulator>(sim_, *patterns);
     patternsInSim = cubes.size();
   };
   for (const FaultSite& fault : faults) {

@@ -12,8 +12,12 @@
 //  * decisions are made only at sources (PIs and scan cells), chosen by
 //    backtracing the current objective through X-valued gates;
 //  * the objective is fault activation first, then D-frontier propagation;
-//  * implication is full levelized 3-valued evaluation of both planes, with
-//    the faulty plane forced at the fault site;
+//  * implication is event-driven: generate() starts from the all-X plane
+//    precomputed at construction, injects the fault, and after each
+//    decision, flip or pop re-evaluates (in both planes, level by level) only
+//    the gates whose inputs changed; the faulty plane is forced at the fault
+//    site, and the D-frontier and observation checks scan only the fault's
+//    fanout cone;
 //  * success when a D/D̄ reaches an observation point (PO or a DFF D input);
 //    exhausting the decision tree (within the backtrack limit) proves the
 //    fault untestable.
@@ -56,22 +60,40 @@ struct AtpgResult {
   AtpgStats stats;
 };
 
+/// Thread safety: generate() and generateCompactSet() are const and keep all
+/// mutable search state per call, so one instance may serve many threads.
 class PodemAtpg {
  public:
   explicit PodemAtpg(const Netlist& netlist);
+  /// Reuses `simulator`'s levelization instead of levelizing the netlist
+  /// again (the defect pipeline passes its FaultSimulator's).
+  explicit PodemAtpg(LogicSimulator simulator);
 
   /// Generates a test observing the fault at a scan cell or primary output.
   AtpgResult generate(const FaultSite& fault, std::size_t backtrackLimit = 5000) const;
 
-  /// Deterministic test set for a fault list with reverse-order fault
-  /// dropping: later faults already detected by earlier cubes get no new
+  /// Deterministic test set for a fault list with forward fault dropping: a
+  /// fault already detected by the cubes in the block simulator gets no new
   /// cube. Returns the cubes in generation order.
   std::vector<TestCube> generateCompactSet(const std::vector<FaultSite>& faults,
                                            std::size_t backtrackLimit = 5000) const;
 
  private:
-  const Netlist* netlist_;
-  Levelization lev_;
+  /// 3-valued evaluation (0, 1, 2 = X) of combinational gate `id` over
+  /// `plane`, with fanin `pin` forced to `forced` (kOutputPin: none).
+  std::uint8_t eval(GateId id, const std::uint8_t* plane, int pin, std::uint8_t forced) const;
+
+  LogicSimulator sim_;
+  // Flat per-gate arrays (CSR adjacency) for the event-driven search.
+  std::vector<GateType> type_;
+  std::vector<std::uint32_t> faninStart_;   // [gate], [gate + 1] bound fanin_
+  std::vector<GateId> fanin_;
+  std::vector<std::uint32_t> fanoutStart_;  // combinational users only
+  std::vector<GateId> fanout_;
+  std::vector<std::uint32_t> orderPos_;     // index in the levelized order
+  /// Good plane with every PI and scan cell at X (0, 1, 2 = X); equal to the
+  /// faulty plane until the fault is injected.
+  std::vector<std::uint8_t> allX_;
 };
 
 /// PatternSet assembled from cubes (one pattern per cube, X filled

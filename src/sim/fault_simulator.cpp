@@ -34,8 +34,12 @@ SimWord PatternSet::word(GateId id, std::size_t w) const {
 }
 
 FaultSimulator::FaultSimulator(const Netlist& netlist, const PatternSet& patterns)
-    : netlist_(&netlist), patterns_(&patterns), sim_(netlist) {
+    : FaultSimulator(LogicSimulator(netlist), patterns) {}
+
+FaultSimulator::FaultSimulator(LogicSimulator simulator, const PatternSet& patterns)
+    : netlist_(&simulator.netlist()), patterns_(&patterns), sim_(std::move(simulator)) {
   obs::PhaseScope phase(obs::Phase::GoodMachineSim);
+  const Netlist& netlist = *netlist_;
   const std::size_t words = patterns.wordCount();
   const std::size_t numDffs = netlist.dffs().size();
 

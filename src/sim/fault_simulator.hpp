@@ -69,6 +69,9 @@ struct FaultResponse {
 class FaultSimulator {
  public:
   FaultSimulator(const Netlist& netlist, const PatternSet& patterns);
+  /// Same, reusing `simulator`'s levelization instead of levelizing the
+  /// netlist again (pass another FaultSimulator's `simulator()`).
+  FaultSimulator(LogicSimulator simulator, const PatternSet& patterns);
 
   const Netlist& netlist() const { return *netlist_; }
   const PatternSet& patterns() const { return *patterns_; }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bist/prpg.hpp"
+#include "common/journal.hpp"
 #include "netlist/cone_analysis.hpp"
 #include "netlist/synthetic_generator.hpp"
 #include "sim/fault_list.hpp"
@@ -156,6 +157,54 @@ TEST(Podem, CompactSetCoversItsFaults) {
     }
   }
   EXPECT_EQ(uncovered, 0u);
+}
+
+/// FNV-1a over every search trace: outcome, decision and backtrack counts,
+/// and the cube's care/value words.
+std::uint64_t searchDigest(const Netlist& nl, const std::vector<FaultSite>& faults,
+                           std::size_t backtrackLimit, std::uint64_t h) {
+  const PodemAtpg atpg(nl);
+  for (const FaultSite& f : faults) {
+    const AtpgResult r = atpg.generate(f, backtrackLimit);
+    h = fnv1a64(static_cast<std::uint64_t>(r.outcome), h);
+    h = fnv1a64(r.stats.decisions, h);
+    h = fnv1a64(r.stats.backtracks, h);
+    for (const BitVector* bits : {&r.cube.care, &r.cube.value}) {
+      h = fnv1a64(bits->size(), h);
+      for (std::size_t w = 0; w < bits->wordCount(); ++w) h = fnv1a64(bits->word(w), h);
+    }
+  }
+  return h;
+}
+
+TEST(Podem, SearchMatchesParentTraces) {
+  // Pins the exact search (decision order, backtracks, cubes), not just the
+  // cubes' validity: a reordered search yields different valid cubes, which
+  // moves ATPG pattern counts and confidence downstream.
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
+  const Netlist s953 = generateNamedCircuit("s953");
+  const Netlist s1423 = generateNamedCircuit("s1423");
+  const auto f953 = FaultList::enumerateCollapsed(s953).sample(200, 0x5EA4C4);
+  const auto f1423 = FaultList::enumerateCollapsed(s1423).sample(200, 0x5EA4C4);
+
+  const std::uint64_t fullLimit =
+      searchDigest(s1423, f1423, 5000, searchDigest(s953, f953, 5000, kBasis));
+  // Limit 8 makes the hard faults abort mid-search.
+  const std::uint64_t tightLimit =
+      searchDigest(s1423, f1423, 8, searchDigest(s953, f953, 8, kBasis));
+
+  // The defect pipeline's shape: capture-path (DFF D-pin) faults.
+  const Netlist s9234 = generateNamedCircuit("s9234");
+  std::vector<FaultSite> dPins;
+  for (std::size_t k = 0; k < s9234.dffs().size(); k += 8)
+    for (const bool stuckAt : {false, true}) dPins.push_back({s9234.dffs()[k], 0, stuckAt});
+  const std::uint64_t capturePath = searchDigest(s9234, dPins, 2000, kBasis);
+
+  // Recorded from the full-circuit implication this search replaced; the
+  // sets include Untestable (both limits) and Aborted (limit 8) outcomes.
+  EXPECT_EQ(fullLimit, 0x708d4df36f28c3a8ULL);
+  EXPECT_EQ(tightLimit, 0xb216ab3dee04b01eULL);
+  EXPECT_EQ(capturePath, 0xc4a27f5a7e35ce8cULL);
 }
 
 TEST(Podem, CubeApplyFillsDeterministically) {

@@ -214,6 +214,42 @@ TEST(DefectZooPipelineTest, EvaluateIsBitIdenticalAcrossThreadCounts) {
   EXPECT_DOUBLE_EQ(one.meanConfidence, four.meanConfidence);
 }
 
+TEST(DefectZooPipelineTest, StarvedRefinementHandsOffToPodemAtAnyThreadCount) {
+  // A starved refinement budget leaves positions unresolved, so the PODEM
+  // stall-breaker runs: pool workers share one PodemAtpg and each builds its
+  // own mini-session simulators, which must not change any answer.
+  const ZooFixture f;
+  DefectMix mix;
+  mix.k = 3;
+  mix.bridges = true;
+  mix.opens = true;
+  const DefectScenarioGenerator generator(f.sim, mix);
+  std::vector<DefectScenario> scenarios;
+  for (std::size_t i = 0; i < 8; ++i) scenarios.push_back(generator.generate(i));
+  DefectPolicy policy;
+  policy.refineSessionBudget = 8;
+  const DefectZooPipeline zoo(f.sim, f.topology, f.config, policy);
+
+  setGlobalThreadCount(1);
+  const DefectZooReport one = zoo.evaluate(scenarios);
+  setGlobalThreadCount(4);
+  const DefectZooReport four = zoo.evaluate(scenarios);
+  setGlobalThreadCount(1);
+
+  EXPECT_GT(one.totalAtpgPatterns, 0u);
+  EXPECT_DOUBLE_EQ(one.dr, four.dr);
+  EXPECT_EQ(one.scenarios, four.scenarios);
+  EXPECT_EQ(one.sumCandidates, four.sumCandidates);
+  EXPECT_EQ(one.sumActual, four.sumActual);
+  EXPECT_DOUBLE_EQ(one.misdiagnosisRate, four.misdiagnosisRate);
+  EXPECT_DOUBLE_EQ(one.meanConfidence, four.meanConfidence);
+  EXPECT_EQ(one.degraded, four.degraded);
+  EXPECT_EQ(one.totalInconsistencies, four.totalInconsistencies);
+  EXPECT_EQ(one.totalUnionSplits, four.totalUnionSplits);
+  EXPECT_EQ(one.totalAtpgPatterns, four.totalAtpgPatterns);
+  EXPECT_EQ(one.totalExtraSessions, four.totalExtraSessions);
+}
+
 TEST(DefectZooPipelineTest, EvaluateStopsBeforeAnyScenarioWhenCancelled) {
   const ZooFixture f;
   DefectMix mix;
