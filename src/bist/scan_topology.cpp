@@ -58,10 +58,17 @@ ScanTopology::CellLoc ScanTopology::location(std::size_t cell) const {
 
 BitVector ScanTopology::expandPositions(const BitVector& positions) const {
   SCANDIAG_REQUIRE(positions.size() == maxLen_, "position mask size mismatch");
+  // Sparse: cost is (set positions x chains), never numCells() bit tests —
+  // a per-fault candidate set is tens of positions on a thousands-long axis.
   BitVector cells(numCells());
-  for (std::size_t cell = 0; cell < loc_.size(); ++cell) {
-    if (positions.test(loc_[cell].position)) cells.set(cell);
-  }
+  BitVector::Word* out = cells.data();
+  positions.forEachSet([&](std::size_t pos) {
+    for (const std::vector<std::size_t>& chain : chains_) {
+      if (pos >= chain.size()) continue;
+      const std::size_t cell = chain[pos];
+      out[cell / BitVector::kWordBits] |= BitVector::Word{1} << (cell % BitVector::kWordBits);
+    }
+  });
   return cells;
 }
 

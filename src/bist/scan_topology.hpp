@@ -50,7 +50,8 @@ class ScanTopology {
   const std::vector<std::size_t>& chain(std::size_t c) const { return chains_[c]; }
 
   /// Cells sitting at the given selection positions (positions.size() ==
-  /// maxChainLength()); result sized numCells().
+  /// maxChainLength()); result sized numCells(). Costs O(set positions x
+  /// chains), not O(numCells()).
   BitVector expandPositions(const BitVector& positions) const;
 
   /// Selection positions occupied by at least one of the given cells

@@ -8,6 +8,7 @@
 // same fault-response data cheap.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -51,6 +52,17 @@ class BitVector {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t findFirst() const;
   std::size_t findNext(std::size_t after) const;
+
+  /// Calls f(i) for every set bit i, ascending, a word at a time — the sparse
+  /// loop for hot paths (findNext() is an out-of-line call per bit).
+  template <typename F>
+  void forEachSet(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (Word bits = words_[w]; bits; bits &= bits - 1) {
+        f(w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
 
   /// Word access for bit-parallel kernels. The tail word is kept masked so
   /// word-wise reductions (count/any) never see garbage bits.

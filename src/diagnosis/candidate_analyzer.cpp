@@ -35,16 +35,44 @@ std::string InconsistencyReport::describe() const {
   return out;
 }
 
-CandidateSet CandidateAnalyzer::analyze(const std::vector<Partition>& partitions,
-                                        const GroupVerdicts& verdicts) const {
+namespace {
+
+/// True iff some failing group of `part` selects at least one position.
+bool failingAny(const Partition& part, const BitVector& failing) {
+  for (std::size_t g = failing.findFirst(); g != BitVector::npos; g = failing.findNext(g)) {
+    if (part.groups[g].any()) return true;
+  }
+  return false;
+}
+
+/// True iff `positions` meets the union of the failing groups of `part`.
+bool failingIntersects(const Partition& part, const BitVector& failing,
+                       const BitVector& positions) {
+  SCANDIAG_REQUIRE(positions.size() == part.length(), "BitVector size mismatch");
+  for (std::size_t w = 0; w < positions.wordCount(); ++w) {
+    if (positions.word(w) != 0 && (positions.word(w) & part.failingWord(failing, w)) != 0)
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+BitVector CandidateAnalyzer::intersect(const std::vector<Partition>& partitions,
+                                       const GroupVerdicts& verdicts) const {
   SCANDIAG_REQUIRE(partitions.size() == verdicts.failing.size(),
                    "verdicts do not match partitions");
-  const std::size_t length = topology_->maxChainLength();
-  CandidateSet out;
-  out.positions = BitVector(length, true);
+  BitVector positions(topology_->maxChainLength(), true);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    out.positions &= partitions[p].failingUnion(verdicts.failing[p]);
+    partitions[p].intersectFailing(verdicts.failing[p], positions);
   }
+  return positions;
+}
+
+CandidateSet CandidateAnalyzer::analyze(const std::vector<Partition>& partitions,
+                                        const GroupVerdicts& verdicts) const {
+  CandidateSet out;
+  out.positions = intersect(partitions, verdicts);
   out.cells = topology_->expandPositions(out.positions);
   return out;
 }
@@ -55,16 +83,12 @@ CheckedAnalysis CandidateAnalyzer::analyzeChecked(const std::vector<Partition>& 
                    "verdicts do not match partitions");
   const std::size_t length = topology_->maxChainLength();
 
-  // Per-partition failing unions, and whether any partition failed at all.
-  std::vector<BitVector> unions(partitions.size());
   bool anyFailing = false;
-  for (std::size_t p = 0; p < partitions.size(); ++p) {
-    unions[p] = partitions[p].failingUnion(verdicts.failing[p]);
-    anyFailing = anyFailing || unions[p].any();
+  for (std::size_t p = 0; p < partitions.size() && !anyFailing; ++p) {
+    anyFailing = failingAny(partitions[p], verdicts.failing[p]);
   }
 
   CheckedAnalysis out;
-  out.candidates.positions = BitVector(length, true);
   if (!anyFailing) {
     // A fully passing schedule is consistent (the device passed); the empty
     // candidate set is the correct answer, not an inconsistency.
@@ -73,21 +97,24 @@ CheckedAnalysis CandidateAnalyzer::analyzeChecked(const std::vector<Partition>& 
     return out;
   }
 
+  BitVector& positions = out.candidates.positions;
+  positions = BitVector(length, true);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    if (unions[p].none()) {
+    const Partition& part = partitions[p];
+    const BitVector& failing = verdicts.failing[p];
+    if (!failingAny(part, failing)) {
       // The fault fired (some partition failed) yet this partition saw
       // nothing — impossible, its groups cover every position.
       out.inconsistencies.push_back({InconsistencyKind::AllGroupsPassing, p, BitVector::npos});
       continue;
     }
-    if (!out.candidates.positions.intersects(unions[p])) {
+    if (!failingIntersects(part, failing, positions)) {
       // Intersecting would exonerate everything. Suspect the session whose
       // pass verdict hides the current candidates: the first passing group
       // of p that overlaps them (it must exist — groups cover).
       std::size_t suspect = BitVector::npos;
-      for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-        if (!verdicts.failing[p].test(g) &&
-            partitions[p].groups[g].intersects(out.candidates.positions)) {
+      for (std::size_t g = 0; g < part.groupCount(); ++g) {
+        if (!failing.test(g) && part.groups[g].intersects(positions)) {
           suspect = g;
           break;
         }
@@ -95,7 +122,7 @@ CheckedAnalysis CandidateAnalyzer::analyzeChecked(const std::vector<Partition>& 
       out.inconsistencies.push_back({InconsistencyKind::DisjointFailingUnion, p, suspect});
       continue;
     }
-    out.candidates.positions &= unions[p];
+    part.intersectFailing(failing, positions);
     out.usedPartitions.push_back(p);
   }
 
@@ -104,14 +131,13 @@ CheckedAnalysis CandidateAnalyzer::analyzeChecked(const std::vector<Partition>& 
   // is reported but its partition stays used.
   for (const std::size_t p : out.usedPartitions) {
     for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-      if (verdicts.failing[p].test(g) &&
-          !partitions[p].groups[g].intersects(out.candidates.positions)) {
+      if (verdicts.failing[p].test(g) && !partitions[p].groups[g].intersects(positions)) {
         out.inconsistencies.push_back({InconsistencyKind::PhantomFailingGroup, p, g});
       }
     }
   }
 
-  out.candidates.cells = topology_->expandPositions(out.candidates.positions);
+  out.candidates.cells = topology_->expandPositions(positions);
   return out;
 }
 
@@ -122,20 +148,22 @@ UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& part
   const std::size_t length = topology_->maxChainLength();
 
   UnionAnalysis out;
-  out.supersetFloor.positions = BitVector(length);
+  BitVector& floorPositions = out.supersetFloor.positions;
+  floorPositions = BitVector(length);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    BitVector failingUnion = partitions[p].failingUnion(verdicts.failing[p]);
-    if (failingUnion.none()) continue;  // a pass exonerates nothing here
-    out.supersetFloor.positions |= failingUnion;
+    const Partition& part = partitions[p];
+    const BitVector& failing = verdicts.failing[p];
+    if (!failingAny(part, failing)) continue;  // a pass exonerates nothing here
+    failing.forEachSet([&](std::size_t g) { floorPositions |= part.groups[g]; });
     bool merged = false;
     for (BitVector& cluster : out.clusterPositions) {
-      if (cluster.intersects(failingUnion)) {
-        cluster &= failingUnion;
+      if (failingIntersects(part, failing, cluster)) {
+        part.intersectFailing(failing, cluster);
         merged = true;
         break;
       }
     }
-    if (!merged) out.clusterPositions.push_back(std::move(failingUnion));
+    if (!merged) out.clusterPositions.push_back(part.failingUnion(failing));
   }
 
   out.clusters = out.clusterPositions.size();
@@ -143,7 +171,7 @@ UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& part
   out.candidates.positions = BitVector(length);
   for (const BitVector& cluster : out.clusterPositions) out.candidates.positions |= cluster;
   out.candidates.cells = topology_->expandPositions(out.candidates.positions);
-  out.supersetFloor.cells = topology_->expandPositions(out.supersetFloor.positions);
+  out.supersetFloor.cells = topology_->expandPositions(floorPositions);
   return out;
 }
 

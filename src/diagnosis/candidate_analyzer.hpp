@@ -107,6 +107,11 @@ class CandidateAnalyzer {
   CandidateSet analyze(const std::vector<Partition>& partitions,
                        const GroupVerdicts& verdicts) const;
 
+  /// analyze() on the selection axis alone: the intersection of the
+  /// partitions' failing unions, with no cell expansion.
+  BitVector intersect(const std::vector<Partition>& partitions,
+                      const GroupVerdicts& verdicts) const;
+
   /// Inclusion–exclusion with the impossibility checks above. On clean
   /// verdicts this returns exactly analyze()'s candidates and no reports.
   CheckedAnalysis analyzeChecked(const std::vector<Partition>& partitions,

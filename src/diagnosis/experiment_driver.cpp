@@ -75,10 +75,10 @@ FaultDiagnosis DiagnosisPipeline::diagnose(const FaultResponse& response,
     if (verdictDigest) {
       for (const BitVector& row : verdicts.failing) digestRow(row);
     }
-    out.candidates = analyzer_.analyze(prepared_.partitions(), verdicts);
-    if (config_.pruning) {
-      out.candidates = pruner_.prune(prepared_, verdicts, out.candidates);
-    }
+    // Pruning works on the selection axis too, so cells are expanded once.
+    out.candidates.positions = analyzer_.intersect(prepared_.partitions(), verdicts);
+    if (config_.pruning) pruner_.prunePositions(prepared_, verdicts, out.candidates.positions);
+    out.candidates.cells = topology_->expandPositions(out.candidates.positions);
   }
   if (verdictDigest) *verdictDigest = digest;
   out.candidateCount = out.candidates.cellCount();
@@ -156,7 +156,7 @@ std::vector<double> DiagnosisPipeline::evaluateSweep(
       std::vector<std::size_t>& counts = prefixCandidates[i];
       counts.reserve(partitions.size());
       for (std::size_t p = 0; p < partitions.size(); ++p) {
-        positions &= partitions[p].failingUnion(verdicts.failing[p]);
+        partitions[p].intersectFailing(verdicts.failing[p], positions);
         counts.push_back(topology_->expandPositions(positions).count());
       }
     }

@@ -1,126 +1,106 @@
 #include "diagnosis/superposition_pruner.hpp"
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "common/gf2.hpp"
 
 namespace scandiag {
-namespace {
-
-/// Shared pruning engine; `groupOf(p, pos)` resolves a position's group index
-/// in partition p. The three call sites differ only in where that membership
-/// lookup comes from (rebuilt table / prepared table / transposed batch
-/// layout), so the GF(2) machinery is written once against the accessor.
-template <typename GroupOf>
-CandidateSet pruneWith(const ScanTopology& topology, const std::vector<Partition>& partitions,
-                       GroupOf&& groupOf, const GroupVerdicts& verdicts,
-                       const CandidateSet& candidates, PruneStats* stats) {
-  SCANDIAG_REQUIRE(verdicts.hasSignatures,
-                   "superposition pruning needs error signatures (set computeSignatures)");
-  SCANDIAG_REQUIRE(partitions.size() == verdicts.failing.size(),
-                   "verdicts do not match partitions");
-  PruneStats local;
-  if (candidates.positions.none() || partitions.empty()) {
-    if (stats) *stats = local;
-    return candidates;
-  }
-
-  // Atoms: candidate positions keyed by their membership vector.
-  const std::vector<std::size_t> candPositions = candidates.positions.toIndices();
-  std::map<std::vector<std::size_t>, std::size_t> atomIndex;
-  std::vector<std::vector<std::size_t>> atomPositions;
-  std::vector<std::size_t> atomOfPos(candPositions.size());
-  std::vector<std::size_t> key(partitions.size());
-  for (std::size_t i = 0; i < candPositions.size(); ++i) {
-    const std::size_t pos = candPositions[i];
-    for (std::size_t p = 0; p < partitions.size(); ++p) key[p] = groupOf(p, pos);
-    const auto [it, inserted] = atomIndex.emplace(key, atomPositions.size());
-    if (inserted) atomPositions.emplace_back();
-    atomPositions[it->second].push_back(pos);
-    atomOfPos[i] = it->second;
-  }
-  const std::size_t numAtoms = atomPositions.size();
-  local.atoms = numAtoms;
-
-  // One equation per failing group: XOR of member atoms' signatures equals the
-  // observed group error signature. (Passing groups contain no candidate
-  // positions, hence no atoms — their equations would be 0 = 0.)
-  const unsigned degree = verdicts.signatureDegree;
-  Gf2System system(numAtoms, degree);
-  for (std::size_t p = 0; p < partitions.size(); ++p) {
-    for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-      if (!verdicts.failing[p].test(g)) continue;
-      BitVector coeffs(numAtoms);
-      for (std::size_t a = 0; a < numAtoms; ++a) {
-        // Atom membership is uniform across its positions; test the first.
-        if (groupOf(p, atomPositions[a].front()) == g) coeffs.set(a);
-      }
-      BitVector rhs(degree);
-      const std::uint64_t sig = verdicts.errorSig[p][g];
-      for (unsigned bit = 0; bit < degree; ++bit) {
-        if ((sig >> bit) & 1u) rhs.set(bit);
-      }
-      system.addEquation(coeffs, rhs);
-    }
-  }
-
-  if (!system.reduce()) {
-    // Inconsistent observations (MISR aliasing): pruning would be unsound.
-    local.consistent = false;
-    if (stats) *stats = local;
-    return candidates;
-  }
-
-  CandidateSet pruned = candidates;
-  for (std::size_t a = 0; a < numAtoms; ++a) {
-    if (!system.forcedZero(a)) continue;
-    ++local.prunedAtoms;
-    for (std::size_t pos : atomPositions[a]) {
-      pruned.positions.reset(pos);
-      ++local.prunedPositions;
-    }
-  }
-  pruned.cells = topology.expandPositions(pruned.positions);
-  if (stats) *stats = local;
-  return pruned;
-}
-
-}  // namespace
 
 CandidateSet SuperpositionPruner::prune(const std::vector<Partition>& partitions,
                                         const GroupVerdicts& verdicts,
                                         const CandidateSet& candidates,
                                         PruneStats* stats) const {
-  // Group-membership table per partition, rebuilt for this call only.
-  std::vector<std::vector<std::size_t>> tables;
-  tables.reserve(partitions.size());
-  for (const Partition& p : partitions) tables.push_back(p.groupTable());
-  return pruneWith(
-      *topology_, partitions,
-      [&](std::size_t p, std::size_t pos) { return tables[p][pos]; }, verdicts, candidates,
-      stats);
+  return prune(PreparedPartitionSet(partitions), verdicts, candidates, stats);
 }
 
 CandidateSet SuperpositionPruner::prune(const PreparedPartitionSet& prepared,
                                         const GroupVerdicts& verdicts,
                                         const CandidateSet& candidates,
                                         PruneStats* stats) const {
-  if (prepared.batchReady()) {
-    // Transposed batch layout: a position's whole membership vector is one
-    // contiguous read; global ids translate back with the partition offset.
-    return pruneWith(
-        *topology_, prepared.partitions(),
-        [&](std::size_t p, std::size_t pos) {
-          return static_cast<std::size_t>(prepared.groupsAtPosition(pos)[p]) -
-                 prepared.groupOffset(p);
-        },
-        verdicts, candidates, stats);
+  CandidateSet pruned = candidates;
+  const PruneStats local = prunePositions(prepared, verdicts, pruned.positions);
+  if (local.prunedPositions > 0) pruned.cells = topology_->expandPositions(pruned.positions);
+  if (stats) *stats = local;
+  return pruned;
+}
+
+PruneStats SuperpositionPruner::prunePositions(const PreparedPartitionSet& prepared,
+                                               const GroupVerdicts& verdicts,
+                                               BitVector& positions) const {
+  SCANDIAG_REQUIRE(verdicts.hasSignatures,
+                   "superposition pruning needs error signatures (set computeSignatures)");
+  SCANDIAG_REQUIRE(prepared.size() == verdicts.failing.size(),
+                   "verdicts do not match partitions");
+  PruneStats stats;
+  if (positions.none() || prepared.empty()) return stats;
+  SCANDIAG_REQUIRE(prepared.batchReady() && prepared.partition(0).length() == positions.size(),
+                   "partitions do not span the candidates' selection axis");
+  const std::size_t numPartitions = prepared.size();
+
+  // Atoms: candidate positions sorted by membership row (the transposed
+  // table's global group ids, one per partition), so each run of equal rows
+  // is one atom. The sort order numbers the atoms; nothing downstream depends
+  // on that numbering (see the header).
+  std::vector<std::uint32_t> order;
+  order.reserve(positions.count());
+  positions.forEachSet(
+      [&](std::size_t pos) { order.push_back(static_cast<std::uint32_t>(pos)); });
+  const auto rowLess = [&](std::uint32_t a, std::uint32_t b) {
+    const std::uint32_t* ra = prepared.groupsAtPosition(a);
+    const std::uint32_t* rb = prepared.groupsAtPosition(b);
+    return std::lexicographical_compare(ra, ra + numPartitions, rb, rb + numPartitions);
+  };
+  std::sort(order.begin(), order.end(), rowLess);
+  std::vector<std::uint32_t> atomStart;  // atom a is order[atomStart[a], atomStart[a + 1])
+  for (std::uint32_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || rowLess(order[i - 1], order[i])) atomStart.push_back(i);
   }
-  return pruneWith(
-      *topology_, prepared.partitions(),
-      [&](std::size_t p, std::size_t pos) { return prepared.groupTable(p)[pos]; }, verdicts,
-      candidates, stats);
+  const std::size_t numAtoms = atomStart.size();
+  atomStart.push_back(static_cast<std::uint32_t>(order.size()));
+  stats.atoms = numAtoms;
+
+  // One equation per failing group: XOR of member atoms' signatures equals the
+  // observed group error signature. (Passing groups contain no candidate
+  // positions, hence no atoms — their equations would be 0 = 0.) A failing
+  // group with no atom stays as 0 = sig: aliasing shows up as inconsistency.
+  const unsigned degree = verdicts.signatureDegree;
+  const std::uint64_t rhsMask =
+      degree >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << degree) - 1;
+  constexpr std::uint32_t kNoEquation = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> equationOf(prepared.totalGroups(), kNoEquation);
+  Gf2System system(numAtoms, degree);
+  for (std::size_t p = 0; p < numPartitions; ++p) {
+    verdicts.failing[p].forEachSet([&](std::size_t g) {
+      equationOf[prepared.groupOffset(p) + g] =
+          static_cast<std::uint32_t>(system.addEquation(verdicts.errorSig[p][g] & rhsMask));
+    });
+  }
+  // One pass over the atoms fills every equation: atom a sits in exactly one
+  // group per partition, read off its first position's row.
+  for (std::size_t a = 0; a < numAtoms; ++a) {
+    const std::uint32_t* row = prepared.groupsAtPosition(order[atomStart[a]]);
+    for (std::size_t p = 0; p < numPartitions; ++p) {
+      if (equationOf[row[p]] != kNoEquation) system.setCoefficient(equationOf[row[p]], a);
+    }
+  }
+
+  if (!system.reduce()) {
+    // Inconsistent observations (MISR aliasing): pruning would be unsound.
+    stats.consistent = false;
+    return stats;
+  }
+  for (std::size_t a = 0; a < numAtoms; ++a) {
+    if (!system.forcedZero(a)) continue;
+    ++stats.prunedAtoms;
+    for (std::uint32_t i = atomStart[a]; i < atomStart[a + 1]; ++i) {
+      positions.reset(order[i]);
+      ++stats.prunedPositions;
+    }
+  }
+  return stats;
 }
 
 }  // namespace scandiag

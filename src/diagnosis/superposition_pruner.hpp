@@ -40,17 +40,26 @@ class SuperpositionPruner {
   /// Tightens `candidates` using the verdicts' error signatures (which must
   /// be present: SessionConfig::computeSignatures or MISR mode). Returns the
   /// pruned candidate set; `stats`, if non-null, receives diagnostics.
-  /// Rebuilds each partition's group table per call — hot paths should use
-  /// the PreparedPartitionSet overload.
+  /// Prepares the schedule per call — hot paths should use the
+  /// PreparedPartitionSet overload.
   CandidateSet prune(const std::vector<Partition>& partitions, const GroupVerdicts& verdicts,
                      const CandidateSet& candidates, PruneStats* stats = nullptr) const;
 
-  /// Hot-path overload: group membership comes from the prepared schedule
-  /// (built once per pipeline) — the transposed batch layout when available,
-  /// per-partition tables otherwise — with no per-fault setup at all. Output
-  /// is bit-identical to the std::vector<Partition> overload.
+  /// Hot-path overload: group membership comes from the prepared schedule's
+  /// transposed table (built once per pipeline). Output is bit-identical to
+  /// the std::vector<Partition> overload.
   CandidateSet prune(const PreparedPartitionSet& prepared, const GroupVerdicts& verdicts,
                      const CandidateSet& candidates, PruneStats* stats = nullptr) const;
+
+  /// The pruning step on the selection axis alone: clears the positions of
+  /// every forced-zero atom from `positions` and leaves cell expansion to the
+  /// caller. Costs O(candidates x partitions) plus the elimination; nothing
+  /// scales with the axis length. Atoms are numbered by sorting their
+  /// membership rows, but the forced-zero set, consistency and every stats
+  /// field depend only on the system's solution space, so the result is the
+  /// same for any atom order.
+  PruneStats prunePositions(const PreparedPartitionSet& prepared, const GroupVerdicts& verdicts,
+                            BitVector& positions) const;
 
  private:
   const ScanTopology* topology_;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "common/rng.hpp"
+
 namespace scandiag {
 namespace {
 
@@ -88,6 +93,48 @@ TEST(ScanTopology, UnevenChainsPadAtTail) {
   BitVector pos(3);
   pos.set(2);  // only chain 0 has a cell at position 2
   EXPECT_EQ(t.expandPositions(pos).toIndices(), (std::vector<std::size_t>{2}));
+}
+
+TEST(ScanTopology, ExpandCollapseMatchDenseReference) {
+  // Random stitchings with unequal (sometimes empty) chains: the sparse
+  // expansion must equal a per-cell dense loop, and collapsing it must give
+  // back the mask restricted to occupied positions.
+  Xoroshiro128 rng(0x5CA7'70B0ULL);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::size_t numChains = 1 + rng.nextBelow(6);
+    const std::size_t numCells = 1 + rng.nextBelow(200);
+    std::vector<std::size_t> cells(numCells);
+    std::iota(cells.begin(), cells.end(), std::size_t{0});
+    for (std::size_t i = numCells; i > 1; --i) std::swap(cells[i - 1], cells[rng.nextBelow(i)]);
+    std::vector<std::vector<std::size_t>> chains(numChains);
+    for (const std::size_t cell : cells) chains[rng.nextBelow(numChains)].push_back(cell);
+    const ScanTopology t = ScanTopology::fromChains(chains);
+    const std::size_t length = t.maxChainLength();
+    std::size_t shortest = length;
+    for (const auto& chain : chains) shortest = std::min(shortest, chain.size());
+
+    BitVector occupied(length);
+    for (std::size_t cell = 0; cell < numCells; ++cell) occupied.set(t.location(cell).position);
+
+    std::vector<BitVector> masks{BitVector(length), BitVector(length), BitVector(length),
+                                 BitVector(length, true)};
+    // Single bit, past the shortest chain's end whenever the lengths differ.
+    masks[1].set(shortest < length ? shortest + rng.nextBelow(length - shortest)
+                                   : rng.nextBelow(length));
+    const std::uint64_t density = rng.nextBelow(4);
+    for (std::size_t pos = 0; pos < length; ++pos) {
+      if (rng.nextBelow(4) <= density) masks[2].set(pos);
+    }
+    for (const BitVector& mask : masks) {
+      BitVector dense(numCells);
+      for (std::size_t cell = 0; cell < numCells; ++cell) {
+        if (mask.test(t.location(cell).position)) dense.set(cell);
+      }
+      const BitVector expanded = t.expandPositions(mask);
+      ASSERT_EQ(expanded, dense) << "trial " << trial << " mask " << mask.toString();
+      ASSERT_EQ(t.collapseCells(expanded), mask & occupied) << "trial " << trial;
+    }
+  }
 }
 
 TEST(ScanTopology, SizeMismatchesRejected) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/journal.hpp"
+#include "core/experiment_config.hpp"
 #include "diagnosis/experiment_driver.hpp"
 #include "diagnosis/interval_partitioner.hpp"
 #include "netlist/synthetic_generator.hpp"
+#include "soc/soc_builder.hpp"
+#include "soc/soc_experiment_driver.hpp"
 
 namespace scandiag {
 namespace {
@@ -43,6 +47,56 @@ struct Pipeline {
     return c;
   }
 };
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t digestBits(const BitVector& bits, std::uint64_t h) {
+  for (std::size_t w = 0; w < bits.wordCount(); ++w) h = fnv1a64(bits.word(w), h);
+  return h;
+}
+
+std::uint64_t digestPruned(const CandidateSet& pruned, const PruneStats& stats,
+                           std::uint64_t h) {
+  h = digestBits(pruned.cells, digestBits(pruned.positions, h));
+  h = fnv1a64(static_cast<std::uint64_t>(stats.atoms), h);
+  h = fnv1a64(static_cast<std::uint64_t>(stats.prunedAtoms), h);
+  h = fnv1a64(static_cast<std::uint64_t>(stats.prunedPositions), h);
+  return fnv1a64(static_cast<std::uint64_t>(stats.consistent), h);
+}
+
+/// One digest per prune overload over every fault of every core of `soc`,
+/// plus a digest of the pipeline's own pruned candidates.
+struct PruneDigests {
+  std::uint64_t partitions = kFnvBasis;
+  std::uint64_t prepared = kFnvBasis;
+  std::uint64_t pipeline = kFnvBasis;
+  std::size_t faults = 0;
+  std::size_t inconsistent = 0;
+};
+
+PruneDigests pruneDigests(const Soc& soc, const DiagnosisConfig& config) {
+  WorkloadConfig workload = presets::socWorkload();
+  workload.numFaults = 100;
+  const DiagnosisPipeline pipeline(soc.topology(), config);
+  const SuperpositionPruner pruner(soc.topology());
+  PruneDigests d;
+  for (std::size_t k = 0; k < soc.coreCount(); ++k) {
+    for (const FaultResponse& r : socResponsesForFailingCore(soc, k, workload)) {
+      const GroupVerdicts v = pipeline.engine().run(pipeline.prepared(), r);
+      const CandidateSet raw = pipeline.analyzer().analyze(pipeline.partitions(), v);
+      PruneStats stats;
+      d.partitions = digestPruned(pruner.prune(pipeline.partitions(), v, raw, &stats), stats,
+                                  d.partitions);
+      d.prepared = digestPruned(pruner.prune(pipeline.prepared(), v, raw, &stats), stats,
+                                d.prepared);
+      const CandidateSet diagnosed = pipeline.diagnose(r).candidates;
+      d.pipeline = digestBits(diagnosed.cells, digestBits(diagnosed.positions, d.pipeline));
+      ++d.faults;
+      if (!stats.consistent) ++d.inconsistent;
+    }
+  }
+  return d;
+}
 
 TEST(SuperpositionPruner, RequiresSignatures) {
   const ScanTopology topo = ScanTopology::singleChain(8);
@@ -154,6 +208,38 @@ TEST(SuperpositionPruner, EmptyCandidatesPassThrough) {
   const CandidateSet out = p.pruner.prune(parts, v, empty, &stats);
   EXPECT_TRUE(out.cells.none());
   EXPECT_EQ(stats.atoms, 0u);
+}
+
+TEST(SuperpositionPruner, MatchesParentDigests) {
+  // Pins the exact output — pruned positions and cells plus every PruneStats
+  // field — on the paper's SOC configurations, through both overloads and
+  // through DiagnosisPipeline::diagnose, whose single-expansion path must
+  // agree. The MISR-8 set exercises the inconsistent (aliasing) branch.
+  const Soc soc1 = buildSoc1();
+  const Soc d695 = buildD695();
+  DiagnosisConfig misr8 = presets::d695Config(SchemeKind::TwoStep, /*pruning=*/true);
+  misr8.mode = SignatureMode::Misr;
+  misr8.misrDegree = 8;
+
+  const PruneDigests a = pruneDigests(soc1, presets::soc1Config(SchemeKind::TwoStep, true));
+  const PruneDigests b = pruneDigests(d695, presets::d695Config(SchemeKind::TwoStep, true));
+  const PruneDigests c = pruneDigests(d695, misr8);
+
+  // Recorded from the map-keyed atoms and per-row BitVector eliminator this
+  // pruner replaced.
+  EXPECT_EQ(a.faults, 600u);
+  EXPECT_EQ(a.partitions, 0x82217097765b7f56ULL);
+  EXPECT_EQ(a.prepared, 0x82217097765b7f56ULL);
+  EXPECT_EQ(a.pipeline, 0x9e649bf9173333bdULL);
+  EXPECT_EQ(b.faults, 800u);
+  EXPECT_EQ(b.partitions, 0xe04bfd1b84fb9472ULL);
+  EXPECT_EQ(b.prepared, 0xe04bfd1b84fb9472ULL);
+  EXPECT_EQ(b.pipeline, 0x50179a13bd5d97c3ULL);
+  EXPECT_EQ(c.faults, 800u);
+  EXPECT_EQ(c.inconsistent, 4u);
+  EXPECT_EQ(c.partitions, 0x5545ab4de0ff7a07ULL);
+  EXPECT_EQ(c.prepared, 0x5545ab4de0ff7a07ULL);
+  EXPECT_EQ(c.pipeline, 0xfd964a4e02a922d1ULL);
 }
 
 }  // namespace

@@ -126,11 +126,12 @@
 //      journal and any --metrics snapshot were flushed and are valid; for
 //      serve: the drain completed, the request ledger balances
 //   7  server fatal (serve could not bind/listen or open its journal)
-//   8  defect diagnosis resolved only to a guaranteed superset under the
-//      defect budget (--defects: k exceeded the resolvable cluster budget,
-//      the refinement/ATPG budget ran out, or intermittency degraded the
-//      answer; the printed candidates are a sound superset with calibrated
-//      confidence — degrade, never lie); --metrics is written as for 0
+//   8  diagnosis resolved only to a guaranteed superset (--defects: k
+//      exceeded the resolvable cluster budget, the refinement/ATPG budget ran
+//      out, or intermittency degraded the answer; noisy dr: some fault was
+//      still unresolved after the retry budget). The printed candidates are a
+//      sound superset with calibrated confidence — degrade, never lie; stderr
+//      says how many; --metrics is written as for 0
 
 #include <algorithm>
 #include <chrono>
@@ -439,6 +440,18 @@ int cmdDiagnose(const Args& args) {
   return kExitOk;
 }
 
+/// Degrade-never-lie: when `degraded` of `total` diagnoses resolved only to
+/// a guaranteed superset, say so on stderr and map the run to exit 8.
+int supersetExit(std::size_t degraded, std::size_t total, const char* what,
+                 const char* detail = "") {
+  if (degraded == 0) return kExitOk;
+  std::fprintf(stderr, "%zu of %zu %s resolved only to a guaranteed superset%s\n", degraded,
+               total, what, detail);
+  return kExitDefectSuperset;
+}
+
+/// `scandiag dr --noise ...`: faults still unresolved after the retry budget
+/// map to exit 8, on the text and --json paths alike.
 int drNoisy(const Netlist& nl, const Args& args, const NoiseConfig& noise) {
   const CliRunState run = unjournaledRunFrom(args, "noisy dr");
   const DiagnosisConfig config = configFrom(args);
@@ -469,15 +482,17 @@ int drNoisy(const Netlist& nl, const Args& args, const NoiseConfig& noise) {
         .field("unresolved", rep.unresolved)
         .endObject();
     std::printf("\n");
-    return kExitOk;
+  } else {
+    std::printf("%s %s under noise: DR = %.4f over %zu faults "
+                "(misdiagnosis %.4f, empty %.4f, confidence %.3f, "
+                "%zu inconsistencies, %zu retry sessions, %zu unresolved)\n",
+                nl.name().c_str(), schemeName(config.scheme).c_str(), rep.dr, rep.faults,
+                rep.misdiagnosisRate, rep.emptyRate, rep.meanConfidence,
+                rep.totalInconsistencies, rep.totalRetrySessions, rep.unresolved);
   }
-  std::printf("%s %s under noise: DR = %.4f over %zu faults "
-              "(misdiagnosis %.4f, empty %.4f, confidence %.3f, "
-              "%zu inconsistencies, %zu retry sessions, %zu unresolved)\n",
-              nl.name().c_str(), schemeName(config.scheme).c_str(), rep.dr, rep.faults,
-              rep.misdiagnosisRate, rep.emptyRate, rep.meanConfidence,
-              rep.totalInconsistencies, rep.totalRetrySessions, rep.unresolved);
-  return kExitOk;
+  return supersetExit(rep.unresolved, rep.faults, "fault(s)",
+                      " under the retry budget (candidates are sound; confidence is "
+                      "calibrated)");
 }
 
 /// `scandiag dr --defects`: k-fault union scenarios through the defect-zoo
@@ -539,14 +554,9 @@ int drDefects(const Netlist& nl, const Args& args) {
                 rep.meanConfidence, rep.degraded, rep.totalUnionSplits, rep.totalAtpgPatterns,
                 rep.totalExtraSessions);
   }
-  if (rep.degraded > 0) {
-    std::fprintf(stderr,
-                 "%zu of %zu scenario(s) resolved only to a guaranteed superset under the "
-                 "defect budget (candidates are sound; confidence is calibrated)\n",
-                 rep.degraded, rep.scenarios);
-    return kExitDefectSuperset;
-  }
-  return kExitOk;
+  return supersetExit(rep.degraded, rep.scenarios, "scenario(s)",
+                      " under the defect budget (candidates are sound; confidence is "
+                      "calibrated)");
 }
 
 int cmdDr(const Args& args) {
@@ -754,13 +764,7 @@ int socDrDefects(const Args& args, const Soc& soc, const WorkloadConfig& workloa
                 soc.name().c_str(), mix.k, dr, slots.size(), misdiagnosed, meanConfidence,
                 unresolved);
   }
-  if (unresolved > 0) {
-    std::fprintf(stderr,
-                 "%zu of %zu union scenario(s) resolved only to a guaranteed superset\n",
-                 unresolved, slots.size());
-    return kExitDefectSuperset;
-  }
-  return kExitOk;
+  return supersetExit(unresolved, slots.size(), "union scenario(s)");
 }
 
 int cmdSocDr(const Args& args) {
