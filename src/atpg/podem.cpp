@@ -109,9 +109,7 @@ void TestCube::applyTo(PatternSet& patterns, std::size_t t, const Netlist& netli
   }
 }
 
-PodemAtpg::PodemAtpg(const Netlist& netlist) : PodemAtpg(LogicSimulator(netlist)) {}
-
-PodemAtpg::PodemAtpg(LogicSimulator simulator) : sim_(std::move(simulator)) {
+PodemAtpg::PodemAtpg(const Netlist& netlist) : sim_(netlist) {
   const Netlist& nl = sim_.netlist();
   const Levelization& lev = sim_.levelization();
   const std::size_t n = nl.gateCount();
@@ -362,7 +360,7 @@ std::vector<TestCube> PodemAtpg::generateCompactSet(const std::vector<FaultSite>
     const Netlist& nl = sim_.netlist();
     patterns = std::make_unique<PatternSet>(nl, cubes.size());
     for (std::size_t t = 0; t < cubes.size(); ++t) cubes[t].applyTo(*patterns, t, nl, 0xF111);
-    sim = std::make_unique<FaultSimulator>(sim_, *patterns);
+    sim = std::make_unique<FaultSimulator>(nl, *patterns);
     patternsInSim = cubes.size();
   };
   for (const FaultSite& fault : faults) {

@@ -65,9 +65,6 @@ struct AtpgResult {
 class PodemAtpg {
  public:
   explicit PodemAtpg(const Netlist& netlist);
-  /// Reuses `simulator`'s levelization instead of levelizing the netlist
-  /// again (the defect pipeline passes its FaultSimulator's).
-  explicit PodemAtpg(LogicSimulator simulator);
 
   /// Generates a test observing the fault at a scan cell or primary output.
   AtpgResult generate(const FaultSite& fault, std::size_t backtrackLimit = 5000) const;

@@ -296,7 +296,7 @@ DefectZooPipeline::DefectZooPipeline(const FaultSimulator& simulator,
                simulator.patterns().numPatterns()),
       policy_(policy),
       adiPrior_(adiPriorFromGoodCaptures(topology, simulator.goodCaptures())),
-      atpg_(policy.atpgSessionBudget > 0 ? std::make_unique<PodemAtpg>(simulator.simulator())
+      atpg_(policy.atpgSessionBudget > 0 ? std::make_unique<PodemAtpg>(simulator.netlist())
                                          : nullptr) {
   SCANDIAG_REQUIRE(config.scheme != SchemeKind::Adaptive,
                    "defect-zoo diagnosis needs a fixed partition schedule");
@@ -400,9 +400,8 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
         const PatternSet distinguishing =
             patternsFromCubes(netlist, cubes, 0xF1ULL ^ scenario.seed);
         out.cost += distinguishingSessionCost(distinguishing.numPatterns(), chainLength);
-        // The distinguishing patterns need their own good machine; it reuses
-        // the shared simulator's levelization instead of levelizing again.
-        const FaultSimulator local(sim_->simulator(), distinguishing);
+        // The distinguishing patterns need their own good machine.
+        const FaultSimulator local(netlist, distinguishing);
         std::vector<FaultResponse> partResponses;
         partResponses.reserve(scenario.components.size());
         for (const DefectComponent& comp : scenario.components) {

@@ -6,48 +6,63 @@
 
 namespace scandiag {
 
-FaultCone computeCone(const Netlist& netlist, const Levelization& lev, GateId site) {
-  SCANDIAG_REQUIRE(site < netlist.gateCount(), "cone site out of range");
-  FaultCone cone;
-  const std::size_t numDffs = netlist.dffs().size();
-  cone.reachableDffs = BitVector(numDffs);
+ConeWalker::ConeWalker(const Netlist& netlist, const Levelization& lev, std::uint32_t epoch)
+    : netlist_(&netlist),
+      lev_(&lev),
+      epoch_(epoch),
+      stamp_(netlist.gateCount(), 0),
+      dffOrdinal_(netlist.gateCount(), kNone),
+      outputPos_(netlist.gateCount(), kNone) {
+  for (std::size_t k = 0; k < netlist.dffs().size(); ++k)
+    dffOrdinal_[netlist.dffs()[k]] = static_cast<std::uint32_t>(k);
+  for (std::size_t k = 0; k < netlist.outputs().size(); ++k)
+    outputPos_[netlist.outputs()[k]] = static_cast<std::uint32_t>(k);
+}
 
-  // DFF ordinal lookup.
-  std::vector<std::size_t> dffOrdinal(netlist.gateCount(), static_cast<std::size_t>(-1));
-  for (std::size_t k = 0; k < numDffs; ++k) dffOrdinal[netlist.dffs()[k]] = k;
-
-  std::vector<bool> visited(netlist.gateCount(), false);
-  std::vector<GateId> stack{site};
-  visited[site] = true;
+FaultCone ConeWalker::walk(GateId site) {
+  SCANDIAG_REQUIRE(site < stamp_.size(), "cone site out of range");
+  if (++epoch_ == 0) {  // wrapped: clear stamps so no stale one aliases an epoch
+    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    epoch_ = 1;
+  }
+  const Netlist& netlist = *netlist_;
   const auto& fanouts = netlist.fanouts();
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
+  FaultCone cone;
+  cone.reachableDffs = BitVector(netlist.dffs().size());
+  auto visit = [&](GateId g) {
+    stamp_[g] = epoch_;
+    if (outputPos_[g] != kNone) cone.reachableOutputs.push_back(g);
+  };
+  visit(site);
+  stack_.assign(1, site);
+  while (!stack_.empty()) {
+    const GateId g = stack_.back();
+    stack_.pop_back();
     if (!isSourceType(netlist.gate(g).type)) cone.gates.push_back(g);
     for (GateId user : fanouts[g]) {
-      if (netlist.gate(user).type == GateType::Dff) {
-        // Error is captured; no same-cycle propagation through a DFF. Marked
-        // even when user == site: a scan cell whose Q-cone feeds back to its
-        // own D captures its own fault effect.
-        cone.reachableDffs.set(dffOrdinal[user]);
-        visited[user] = true;
-        continue;
-      }
-      if (visited[user]) continue;
-      visited[user] = true;
-      stack.push_back(user);
+      // An error reaching a DFF is captured; no same-cycle propagation
+      // through it. Marked even when user == site: a scan cell whose Q-cone
+      // feeds back to its own D captures its own fault effect.
+      const std::uint32_t k = dffOrdinal_[user];
+      if (k != kNone) cone.reachableDffs.set(k);
+      if (stamp_[user] == epoch_) continue;
+      visit(user);
+      if (k == kNone) stack_.push_back(user);
     }
   }
   // The site gate itself is in cone.gates only if combinational; a faulty
   // source (PI / scan cell output stuck) needs no re-evaluation of itself.
-  std::sort(cone.gates.begin(), cone.gates.end(),
-            [&](GateId a, GateId b) {
-              return lev.level[a] != lev.level[b] ? lev.level[a] < lev.level[b] : a < b;
-            });
-  for (GateId out : netlist.outputs()) {
-    if (visited[out]) cone.reachableOutputs.push_back(out);
-  }
+  const auto& level = lev_->level;
+  std::sort(cone.gates.begin(), cone.gates.end(), [&](GateId a, GateId b) {
+    return level[a] != level[b] ? level[a] < level[b] : a < b;
+  });
+  std::sort(cone.reachableOutputs.begin(), cone.reachableOutputs.end(),
+            [&](GateId a, GateId b) { return outputPos_[a] < outputPos_[b]; });
   return cone;
+}
+
+FaultCone computeCone(const Netlist& netlist, const Levelization& lev, GateId site) {
+  return ConeWalker(netlist, lev).walk(site);
 }
 
 ConeSpan coneSpan(const FaultCone& cone, const std::vector<std::size_t>& cellOrder,

@@ -10,6 +10,7 @@
 // and (b) the clustering statistics that motivate interval-based partitioning.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -28,8 +29,34 @@ struct FaultCone {
   std::vector<GateId> reachableOutputs;
 };
 
-/// Cone of a value change on the *output* of gate `site` (any gate kind; for
-/// a source gate the cone is its combinational fanout).
+/// Reusable forward walk over one netlist. The gate-indexed visit stamps and
+/// DFF-ordinal index are built once, so each walk costs O(cone), not
+/// O(gates). Single-owner: a walk mutates the stamps.
+class ConeWalker {
+ public:
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+  /// `epoch` is the stamp of the last walk (tests start it near the wrap).
+  ConeWalker(const Netlist& netlist, const Levelization& lev, std::uint32_t epoch = 0);
+
+  /// Cone of a value change on the *output* of gate `site` (any gate kind;
+  /// for a source gate the cone is its combinational fanout).
+  FaultCone walk(GateId site);
+
+  /// Ordinal of DFF `id` in netlist.dffs(), or kNone for other gates.
+  std::uint32_t dffOrdinal(GateId id) const { return dffOrdinal_[id]; }
+
+ private:
+  const Netlist* netlist_;
+  const Levelization* lev_;
+  std::uint32_t epoch_;
+  std::vector<std::uint32_t> stamp_;       // [gate] epoch of its last visit
+  std::vector<std::uint32_t> dffOrdinal_;  // [gate]
+  std::vector<std::uint32_t> outputPos_;   // [gate] index in outputs(), or kNone
+  std::vector<GateId> stack_;
+};
+
+/// One walk on a fresh ConeWalker (O(gates) setup; hot loops keep a walker).
 FaultCone computeCone(const Netlist& netlist, const Levelization& lev, GateId site);
 
 /// Span statistics of a cone's captured cells along an ordering of the DFFs

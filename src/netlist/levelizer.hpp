@@ -21,6 +21,7 @@ struct Levelization {
   std::size_t maxLevel = 0;
 };
 
+/// Fresh levelization; Netlist::levelization() caches this result.
 Levelization levelize(const Netlist& netlist);
 
 }  // namespace scandiag

@@ -142,6 +142,11 @@ const std::vector<std::vector<GateId>>& Netlist::fanouts() const {
   return fanouts_;
 }
 
+const Levelization& Netlist::levelization() const {
+  if (!levelization_) levelization_ = std::make_shared<const Levelization>(levelize(*this));
+  return *levelization_;
+}
+
 void Netlist::validate() const {
   for (GateId id = 0; id < gates_.size(); ++id) {
     const Gate& g = gates_[id];
@@ -150,10 +155,10 @@ void Netlist::validate() const {
       SCANDIAG_REQUIRE(f < gates_.size(), "fanin out of range at gate " + names_[id]);
     }
   }
-  // Levelization throws on combinational cycles.
-  (void)levelize(*this);
+  // Levelization throws on combinational cycles; the result stays cached.
+  (void)levelization();
 }
 
-void Netlist::invalidateCaches() { fanoutsValid_ = false; }
+void Netlist::invalidateCaches() { fanoutsValid_ = false; levelization_.reset(); }
 
 }  // namespace scandiag

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -17,6 +18,8 @@
 #include <vector>
 
 namespace scandiag {
+
+struct Levelization;  // netlist/levelizer.hpp
 
 using GateId = std::uint32_t;
 inline constexpr GateId kInvalidGate = static_cast<GateId>(-1);
@@ -86,6 +89,10 @@ class Netlist {
   const std::vector<std::vector<GateId>>& fanouts() const;
   std::size_t fanoutCount(GateId id) const { return fanouts().at(id).size(); }
 
+  /// levelize(*this), cached like fanouts() (copies share it). validate()
+  /// fills both caches; only a validated netlist may be shared across threads.
+  const Levelization& levelization() const;
+
   /// Structural validation: every fanin resolved, every DFF has a D input,
   /// fanin arities match gate types, no combinational cycles.
   /// Throws std::invalid_argument describing the first violation.
@@ -103,6 +110,7 @@ class Netlist {
   std::unordered_map<std::string, GateId> byName_;
   mutable std::vector<std::vector<GateId>> fanouts_;  // lazy cache
   mutable bool fanoutsValid_ = false;
+  mutable std::shared_ptr<const Levelization> levelization_;  // lazy cache
 };
 
 }  // namespace scandiag

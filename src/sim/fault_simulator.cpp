@@ -1,9 +1,6 @@
 #include "sim/fault_simulator.hpp"
 
-#include <unordered_map>
-
 #include "common/assert.hpp"
-#include "netlist/cone_analysis.hpp"
 #include "obs/metrics.hpp"
 
 namespace scandiag {
@@ -34,21 +31,18 @@ SimWord PatternSet::word(GateId id, std::size_t w) const {
 }
 
 FaultSimulator::FaultSimulator(const Netlist& netlist, const PatternSet& patterns)
-    : FaultSimulator(LogicSimulator(netlist), patterns) {}
-
-FaultSimulator::FaultSimulator(LogicSimulator simulator, const PatternSet& patterns)
-    : netlist_(&simulator.netlist()), patterns_(&patterns), sim_(std::move(simulator)) {
+    : netlist_(&netlist),
+      patterns_(&patterns),
+      sim_(netlist),
+      walker_(netlist, sim_.levelization()),
+      entryOf_(netlist.gateCount(), ConeWalker::kNone),
+      slotOf_(netlist.gateCount(), ConeWalker::kNone) {
   obs::PhaseScope phase(obs::Phase::GoodMachineSim);
-  const Netlist& netlist = *netlist_;
   const std::size_t words = patterns.wordCount();
   const std::size_t numDffs = netlist.dffs().size();
 
-  dffOrdinal_.assign(netlist.gateCount(), static_cast<std::size_t>(-1));
-  for (std::size_t k = 0; k < numDffs; ++k) dffOrdinal_[netlist.dffs()[k]] = k;
-
   goodValues_.assign(words, std::vector<SimWord>(netlist.gateCount(), 0));
   goodCaptures_.assign(numDffs, BitVector(patterns.numPatterns()));
-  coneCache_ = std::make_unique<ConeEntry[]>(netlist.gateCount());
   for (std::size_t w = 0; w < words; ++w) {
     std::vector<SimWord>& values = goodValues_[w];
     for (GateId id = 0; id < netlist.gateCount(); ++id) {
@@ -71,7 +65,7 @@ FaultResponse FaultSimulator::dffPinResponse(const FaultSite& fault) const {
   FaultResponse resp;
   resp.fault = fault;
   resp.failingCells = BitVector(netlist_->dffs().size());
-  const std::size_t k = dffOrdinal_[fault.gate];
+  const std::size_t k = walker_.dffOrdinal(fault.gate);
   BitVector err(numPatterns);
   for (std::size_t w = 0; w < words; ++w) {
     const SimWord stuck = fault.stuckAt ? ~SimWord{0} : SimWord{0};
@@ -86,37 +80,35 @@ FaultResponse FaultSimulator::dffPinResponse(const FaultSite& fault) const {
 }
 
 const FaultSimulator::ConeEntry& FaultSimulator::coneEntry(GateId site) const {
-  ConeEntry& entry = coneCache_[site];
-  bool builtNow = false;
-  std::call_once(entry.once, [&] {
-    builtNow = true;
-    entry.cone = computeCone(*netlist_, sim_.levelization(), site);
-    entry.sourceSite = isSourceType(netlist_->gate(site).type);
-    entry.ordinals = entry.cone.reachableDffs.toIndices();
-    // Save-slot layout: cone.gates in order, then (for a source site) one
-    // extra slot for the site itself, which evaluateFaulty forces directly.
-    std::unordered_map<GateId, std::size_t> slotOf;
-    slotOf.reserve(entry.cone.gates.size() + 1);
-    for (std::size_t j = 0; j < entry.cone.gates.size(); ++j) {
-      slotOf.emplace(entry.cone.gates[j], j);
-    }
-    if (entry.sourceSite) slotOf.emplace(site, entry.cone.gates.size());
-    entry.drivers.reserve(entry.ordinals.size());
-    entry.driverSlot.reserve(entry.ordinals.size());
-    for (const std::size_t k : entry.ordinals) {
-      const GateId driver = netlist_->gate(netlist_->dffs()[k]).fanins[0];
-      // A DFF is reachable only via its D-input driver, so the driver is a
-      // visited gate: combinational (in cone.gates) or the source site.
-      const auto it = slotOf.find(driver);
-      SCANDIAG_ASSERT(it != slotOf.end(), "reachable DFF driver outside the fault cone");
-      entry.drivers.push_back(driver);
-      entry.driverSlot.push_back(it->second);
-    }
-  });
-  // Hits = cone-path simulate calls minus distinct sites, both functions of
-  // the fault list alone — deterministic at every thread count.
-  if (!builtNow) obs::count(obs::Counter::ConeCacheHits);
-  return entry;
+  if (entryOf_[site] != ConeWalker::kNone) {
+    // Hits = cone-path simulate calls minus distinct sites, both functions of
+    // the fault list alone — deterministic at every thread count.
+    obs::count(obs::Counter::ConeCacheHits);
+    return cones_[entryOf_[site]];
+  }
+  ConeEntry entry;
+  entry.cone = walker_.walk(site);
+  entry.sourceSite = isSourceType(netlist_->gate(site).type);
+  entry.ordinals = entry.cone.reachableDffs.toIndices();
+  // Save-slot layout: cone.gates in order, then (for a source site) one
+  // extra slot for the site itself, which evaluateFaulty forces directly.
+  const std::vector<GateId>& gates = entry.cone.gates;
+  for (std::uint32_t j = 0; j < gates.size(); ++j) slotOf_[gates[j]] = j;
+  if (entry.sourceSite) slotOf_[site] = static_cast<std::uint32_t>(gates.size());
+  for (const std::size_t k : entry.ordinals) {
+    const GateId driver = netlist_->gate(netlist_->dffs()[k]).fanins[0];
+    entry.drivers.push_back(driver);
+    entry.driverSlot.push_back(slotOf_[driver]);
+  }
+  for (const GateId g : gates) slotOf_[g] = ConeWalker::kNone;
+  slotOf_[site] = ConeWalker::kNone;
+  // A DFF is reachable only via its D-input driver, so the driver is a
+  // visited gate: combinational (in cone.gates) or the source site.
+  for (const std::uint32_t slot : entry.driverSlot)
+    SCANDIAG_ASSERT(slot != ConeWalker::kNone, "reachable DFF driver outside the fault cone");
+  cones_.push_back(std::move(entry));
+  entryOf_[site] = static_cast<std::uint32_t>(cones_.size() - 1);  // registered once stored
+  return cones_.back();
 }
 
 FaultResponse FaultSimulator::simulate(const FaultSite& fault) const {
@@ -136,7 +128,7 @@ FaultResponse FaultSimulator::simulate(const FaultSite& fault) const {
 
   const ConeEntry& entry = coneEntry(fault.gate);
   const FaultCone& cone = entry.cone;
-  if (cone.reachableDffs.none()) return resp;  // scan-unobservable fault
+  if (entry.ordinals.empty()) return resp;  // scan-unobservable fault
 
   const std::size_t numGates = cone.gates.size();
   const std::size_t saveCount = numGates + (entry.sourceSite ? 1 : 0);

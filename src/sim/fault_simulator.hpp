@@ -15,8 +15,7 @@
 // of diagnosis configurations over one fault-simulation pass cheap.
 #pragma once
 
-#include <memory>
-#include <mutex>
+#include <deque>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -59,19 +58,18 @@ struct FaultResponse {
 };
 
 /// Thread ownership: one FaultSimulator instance is owned by one thread at a
-/// time. simulate()/collectDetected() reuse per-instance scratch buffers (and
-/// briefly mutate the good-value store in place, restoring it before
-/// returning), so concurrent calls on a *shared* instance are not allowed —
-/// create one simulator per thread instead (cheap relative to a batch of
-/// faults; this is what the SoC driver and the serve lease pool do). The
-/// read-only accessors (goodValue/goodCaptures/...) observe the fault-free
-/// state whenever no simulate() call is in flight.
+/// time. simulate()/collectDetected() grow a sparse cone cache, reuse
+/// scratch buffers and briefly mutate the good-value store in place
+/// (restoring it before returning), so concurrent calls on a *shared*
+/// instance are not allowed — create one simulator per thread instead, as
+/// the SoC driver and the serve lease pool do. Construction costs the
+/// good-machine simulation plus a few gate-indexed integer arrays (the
+/// levelization is the netlist's); a site's cone is walked, in O(cone), on
+/// its first fault. The read-only accessors (goodValue/goodCaptures/...)
+/// observe the fault-free state whenever no simulate() call is in flight.
 class FaultSimulator {
  public:
   FaultSimulator(const Netlist& netlist, const PatternSet& patterns);
-  /// Same, reusing `simulator`'s levelization instead of levelizing the
-  /// netlist again (pass another FaultSimulator's `simulator()`).
-  FaultSimulator(LogicSimulator simulator, const PatternSet& patterns);
 
   const Netlist& netlist() const { return *netlist_; }
   const PatternSet& patterns() const { return *patterns_; }
@@ -105,20 +103,17 @@ class FaultSimulator {
                                              std::size_t target) const;
 
  private:
-  /// Per-gate cone data, computed once per site and reused by every fault on
-  /// that gate (output SA0/SA1 and all pin faults share the output cone).
-  /// call_once keeps lazy initialization safe even under (unsupported but
-  /// conceivable) concurrent reads; after the first build the entry is
-  /// immutable.
+  /// Per-site cone data, built on the first fault at that site and reused by
+  /// every later one (output SA0/SA1 and all pin faults share the output
+  /// cone); immutable once built.
   struct ConeEntry {
-    std::once_flag once;
     FaultCone cone;
     /// Site is a source gate: evaluateFaulty may force values[site], which is
     /// outside cone.gates, so save/restore needs one extra slot for it.
     bool sourceSite = false;
-    std::vector<std::size_t> ordinals;    // reachable DFF ordinals, ascending
-    std::vector<GateId> drivers;          // D-input driver per reachable DFF
-    std::vector<std::size_t> driverSlot;  // save-slot index of drivers[i]
+    std::vector<std::size_t> ordinals;      // reachable DFF ordinals, ascending
+    std::vector<GateId> drivers;            // D-input driver per reachable DFF
+    std::vector<std::uint32_t> driverSlot;  // save-slot index of drivers[i]
   };
 
   /// Reusable per-instance buffers for the save/evaluate/restore hot path;
@@ -137,11 +132,14 @@ class FaultSimulator {
   const PatternSet* patterns_;
   LogicSimulator sim_;
   // Mutable: simulate() evaluates faulty values in place on the good-value
-  // store and restores them before returning (see the class comment).
+  // store and restores them before returning, and grows the cone cache (see
+  // the class comment).
   mutable std::vector<std::vector<SimWord>> goodValues_;  // [word][gate]
   std::vector<BitVector> goodCaptures_;                   // [dff ordinal][pattern]
-  std::vector<std::size_t> dffOrdinal_;                   // gate id -> ordinal (or npos)
-  mutable std::unique_ptr<ConeEntry[]> coneCache_;        // [gate id]
+  mutable ConeWalker walker_;
+  mutable std::vector<std::uint32_t> entryOf_;  // [gate] index into cones_ or kNone
+  mutable std::deque<ConeEntry> cones_;         // stable addresses
+  mutable std::vector<std::uint32_t> slotOf_;   // [gate] save slot; kNone between builds
   mutable SimScratch scratch_;
 };
 

@@ -15,7 +15,7 @@ std::string describeFault(const Netlist& netlist, const FaultSite& fault) {
 }
 
 LogicSimulator::LogicSimulator(const Netlist& netlist)
-    : netlist_(&netlist), lev_(levelize(netlist)) {}
+    : netlist_(&netlist), lev_(&netlist.levelization()) {}
 
 namespace {
 
@@ -65,7 +65,7 @@ void LogicSimulator::evaluate(std::vector<SimWord>& values) const {
     if (t == GateType::Const0) values[id] = SimWord{0};
     if (t == GateType::Const1) values[id] = ~SimWord{0};
   }
-  for (GateId id : lev_.order) {
+  for (GateId id : lev_->order) {
     const Gate& g = netlist_->gate(id);
     values[id] = combine(g.type, g.fanins, values, FaultSite::kOutputPin, 0);
   }

@@ -38,12 +38,14 @@ struct FaultSite {
 /// Human-readable fault name, e.g. "g42/SA1" or "g42.in2/SA0".
 std::string describeFault(const Netlist& netlist, const FaultSite& fault);
 
+/// Reads the netlist's cached levelization: the netlist must outlive the
+/// simulator unmodified.
 class LogicSimulator {
  public:
   explicit LogicSimulator(const Netlist& netlist);
 
   const Netlist& netlist() const { return *netlist_; }
-  const Levelization& levelization() const { return lev_; }
+  const Levelization& levelization() const { return *lev_; }
 
   /// values.size() == gateCount(). Source entries must be pre-set by the
   /// caller (Const0/Const1 are overwritten with their constants); all
@@ -66,7 +68,7 @@ class LogicSimulator {
                                SimWord forced) const;
 
   const Netlist* netlist_;
-  Levelization lev_;
+  const Levelization* lev_;
 };
 
 }  // namespace scandiag

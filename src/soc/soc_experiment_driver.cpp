@@ -1,5 +1,9 @@
 #include "soc/soc_experiment_driver.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <numeric>
+
 #include "bist/prpg.hpp"
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
@@ -72,17 +76,32 @@ std::vector<SocDrRow> evaluateSocDr(const Soc& soc, const WorkloadConfig& worklo
                                     const RunControl& control,
                                     SweepCheckpoint* checkpoint) {
   // Cores are independent experiments (each derives its own seeds from the
-  // core index), so they fan out across the pool into per-core row slots;
-  // the nested pipeline.evaluate() parallelism runs inline on the worker
-  // (thread_pool nested-use guard). Row k never depends on scheduling.
+  // core index) of very different sizes: one lane per pool thread claims
+  // them largest netlist first into per-core row slots, and the nested
+  // pipeline.evaluate() runs inline on the lane (thread_pool nested-use
+  // guard). Which lane runs core k varies; row k never does.
   const DiagnosisPipeline pipeline(soc.topology(), config);
+  std::vector<std::size_t> order(soc.coreCount());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return soc.core(a).netlist->gateCount() > soc.core(b).netlist->gateCount();
+  });
   std::vector<SocDrRow> rows(soc.coreCount());
-  globalPool().parallelFor(soc.coreCount(), [&](std::size_t k) {
-    control.throwIfStopped();
-    const std::vector<FaultResponse> responses = socResponsesForFailingCore(soc, k, workload);
-    rows[k] = SocDrRow{soc.core(k).name,
-                       evaluateWithCheckpoint(pipeline, responses, checkpoint,
-                                              socSweepIdFor(config, k), control)};
+  std::atomic<std::size_t> next{0};
+  globalPool().parallelFor(globalPool().threadCount(), [&](std::size_t) {
+    try {
+      for (std::size_t i = next++; i < order.size(); i = next++) {
+        const std::size_t k = order[i];
+        control.throwIfStopped();
+        const auto responses = socResponsesForFailingCore(soc, k, workload);
+        rows[k] = SocDrRow{soc.core(k).name,
+                           evaluateWithCheckpoint(pipeline, responses, checkpoint,
+                                                  socSweepIdFor(config, k), control)};
+      }
+    } catch (...) {
+      next = order.size();  // the other lanes stop claiming
+      throw;
+    }
   });
   return rows;
 }

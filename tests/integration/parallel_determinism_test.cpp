@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "common/watchdog.hpp"
 #include "core/scandiag.hpp"
 #include "obs/metrics.hpp"
 #include "soc/soc_builder.hpp"
@@ -100,30 +102,69 @@ TEST_F(ParallelDeterminism, EvaluateSweepIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(ParallelDeterminism, SocDriverIsBitIdenticalAcrossThreadCounts) {
-  const Soc soc = buildSocFromModules("mini", {"s298", "s344", "s526"}, 1);
+// evaluateSocDr's lanes claim cores largest netlist first. Seven cores of 17
+// to 5,844 gates, listed out of size order, with s298 twice (two cores
+// sharing one netlist); at 2 and 3 threads the lanes are fewer than the
+// cores, so the claims are uneven.
+const Soc& unevenSoc() {
+  static const Soc soc = buildSocFromModules(
+      "uneven", {"s298", "s9234", "s27", "s1423", "s5378", "s298", "s953"}, 1);
+  return soc;
+}
+
+// Fewer lanes than cores (2, 3) and more (8).
+constexpr std::size_t kSocThreadCounts[] = {2, 3, 8};
+
+WorkloadConfig smallSocWorkload() {
   WorkloadConfig workload;
   workload.numPatterns = 64;
   workload.numFaults = 40;
-  for (SchemeKind scheme :
-       {SchemeKind::IntervalBased, SchemeKind::RandomSelection, SchemeKind::TwoStep}) {
-    DiagnosisConfig config = configFor(scheme, false);
-    config.numPatterns = workload.numPatterns;
-    setGlobalThreadCount(1);
-    const std::vector<SocDrRow> serial = evaluateSocDr(soc, workload, config);
-    ASSERT_EQ(serial.size(), soc.coreCount());
-    for (std::size_t threads : kThreadCounts) {
-      setGlobalThreadCount(threads);
-      const std::vector<SocDrRow> parallel = evaluateSocDr(soc, workload, config);
-      ASSERT_EQ(parallel.size(), serial.size());
-      for (std::size_t k = 0; k < serial.size(); ++k) {
-        EXPECT_EQ(serial[k].failingCore, parallel[k].failingCore);
-        expectSameReport(serial[k].report, parallel[k].report,
-                         schemeName(scheme) + " core " + serial[k].failingCore + " @" +
-                             std::to_string(threads) + " threads");
+  return workload;
+}
+
+TEST_F(ParallelDeterminism, SocDriverIsBitIdenticalAcrossThreadCounts) {
+  const Soc mini = buildSocFromModules("mini", {"s298", "s344", "s526"}, 1);
+  const WorkloadConfig workload = smallSocWorkload();
+  for (const Soc* soc : {&mini, &unevenSoc()}) {
+    for (SchemeKind scheme :
+         {SchemeKind::IntervalBased, SchemeKind::RandomSelection, SchemeKind::TwoStep}) {
+      DiagnosisConfig config = configFor(scheme, false);
+      config.numPatterns = workload.numPatterns;
+      setGlobalThreadCount(1);
+      const std::vector<SocDrRow> serial = evaluateSocDr(*soc, workload, config);
+      ASSERT_EQ(serial.size(), soc->coreCount());
+      for (std::size_t threads : {1, 2, 3, 8}) {
+        setGlobalThreadCount(threads);
+        const std::vector<SocDrRow> parallel = evaluateSocDr(*soc, workload, config);
+        ASSERT_EQ(parallel.size(), serial.size());
+        for (std::size_t k = 0; k < serial.size(); ++k) {
+          EXPECT_EQ(serial[k].failingCore, soc->core(k).name);
+          EXPECT_EQ(serial[k].failingCore, parallel[k].failingCore);
+          expectSameReport(serial[k].report, parallel[k].report,
+                           soc->name() + " " + schemeName(scheme) + " core " +
+                               serial[k].failingCore + " @" + std::to_string(threads) +
+                               " threads");
+        }
       }
     }
   }
+}
+
+TEST_F(ParallelDeterminism, SocDriverCancellationUnwindsAtFourThreads) {
+  const WorkloadConfig workload = smallSocWorkload();
+  DiagnosisConfig config = configFor(SchemeKind::TwoStep, false);
+  config.numPatterns = workload.numPatterns;
+  setGlobalThreadCount(4);
+  CancellationToken token;
+  token.cancel("test trip");
+  EXPECT_THROW(evaluateSocDr(unevenSoc(), workload, config, RunControl{&token, nullptr}),
+               OperationCancelled);
+  // A watchdog with no budget trips on the first poll, inside a lane.
+  CancellationToken fresh;
+  Watchdog watchdog(fresh, std::chrono::milliseconds(0));
+  EXPECT_THROW(evaluateSocDr(unevenSoc(), workload, config, RunControl{&fresh, &watchdog}),
+               OperationCancelled);
+  EXPECT_TRUE(fresh.cancelled());
 }
 
 /// Runs `body` once per thread count and requires the *metrics counters* it
@@ -164,6 +205,17 @@ TEST_F(ParallelDeterminism, MetricsCountersAreBitIdenticalAcrossThreadCounts) {
     expectCountersThreadInvariant(
         kThreadCounts, [&] { pipeline.evaluate(work.responses); }, schemeName(scheme));
   }
+}
+
+TEST_F(ParallelDeterminism, SocMetricsCountersAreBitIdenticalAcrossThreadCounts) {
+  // Fault simulation's counters (cone cache hits, scratch traffic) included:
+  // each core's simulator sees the same faults whichever lane claims it.
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "instrumentation compiled out";
+  const WorkloadConfig workload = smallSocWorkload();
+  DiagnosisConfig config = configFor(SchemeKind::TwoStep, true);
+  config.numPatterns = workload.numPatterns;
+  expectCountersThreadInvariant(
+      kSocThreadCounts, [&] { evaluateSocDr(unevenSoc(), workload, config); }, "uneven soc");
 }
 
 TEST_F(ParallelDeterminism, NoisyMetricsCountersAreBitIdenticalAcrossThreadCounts) {

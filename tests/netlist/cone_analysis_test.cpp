@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <limits>
+
+#include "common/rng.hpp"
 #include "netlist/synthetic_generator.hpp"
 
 namespace scandiag {
@@ -110,6 +116,69 @@ TEST(ConeAnalysis, MatchesBruteForceOnGeneratedCircuit) {
       }
     }
     EXPECT_EQ(cone.reachableDffs, dffs) << "site " << nl.gateName(site);
+  }
+}
+
+// Breadth-first reference with a fresh visited array per site: the cone
+// contract (level-ordered gates, captured DFFs, outputs in outputs() order)
+// spelled out without stamps or reuse.
+FaultCone referenceCone(const Netlist& nl, const std::vector<std::size_t>& ordinal,
+                        GateId site) {
+  FaultCone cone;
+  cone.reachableDffs = BitVector(nl.dffs().size());
+  std::vector<bool> visited(nl.gateCount(), false);
+  std::deque<GateId> queue{site};
+  visited[site] = true;
+  while (!queue.empty()) {
+    const GateId g = queue.front();
+    queue.pop_front();
+    if (!isSourceType(nl.gate(g).type)) cone.gates.push_back(g);
+    for (GateId u : nl.fanouts()[g]) {
+      if (nl.gate(u).type == GateType::Dff) {
+        cone.reachableDffs.set(ordinal[u]);
+        visited[u] = true;
+      } else if (!visited[u]) {
+        visited[u] = true;
+        queue.push_back(u);
+      }
+    }
+  }
+  const auto& level = nl.levelization().level;
+  std::sort(cone.gates.begin(), cone.gates.end(), [&](GateId a, GateId b) {
+    return level[a] != level[b] ? level[a] < level[b] : a < b;
+  });
+  for (GateId out : nl.outputs())
+    if (visited[out]) cone.reachableOutputs.push_back(out);
+  return cone;
+}
+
+TEST(ConeAnalysis, ReusedWalkerMatchesFreshWalk) {
+  struct Case {
+    const char* circuit;
+    std::size_t sites;  // 0 = every gate
+  };
+  for (const Case c : {Case{"s953", 0}, Case{"s9234", 0}, Case{"s38417", 2000}}) {
+    const Netlist nl = generateNamedCircuit(c.circuit);
+    std::vector<std::size_t> ordinal(nl.gateCount(), 0);
+    for (std::size_t k = 0; k < nl.dffs().size(); ++k) ordinal[nl.dffs()[k]] = k;
+    std::vector<GateId> sites;
+    if (c.sites == 0) {
+      for (GateId g = 0; g < nl.gateCount(); ++g) sites.push_back(g);
+    } else {
+      Xoroshiro128 rng(0xC0DE);
+      for (std::size_t i = 0; i < c.sites; ++i)
+        sites.push_back(static_cast<GateId>(rng.nextBelow(nl.gateCount())));
+    }
+    // Started 100 walks before the 32-bit epoch wraps, so every circuit
+    // walks across the wrap with stale stamps from the epochs before it.
+    ConeWalker walker(nl, nl.levelization(), std::numeric_limits<std::uint32_t>::max() - 100);
+    for (const GateId site : sites) {
+      const FaultCone got = walker.walk(site);
+      const FaultCone want = referenceCone(nl, ordinal, site);
+      ASSERT_EQ(got.gates, want.gates) << c.circuit << " site " << nl.gateName(site);
+      ASSERT_EQ(got.reachableDffs, want.reachableDffs) << c.circuit << " site " << site;
+      ASSERT_EQ(got.reachableOutputs, want.reachableOutputs) << c.circuit << " site " << site;
+    }
   }
 }
 

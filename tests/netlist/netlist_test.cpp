@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "bist/prpg.hpp"
+#include "netlist/levelizer.hpp"
+#include "sim/fault_list.hpp"
+#include "sim/fault_simulator.hpp"
+
 namespace scandiag {
 namespace {
 
@@ -86,6 +91,79 @@ TEST(Netlist, FanoutsComputedAndRefreshedAfterMutation) {
   EXPECT_EQ(nl.fanoutCount(a), 2u);
   (void)g1;
   (void)g2;
+}
+
+void expectFreshLevelization(const Netlist& nl, const std::string& step) {
+  const Levelization fresh = levelize(nl);
+  const Levelization& cached = nl.levelization();
+  EXPECT_EQ(cached.order, fresh.order) << step;
+  EXPECT_EQ(cached.level, fresh.level) << step;
+  EXPECT_EQ(cached.maxLevel, fresh.maxLevel) << step;
+}
+
+TEST(Netlist, LevelizationCacheFollowsMutation) {
+  Netlist nl("lev");
+  const GateId a = nl.addInput("a");
+  const GateId ff = nl.addDff("ff");
+  const GateId g1 = nl.addGate(GateType::And, "g1", {a, ff});
+  nl.setDffInput(ff, g1);
+  nl.validate();
+  expectFreshLevelization(nl, "validate");
+
+  // Each mutator drops the cached levelization; the next read rebuilds it.
+  const GateId b = nl.addInput("b");
+  expectFreshLevelization(nl, "addInput");
+  const GateId ff2 = nl.addDff("ff2");
+  expectFreshLevelization(nl, "addDff");
+  const GateId g2 = nl.addGate(GateType::Not, "g2", {g1});
+  const GateId g3 = nl.addGate(GateType::Or, "g3", {b, ff2});
+  expectFreshLevelization(nl, "addGate");
+  nl.setDffInput(ff2, g3);
+  expectFreshLevelization(nl, "setDffInput");
+  nl.appendFanin(g3, g2);  // g3 moves from level 1 to level 3
+  expectFreshLevelization(nl, "appendFanin");
+  EXPECT_EQ(nl.levelization().level[g3], 3u);
+
+  // A copy shares the cache until it is mutated; the original keeps its own.
+  const Levelization* original = &nl.levelization();
+  Netlist copy = nl;
+  EXPECT_EQ(&copy.levelization(), original);
+  copy.addGate(GateType::Buf, "g4", {g3});
+  expectFreshLevelization(copy, "copy addGate");
+  EXPECT_EQ(&nl.levelization(), original);
+  EXPECT_EQ(nl.levelization().level.size(), nl.gateCount());
+  expectFreshLevelization(nl, "original after copy mutation");
+
+  // A cycle made after a successful validate() is still caught.
+  nl.validate();
+  nl.appendFanin(g1, g2);  // g1 -> g2 -> g1
+  EXPECT_THROW(nl.validate(), std::invalid_argument);
+  EXPECT_THROW(nl.levelization(), std::invalid_argument);
+}
+
+TEST(Netlist, NeverValidatedNetlistSimulatesLikeTheReference) {
+  // Hand-built and never validated: the simulator levelizes on first use.
+  Netlist nl("raw");
+  const GateId a = nl.addInput("a");
+  const GateId b = nl.addInput("b");
+  const GateId ff0 = nl.addDff("ff0");
+  const GateId ff1 = nl.addDff("ff1");
+  const GateId g1 = nl.addGate(GateType::Nand, "g1", {a, ff0});
+  const GateId g2 = nl.addGate(GateType::Xor, "g2", {g1, b, ff1});
+  const GateId g3 = nl.addGate(GateType::Nor, "g3", {g1, g2});
+  nl.setDffInput(ff0, g3);
+  nl.setDffInput(ff1, g2);
+  nl.markOutput(g3);
+  const PatternSet pats = generatePatterns(nl, 100);
+  const FaultSimulator fsim(nl, pats);
+  const FaultList faults = FaultList::enumerateAll(nl);
+  for (const FaultSite& fault : faults.faults()) {
+    const FaultResponse got = fsim.simulate(fault);
+    const FaultResponse want = fsim.simulateReference(fault);
+    EXPECT_EQ(got.failingCells, want.failingCells) << describeFault(nl, fault);
+    EXPECT_EQ(got.failingCellOrdinals, want.failingCellOrdinals) << describeFault(nl, fault);
+    EXPECT_EQ(got.errorStreams, want.errorStreams) << describeFault(nl, fault);
+  }
 }
 
 TEST(Netlist, AppendFaninOnlyOnVariableArityGates) {

@@ -316,12 +316,11 @@ CliRunState unjournaledRunFrom(const Args& args, const std::string& mode) {
 
 int cmdInfo(const Args& args) {
   const Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
-  const Levelization lev = levelize(nl);
   std::printf("circuit   %s\n", nl.name().c_str());
   std::printf("inputs    %zu\n", nl.inputs().size());
   std::printf("outputs   %zu\n", nl.outputs().size());
   std::printf("scancells %zu\n", nl.dffs().size());
-  std::printf("gates     %zu (depth %zu)\n", nl.combGateCount(), lev.maxLevel);
+  std::printf("gates     %zu (depth %zu)\n", nl.combGateCount(), nl.levelization().maxLevel);
   std::printf("faults    %zu collapsed / %zu uncollapsed\n",
               FaultList::enumerateCollapsed(nl).size(), FaultList::enumerateAll(nl).size());
   return kExitOk;
