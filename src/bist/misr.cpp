@@ -33,31 +33,61 @@ void Misr::clock(std::uint64_t inputs) {
   state_ = transition(state_) ^ (inputs & inMask);
 }
 
-MisrLinearModel::MisrLinearModel(unsigned degree, std::uint64_t tapMask, unsigned inputWidth,
-                                 std::size_t totalCycles)
-    : degree_(degree), inputWidth_(inputWidth), totalCycles_(totalCycles) {
-  SCANDIAG_REQUIRE(totalCycles > 0, "session must have at least one cycle");
-  Misr reference(degree, tapMask, inputWidth);
-  weights_.assign(static_cast<std::size_t>(inputWidth) * totalCycles, 0);
-  // v = A^j · e_line; cycle k = K-1-j receives weight v.
-  for (unsigned line = 0; line < inputWidth; ++line) {
-    std::uint64_t v = std::uint64_t{1} << line;
-    for (std::size_t j = 0; j < totalCycles; ++j) {
-      weights_[static_cast<std::size_t>(line) * totalCycles + (totalCycles - 1 - j)] = v;
-      v = reference.transition(v);
+namespace {
+
+/// M · v for a GF(2) matrix M given by its `degree` columns: the XOR of the
+/// columns v selects, without a data-dependent branch.
+std::uint64_t multiplyColumns(const std::uint64_t* columns, unsigned degree, std::uint64_t v) {
+  std::uint64_t out = 0;
+  for (unsigned j = 0; j < degree; ++j) out ^= columns[j] & (std::uint64_t{0} - ((v >> j) & 1));
+  return out;
+}
+
+}  // namespace
+
+MisrLinearModel::MisrLinearModel(unsigned degree, std::uint64_t tapMask,
+                                 std::size_t chainLength, std::size_t patterns,
+                                 const std::vector<std::uint64_t>& chainInputs)
+    : degree_(degree),
+      chainLength_(chainLength),
+      patterns_(patterns),
+      chains_(chainInputs.size()) {
+  SCANDIAG_REQUIRE(chainLength >= 1 && patterns >= 1, "session must have at least one cycle");
+  const Misr reference(degree, tapMask, 1);
+  // Columns of A^r: A^0 = I, then one transition per column per power.
+  powerColumns_.resize(chainLength * degree);
+  for (unsigned j = 0; j < degree; ++j) powerColumns_[j] = std::uint64_t{1} << j;
+  for (std::size_t r = 1; r < chainLength; ++r) {
+    for (unsigned j = 0; j < degree; ++j) {
+      powerColumns_[r * degree + j] = reference.transition(powerColumns_[(r - 1) * degree + j]);
+    }
+  }
+  // A^L = A · A^(L-1) moves a weight one whole unload earlier.
+  std::vector<std::uint64_t> unload(degree);
+  for (unsigned j = 0; j < degree; ++j) {
+    unload[j] = reference.transition(powerColumns_[(chainLength - 1) * degree + j]);
+  }
+  patternWeights_.resize(chains_ * patterns);
+  for (std::size_t c = 0; c < chains_; ++c) {
+    std::uint64_t v = chainInputs[c];
+    SCANDIAG_REQUIRE(v != 0 && (v >> degree) == 0,
+                     "MISR input word must be nonzero and lie within the register");
+    for (std::size_t t = patterns; t-- > 0;) {
+      patternWeights_[c * patterns + t] = v;
+      v = multiplyColumns(unload.data(), degree, v);
     }
   }
 }
 
-std::uint64_t MisrLinearModel::weight(unsigned line, std::size_t cycle) const {
-  SCANDIAG_REQUIRE(line < inputWidth_, "MISR line out of range");
-  SCANDIAG_REQUIRE(cycle < totalCycles_, "MISR cycle out of range");
-  return weights_[static_cast<std::size_t>(line) * totalCycles_ + cycle];
-}
-
-const std::uint64_t* MisrLinearModel::lineWeights(unsigned line) const {
-  SCANDIAG_REQUIRE(line < inputWidth_, "MISR line out of range");
-  return weights_.data() + static_cast<std::size_t>(line) * totalCycles_;
+std::uint64_t MisrLinearModel::cellSignature(std::size_t chain, std::size_t position,
+                                             const BitVector& errorStream) const {
+  SCANDIAG_REQUIRE(chain < chains_ && position < chainLength_ && errorStream.size() <= patterns_,
+                   "cell or error stream outside the MISR session");
+  const std::uint64_t* w = patternWeights_.data() + chain * patterns_;
+  std::uint64_t v = 0;
+  errorStream.forEachSet([&](std::size_t t) { v ^= w[t]; });
+  return multiplyColumns(powerColumns_.data() + (chainLength_ - 1 - position) * degree_, degree_,
+                         v);
 }
 
 double misrAliasingProbability(unsigned degree) {

@@ -11,8 +11,9 @@
 //     signature* depends only on the error bits, not on the good data;
 //   * the error signature of a set of failing cells is the XOR of the cells'
 //     individual error signatures.
-// MisrLinearModel precomputes the impulse weights A^(K-1-k)·e_c so a cell's
-// error signature costs one XOR per error bit.
+// MisrLinearModel factors the impulse weights A^(K-1-k)·x so a cell's error
+// signature costs one XOR per error bit plus one degree-column multiply, from
+// tables of O(chain length · degree + chains · patterns) words.
 #pragma once
 
 #include <cstdint>
@@ -47,44 +48,37 @@ class Misr {
   std::uint64_t state_ = 0;
 };
 
-/// Precomputed impulse responses of a Misr over a fixed session length.
-/// weight(line, cycle) is the final-signature contribution of a single 1 bit
-/// entering input `line` at clock `cycle` (0-based, K clocks total).
+/// Factored impulse response of a Misr over one session: `patterns` scan
+/// unloads of L = `chainLength` clocks each (K = patterns · L clocks). An
+/// error bit of the cell at position p of chain c in pattern t enters at
+/// clock k = t·L + p, so its final-signature weight factors as
+///     A^(K-1-k) · x_c = A^(L-1-p) · W[c][t],    W[c][t] = (A^L)^(T-1-t) · x_c
+/// where x_c is the input word chain c drives (its own line, or every line a
+/// space compactor folds it into). The model stores W (chains × patterns
+/// words) and the columns of A^r for r in [0, L) (L × degree words), built
+/// with L × degree register transitions.
 class MisrLinearModel {
  public:
-  MisrLinearModel(unsigned degree, std::uint64_t tapMask, unsigned inputWidth,
-                  std::size_t totalCycles);
+  /// chainInputs[c] = MISR input word of chain c (nonzero, within degree).
+  MisrLinearModel(unsigned degree, std::uint64_t tapMask, std::size_t chainLength,
+                  std::size_t patterns, const std::vector<std::uint64_t>& chainInputs);
 
-  std::size_t totalCycles() const { return totalCycles_; }
   unsigned degree() const { return degree_; }
 
-  std::uint64_t weight(unsigned line, std::size_t cycle) const;
-
-  /// Contiguous weight row of one input line (totalCycles() entries, indexed
-  /// by cycle). The batched scorer's per-cell contribution tables gather from
-  /// these rows directly, skipping the per-lookup range checks of weight().
-  const std::uint64_t* lineWeights(unsigned line) const;
-
-  /// Error signature of one cell: XOR of weight(line, cycleOf(pattern)) over
-  /// the set bits of `errorStream`. `cycleOfPattern(t)` must give the clock at
-  /// which the cell's bit of pattern t enters the MISR.
-  template <typename CycleOf>
-  std::uint64_t cellSignature(unsigned line, const BitVector& errorStream,
-                              CycleOf&& cycleOfPattern) const {
-    std::uint64_t sig = 0;
-    for (std::size_t t = errorStream.findFirst(); t != BitVector::npos;
-         t = errorStream.findNext(t)) {
-      sig ^= weight(line, cycleOfPattern(t));
-    }
-    return sig;
-  }
+  /// Error signature of the cell at (chain, position): the XOR of its
+  /// weights over the set bits of `errorStream` (indexed by pattern),
+  /// computed as one XOR of W per error bit and one multiply by A^(L-1-p).
+  /// A one-bit stream gives the weight of that single error bit.
+  std::uint64_t cellSignature(std::size_t chain, std::size_t position,
+                              const BitVector& errorStream) const;
 
  private:
   unsigned degree_;
-  unsigned inputWidth_;
-  std::size_t totalCycles_;
-  /// weights_[line * totalCycles + cycle]
-  std::vector<std::uint64_t> weights_;
+  std::size_t chainLength_;
+  std::size_t patterns_;
+  std::size_t chains_;
+  std::vector<std::uint64_t> patternWeights_;  // W[c][t] at [c * patterns + t]
+  std::vector<std::uint64_t> powerColumns_;    // A^r · e_j at [r * degree + j]
 };
 
 /// Theoretical aliasing probability of a degree-bit MISR: the chance that a

@@ -1,97 +1,46 @@
 #include "diagnosis/session_engine.hpp"
 
-#include <algorithm>
 #include <bit>
+#include <string>
 
 #include "bist/primitive_polys.hpp"
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
 
 namespace scandiag {
-namespace {
-
-/// Cap on the per-cell contribution table (numCells × numPatterns u64
-/// entries, 32 MiB at the cap). Topologies past it — none of the bundled
-/// benchmarks come close — fall back to the per-bit model path inside the
-/// batched scorer, which computes the same signatures without the table.
-constexpr std::size_t kMaxContributionEntries = std::size_t{1} << 22;
-
-}  // namespace
 
 SessionEngine::SessionEngine(const ScanTopology& topology, const SessionConfig& config)
     : topology_(&topology), config_(config) {
   SCANDIAG_REQUIRE(config.numPatterns >= 1, "session needs at least one pattern");
-}
-
-const MisrLinearModel& SessionEngine::model() const {
-  std::call_once(modelOnce_, [this] {
-    const unsigned degree =
-        config_.mode == SignatureMode::Misr ? config_.misrDegree : config_.pruneDegree;
-    const std::uint64_t taps =
-        config_.mode == SignatureMode::Misr && config_.misrTapMask
-            ? config_.misrTapMask
-            : primitiveTapMask(degree);
-    const std::size_t totalCycles = config_.numPatterns * topology_->maxChainLength();
-    const std::size_t lines =
-        config_.compactor ? config_.compactor->outputLines() : topology_->numChains();
-    if (config_.compactor) {
-      SCANDIAG_REQUIRE(config_.compactor->inputChains() == topology_->numChains(),
-                       "compactor width does not match topology");
-    }
-    model_ = std::make_unique<MisrLinearModel>(degree, taps, static_cast<unsigned>(lines),
-                                               totalCycles);
-  });
-  return *model_;
-}
-
-const std::uint64_t* SessionEngine::contributions() const {
-  std::call_once(contribOnce_, [this] {
-    const std::size_t numCells = topology_->numCells();
-    const std::size_t patterns = config_.numPatterns;
-    if (numCells == 0 || numCells > kMaxContributionEntries / patterns) return;
-    const MisrLinearModel& misr = model();
-    const std::size_t chainLen = topology_->maxChainLength();
-    contrib_.assign(numCells * patterns, 0);
-    for (std::size_t cell = 0; cell < numCells; ++cell) {
-      const ScanTopology::CellLoc loc = topology_->location(cell);
-      std::uint64_t* out = contrib_.data() + cell * patterns;
-      const auto fold = [&](unsigned line) {
-        const std::uint64_t* w = misr.lineWeights(line);
-        for (std::size_t t = 0; t < patterns; ++t) out[t] ^= w[t * chainLen + loc.position];
-      };
-      if (!config_.compactor) {
-        fold(static_cast<unsigned>(loc.chain));
-      } else {
-        std::uint64_t column = config_.compactor->columnMask(loc.chain);
-        while (column) {
-          fold(static_cast<unsigned>(std::countr_zero(column)));
-          column &= column - 1;
-        }
-      }
-    }
-    contribReady_ = true;
-  });
-  return contribReady_ ? contrib_.data() : nullptr;
+  if (config.mode != SignatureMode::Misr && !config.computeSignatures) return;
+  const bool misr = config.mode == SignatureMode::Misr;
+  const unsigned degree = misr ? config.misrDegree : config.pruneDegree;
+  const std::uint64_t taps =
+      misr && config.misrTapMask ? config.misrTapMask : primitiveTapMask(degree);
+  const SpaceCompactor* compactor = config.compactor;
+  if (compactor) {
+    SCANDIAG_REQUIRE(compactor->inputChains() == topology.numChains(),
+                     "compactor width does not match topology");
+  }
+  const std::size_t lines = compactor ? compactor->outputLines() : topology.numChains();
+  SCANDIAG_REQUIRE(lines <= degree, "a " + std::to_string(degree) +
+                                        "-bit signature register takes at most " +
+                                        std::to_string(degree) + " scan-out lines, not " +
+                                        std::to_string(lines));
+  // Chain c drives its own MISR line, or every line the compactor folds it
+  // into.
+  std::vector<std::uint64_t> inputs(topology.numChains());
+  for (std::size_t c = 0; c < inputs.size(); ++c) {
+    inputs[c] = compactor ? compactor->columnMask(c) : std::uint64_t{1} << c;
+  }
+  model_.emplace(degree, taps, topology.maxChainLength(), config.numPatterns, inputs);
 }
 
 std::uint64_t SessionEngine::cellErrorSignature(std::size_t cell,
                                                 const BitVector& errorStream) const {
+  SCANDIAG_REQUIRE(model_.has_value(), "this session configuration computes no signatures");
   const ScanTopology::CellLoc loc = topology_->location(cell);
-  const std::size_t chainLen = topology_->maxChainLength();
-  const auto cycleOf = [&](std::size_t t) { return t * chainLen + loc.position; };
-  if (!config_.compactor) {
-    return model().cellSignature(static_cast<unsigned>(loc.chain), errorStream, cycleOf);
-  }
-  // Through a space compactor the cell's error bit enters every MISR line its
-  // chain feeds; by linearity the signatures XOR.
-  std::uint64_t sig = 0;
-  std::uint64_t column = config_.compactor->columnMask(loc.chain);
-  while (column) {
-    const unsigned line = static_cast<unsigned>(std::countr_zero(column));
-    column &= column - 1;
-    sig ^= model().cellSignature(line, errorStream, cycleOf);
-  }
-  return sig;
+  return model_->cellSignature(loc.chain, loc.position, errorStream);
 }
 
 PartitionVerdictRow SessionEngine::computeRow(const Partition& partition,
@@ -125,35 +74,19 @@ PartitionVerdictRow SessionEngine::computeRow(const Partition& partition,
 
 void SessionEngine::prepareCells(const FaultResponse& response, bool needSignatures,
                                  BitVector& failingPositions, std::vector<std::size_t>& cellPos,
-                                 std::vector<std::uint64_t>& cellSig,
-                                 const std::uint64_t* contribTable) const {
+                                 std::vector<std::uint64_t>& cellSig) const {
   // Positions holding at least one failing cell (drives exact verdicts).
   failingPositions = topology_->collapseCells(response.failingCells);
   // Per failing cell: chain position and (optionally) error signature.
   const std::size_t numFailing = response.failingCellOrdinals.size();
   cellPos.assign(numFailing, 0);
   cellSig.assign(numFailing, 0);
-  const std::size_t patterns = config_.numPatterns;
   std::uint64_t hashedWords = 0;
   for (std::size_t i = 0; i < numFailing; ++i) {
-    const std::size_t cell = response.failingCellOrdinals[i];
-    cellPos[i] = topology_->location(cell).position;
+    const ScanTopology::CellLoc loc = topology_->location(response.failingCellOrdinals[i]);
+    cellPos[i] = loc.position;
     if (needSignatures) {
-      if (contribTable) {
-        // Precomputed gather: one XOR per error bit, weights already folded
-        // through the compactor. Bit-identical to cellErrorSignature (same
-        // XOR sum, associativity aside).
-        const std::uint64_t* w = contribTable + cell * patterns;
-        const BitVector& stream = response.errorStreams[i];
-        std::uint64_t sig = 0;
-        for (std::size_t t = stream.findFirst(); t != BitVector::npos;
-             t = stream.findNext(t)) {
-          sig ^= w[t];
-        }
-        cellSig[i] = sig;
-      } else {
-        cellSig[i] = cellErrorSignature(cell, response.errorStreams[i]);
-      }
+      cellSig[i] = model_->cellSignature(loc.chain, loc.position, response.errorStreams[i]);
       hashedWords += response.errorStreams[i].wordCount();
     }
   }
@@ -169,20 +102,18 @@ GroupVerdicts SessionEngine::runImpl(const std::vector<Partition>& partitions,
   // the single-fault API (DiagnosisPipeline::diagnose) and in runPartition
   // (the per-partition retry path), where a call does enough work to
   // amortize the clock reads.
-  const bool needSignatures =
-      config_.mode == SignatureMode::Misr || config_.computeSignatures;
+  const bool needSignatures = model_.has_value();
 
   BitVector failingPositions;
   std::vector<std::size_t> cellPos;
   std::vector<std::uint64_t> cellSig;
-  prepareCells(response, needSignatures, failingPositions, cellPos, cellSig, nullptr);
+  prepareCells(response, needSignatures, failingPositions, cellPos, cellSig);
 
   GroupVerdicts verdicts;
   verdicts.failing.reserve(partitions.size());
   if (needSignatures) {
     verdicts.hasSignatures = true;
-    verdicts.signatureDegree =
-        config_.mode == SignatureMode::Misr ? config_.misrDegree : config_.pruneDegree;
+    verdicts.signatureDegree = model_->degree();
     verdicts.errorSig.reserve(partitions.size());
   }
 
@@ -208,15 +139,14 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
   SCANDIAG_REQUIRE(prepared.partition(0).length() == topology_->maxChainLength(),
                    "partition length does not match topology");
   // Same no-PhaseScope rule as runImpl: per-fault hot path.
-  const bool needSignatures =
-      config_.mode == SignatureMode::Misr || config_.computeSignatures;
+  const bool needSignatures = model_.has_value();
   const std::size_t numPartitions = prepared.size();
   const std::size_t total = prepared.totalGroups();
 
   SessionBatchScratch local;
   SessionBatchScratch& s = scratch ? *scratch : local;
   if (needSignatures) {
-    prepareCells(response, true, s.failingPositions, s.cellPos, s.cellSig, contributions());
+    prepareCells(response, true, s.failingPositions, s.cellPos, s.cellSig);
   } else {
     // Exact verdicts need only the collapsed failing positions; skip the
     // per-cell position/signature pass entirely (the reference path keeps it
@@ -279,8 +209,7 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
   verdicts.failing.reserve(numPartitions);
   if (needSignatures) {
     verdicts.hasSignatures = true;
-    verdicts.signatureDegree =
-        config_.mode == SignatureMode::Misr ? config_.misrDegree : config_.pruneDegree;
+    verdicts.signatureDegree = model_->degree();
     verdicts.errorSig.reserve(numPartitions);
   }
   for (std::size_t p = 0; p < numPartitions; ++p) {
@@ -353,12 +282,11 @@ PartitionVerdictRow SessionEngine::runPartitionImpl(
   obs::PhaseScope phase(obs::Phase::SignatureCompare);
   obs::count(obs::Counter::PartitionsEvaluated);
   obs::count(obs::Counter::SessionsRun, partition.groupCount());
-  const bool needSignatures =
-      config_.mode == SignatureMode::Misr || config_.computeSignatures;
+  const bool needSignatures = model_.has_value();
   BitVector failingPositions;
   std::vector<std::size_t> cellPos;
   std::vector<std::uint64_t> cellSig;
-  prepareCells(response, needSignatures, failingPositions, cellPos, cellSig, nullptr);
+  prepareCells(response, needSignatures, failingPositions, cellPos, cellSig);
   return computeRow(partition, failingPositions, cellPos, cellSig, needSignatures, groupTable);
 }
 

@@ -16,7 +16,10 @@
 //
 // Error signatures are also the input to the superposition pruner; in exact
 // mode they can be computed on the side with a wider register so pruning
-// stays available without injecting aliasing into the verdicts.
+// stays available without injecting aliasing into the verdicts. Whenever
+// signatures are needed the constructor builds the factored MisrLinearModel
+// (O(chain length · degree) words, bist/misr.hpp); every path computes a
+// cell's signature through it, and the engine is immutable afterwards.
 //
 // Two scorers produce these verdicts:
 //
@@ -37,8 +40,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "bist/misr.hpp"
@@ -140,23 +142,16 @@ class SessionEngine {
   PartitionVerdictRow runPartition(const PreparedPartitionSet& prepared, std::size_t index,
                                    const FaultResponse& response) const;
 
-  /// Per-cell error signature of one failing cell (line = its chain, cycle =
-  /// pattern * maxChainLength + position). Exposed for tests.
+  /// Per-cell error signature of one failing cell (its bit of pattern t
+  /// enters at cycle t * maxChainLength + position) — the one signature
+  /// function of the batched, reference and retry paths. Requires a
+  /// signature mode. Exposed for tests.
   std::uint64_t cellErrorSignature(std::size_t cell, const BitVector& errorStream) const;
 
  private:
-  const MisrLinearModel& model() const;
-  /// Per-cell signature-contribution table: contributions()[cell * patterns
-  /// + t] is the final-signature weight of an error in `cell` at pattern t
-  /// (compactor columns folded in). Built once per engine under call_once;
-  /// null when the topology is too large for the table (the batched scorer
-  /// then computes signatures through the per-bit model path — identical
-  /// values, just without the precomputed gather).
-  const std::uint64_t* contributions() const;
   void prepareCells(const FaultResponse& response, bool needSignatures,
                     BitVector& failingPositions, std::vector<std::size_t>& cellPos,
-                    std::vector<std::uint64_t>& cellSig,
-                    const std::uint64_t* contribTable) const;
+                    std::vector<std::uint64_t>& cellSig) const;
   /// `groupTable` may be null: signature bucketing then rebuilds the table
   /// from the partition (the non-prepared fallback path).
   PartitionVerdictRow computeRow(const Partition& partition, const BitVector& failingPositions,
@@ -172,14 +167,10 @@ class SessionEngine {
 
   const ScanTopology* topology_;
   SessionConfig config_;
-  // Lazy (big precompute, only needed in signature modes); call_once so
-  // concurrent run() calls from the thread pool race-freely share one model.
-  mutable std::once_flag modelOnce_;
-  mutable std::unique_ptr<MisrLinearModel> model_;
-  // Lazy per-cell contribution table (batched scorer); same sharing rule.
-  mutable std::once_flag contribOnce_;
-  mutable std::vector<std::uint64_t> contrib_;
-  mutable bool contribReady_ = false;
+  // Built in the constructor iff signatures are computed (MISR mode or
+  // computeSignatures); immutable afterwards, so pool workers share it
+  // read-only.
+  std::optional<MisrLinearModel> model_;
 };
 
 }  // namespace scandiag

@@ -71,7 +71,8 @@ enum class Counter : unsigned {
   JournalRecordsReplayed,   // checkpoint records replayed from a prior run
   WatchdogCancels,          // watchdog deadline trips (cancellation requested)
   BatchedGroupScores,       // group verdicts produced by the batched scorer
-  BatchContribCells,        // per-cell contributions folded by the batched scorer
+  BatchContribCells,        // batched scoreboard updates: cell × partition XORs,
+                            // position × partition ORs (exact verdicts)
   ServeRequestsOk,          // serve: diagnosis requests answered Ok
   ServeRequestsShed,        // serve: connections shed BUSY at admission
   ServeDeadlineDegraded,    // serve: requests degraded to a partial DEADLINE reply

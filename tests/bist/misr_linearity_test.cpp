@@ -1,12 +1,11 @@
 // Property harness for the GF(2) linearity the batched MISR scorer rests on
-// (docs/ARCHITECTURE.md §11). Three properties, each swept over seeded random
+// (docs/ARCHITECTURE.md §11). Two properties, each swept over seeded random
 // cases across primitive polynomials, input widths, and chain lengths:
 //
 //   1. Superposition: sig(a ^ b) == sig(a) ^ sig(b) for the clocked register.
 //   2. Per-cell contributions reconstruct the full session: XOR-ing each
 //      cell's model-computed error signature equals one clocked MISR run over
 //      the combined multi-chain error stream.
-//   3. The model's contiguous weight rows (lineWeights) agree with weight().
 //
 // These are the *algebraic* preconditions of runBatched(); the end-to-end
 // scorer parity lives in tests/diagnosis/batched_parity_test.cpp.
@@ -72,8 +71,9 @@ TEST(MisrLinearity, CellContributionsReconstructFullSessionSignature) {
       const std::size_t patterns = 1 + rng.nextBelow(24);
       const ScanTopology topo = ScanTopology::blockChains(numCells, numChains);
       const std::size_t chainLen = topo.maxChainLength();
-      const MisrLinearModel model(degree, taps, static_cast<unsigned>(topo.numChains()),
-                                  patterns * chainLen);
+      std::vector<std::uint64_t> chainLines(topo.numChains());
+      for (std::size_t c = 0; c < chainLines.size(); ++c) chainLines[c] = std::uint64_t{1} << c;
+      const MisrLinearModel model(degree, taps, chainLen, patterns, chainLines);
 
       // Sparse random error streams, one per cell (most cells clean).
       std::vector<BitVector> errors(numCells, BitVector(patterns));
@@ -102,9 +102,7 @@ TEST(MisrLinearity, CellContributionsReconstructFullSessionSignature) {
       std::uint64_t sum = 0;
       for (std::size_t cell = 0; cell < numCells; ++cell) {
         const ScanTopology::CellLoc loc = topo.location(cell);
-        sum ^= model.cellSignature(
-            static_cast<unsigned>(loc.chain), errors[cell],
-            [&](std::size_t t) { return t * chainLen + loc.position; });
+        sum ^= model.cellSignature(loc.chain, loc.position, errors[cell]);
       }
       ASSERT_EQ(sum, m.signature())
           << "degree " << degree << " seed " << seed << " chains " << numChains
@@ -113,19 +111,6 @@ TEST(MisrLinearity, CellContributionsReconstructFullSessionSignature) {
     }
   }
   EXPECT_GE(cases, 30);
-}
-
-TEST(MisrLinearity, LineWeightRowsMatchWeightLookups) {
-  const unsigned degree = 16, width = 5;
-  const std::size_t cycles = 97;
-  const MisrLinearModel model(degree, primitiveTapMask(degree), width, cycles);
-  for (unsigned line = 0; line < width; ++line) {
-    const std::uint64_t* row = model.lineWeights(line);
-    for (std::size_t k = 0; k < cycles; ++k) {
-      ASSERT_EQ(row[k], model.weight(line, k)) << "line " << line << " cycle " << k;
-    }
-  }
-  EXPECT_THROW(model.lineWeights(width), std::invalid_argument);
 }
 
 TEST(MisrLinearity, UnionOfCellDisjointFaultsIsXorOfComponentSignatures) {
@@ -208,10 +193,10 @@ TEST(MisrLinearity, UnionOfCellDisjointFaultsIsXorOfComponentSignatures) {
 
 TEST(MisrLinearity, EmptyErrorStreamContributesZero) {
   // The additive identity: a clean cell must not perturb any batched sum.
-  const MisrLinearModel model(16, primitiveTapMask(16), 2, 40);
+  const MisrLinearModel model(16, primitiveTapMask(16), 4, 10, {1, 2});
   const BitVector empty(10);
-  EXPECT_EQ(model.cellSignature(0, empty, [](std::size_t t) { return t * 4; }), 0u);
-  EXPECT_EQ(model.cellSignature(1, empty, [](std::size_t t) { return t * 4 + 3; }), 0u);
+  EXPECT_EQ(model.cellSignature(0, 0, empty), 0u);
+  EXPECT_EQ(model.cellSignature(1, 3, empty), 0u);
 }
 
 }  // namespace

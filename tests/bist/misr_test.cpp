@@ -82,16 +82,36 @@ TEST(Misr, InvalidConfigRejected) {
 }
 
 TEST(MisrLinearModel, WeightsMatchImpulseInjection) {
-  const unsigned degree = 12, width = 4;
-  const std::uint64_t taps = primitiveTapMask(degree);
-  const std::size_t K = 37;
-  const MisrLinearModel model(degree, taps, width, K);
-  for (unsigned line = 0; line < width; ++line) {
-    for (std::size_t cycle = 0; cycle < K; cycle += 5) {
-      Misr m(degree, taps, width);
-      for (std::size_t k = 0; k < K; ++k) m.clock(k == cycle ? (1ull << line) : 0);
-      EXPECT_EQ(model.weight(line, cycle), m.signature())
-          << "line " << line << " cycle " << cycle;
+  // The weight of every single error bit (a one-bit stream) equals clocking a
+  // real MISR with that one impulse at cycle t * L + p. Pattern counts span a
+  // 64-bit word boundary (and T >= 2 exercises the whole-unload power A^L);
+  // registers run from the narrowest to the widest degree. The last chain
+  // feeds two lines, as a space compactor column does.
+  struct Register {
+    unsigned degree;
+    std::uint64_t taps;
+  };
+  const std::size_t L = 5;
+  for (const Register reg : {Register{2, 0b11}, Register{12, primitiveTapMask(12)},
+                             Register{63, (std::uint64_t{3} << 61) | 1}}) {
+    const std::vector<std::uint64_t> inputs{0b01, 0b10, 0b11};
+    for (const std::size_t patterns : {63u, 64u, 65u}) {
+      const MisrLinearModel model(reg.degree, reg.taps, L, patterns, inputs);
+      for (std::size_t chain = 0; chain < inputs.size(); ++chain) {
+        for (std::size_t pos = 0; pos < L; ++pos) {
+          for (std::size_t t = 0; t < patterns; t += 3) {
+            BitVector bit(patterns);
+            bit.set(t);
+            Misr m(reg.degree, reg.taps, 2);
+            for (std::size_t k = 0; k < patterns * L; ++k) {
+              m.clock(k == t * L + pos ? inputs[chain] : 0);
+            }
+            ASSERT_EQ(model.cellSignature(chain, pos, bit), m.signature())
+                << "degree " << reg.degree << " patterns " << patterns << " chain " << chain
+                << " position " << pos << " pattern " << t;
+          }
+        }
+      }
     }
   }
 }
@@ -102,29 +122,36 @@ TEST(MisrLinearModel, CellSignatureMatchesFullRun) {
   // over the full masked stream.
   const unsigned degree = 16;
   const std::uint64_t taps = primitiveTapMask(degree);
-  const std::size_t L = 10, patterns = 8, pos = 3;
-  const MisrLinearModel model(degree, taps, 1, L * patterns);
+  const std::size_t L = 10, pos = 3;
+  for (const std::size_t patterns : {63u, 64u, 65u}) {
+    const MisrLinearModel model(degree, taps, L, patterns, {1});
 
-  Xoroshiro128 rng(5);
-  BitVector errorStream(patterns);
-  for (std::size_t t = 0; t < patterns; ++t)
-    if (rng.nextBool()) errorStream.set(t);
+    Xoroshiro128 rng(5 + patterns);
+    BitVector errorStream(patterns);
+    for (std::size_t t = 0; t < patterns; ++t)
+      if (rng.nextBool()) errorStream.set(t);
+    errorStream.set(patterns - 1);
 
-  Misr m(degree, taps, 1);
-  for (std::size_t t = 0; t < patterns; ++t) {
-    for (std::size_t p = 0; p < L; ++p) {
-      m.clock((p == pos && errorStream.test(t)) ? 1 : 0);
+    Misr m(degree, taps, 1);
+    for (std::size_t t = 0; t < patterns; ++t) {
+      for (std::size_t p = 0; p < L; ++p) {
+        m.clock((p == pos && errorStream.test(t)) ? 1 : 0);
+      }
     }
+    EXPECT_EQ(model.cellSignature(0, pos, errorStream), m.signature()) << patterns;
   }
-  const std::uint64_t viaModel =
-      model.cellSignature(0, errorStream, [&](std::size_t t) { return t * L + pos; });
-  EXPECT_EQ(viaModel, m.signature());
 }
 
 TEST(MisrLinearModel, BoundsChecked) {
-  const MisrLinearModel model(8, primitiveTapMask(8), 2, 10);
-  EXPECT_THROW(model.weight(2, 0), std::invalid_argument);
-  EXPECT_THROW(model.weight(0, 10), std::invalid_argument);
+  const std::uint64_t taps = primitiveTapMask(8);
+  const MisrLinearModel model(8, taps, 5, 10, {1, 2});
+  EXPECT_THROW(model.cellSignature(2, 0, BitVector(10)), std::invalid_argument);
+  EXPECT_THROW(model.cellSignature(0, 5, BitVector(10)), std::invalid_argument);
+  EXPECT_THROW(model.cellSignature(0, 0, BitVector(11)), std::invalid_argument);
+  EXPECT_THROW(MisrLinearModel(8, taps, 5, 10, {0}), std::invalid_argument);
+  EXPECT_THROW(MisrLinearModel(8, taps, 5, 10, {std::uint64_t{1} << 8}), std::invalid_argument);
+  EXPECT_THROW(MisrLinearModel(8, taps, 0, 10, {1}), std::invalid_argument);
+  EXPECT_THROW(MisrLinearModel(8, taps, 5, 0, {1}), std::invalid_argument);
 }
 
 TEST(Misr, AliasingIsPossibleButRare) {

@@ -33,7 +33,7 @@
 //                     with --prune and the `partitions` command)
 //   --partitions N    (default 8)      --groups N      (default 16)
 //   --patterns N      (default 128)    --faults N      (default 500)
-//   --chains N        (default 1)      --prune         (off by default)
+//   --chains N        (default 1)      --prune         (off; <= 32 chains)
 //   --seed N          (fault-sample seed, default 0xFA17)
 //   --threads N       (worker threads for the per-fault loops; default
 //                      SCANDIAG_THREADS, else all hardware threads; results
@@ -239,6 +239,16 @@ DiagnosisConfig configFrom(const Args& args) {
   c.numPatterns = args.getN("patterns", 128);
   c.pruning = args.getFlag("prune");
   return c;
+}
+
+/// --prune feeds every scan chain into its own line of the pruning signature
+/// register, so it cannot run on more chains than the register is wide.
+/// Checked before any circuit is simulated.
+void requirePruneWidth(const DiagnosisConfig& config, std::size_t chains) {
+  if (!config.pruning || chains <= config.pruneDegree) return;
+  throw std::invalid_argument("--prune supports at most " + std::to_string(config.pruneDegree) +
+                              " scan chains (the width of its signature register), not " +
+                              std::to_string(chains));
 }
 
 /// Noise model requested on the command line; nullopt when no noise flag given.
@@ -559,6 +569,7 @@ int drDefects(const Netlist& nl, const Args& args) {
 }
 
 int cmdDr(const Args& args) {
+  requirePruneWidth(configFrom(args), args.getN("chains", 1));
   Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
   if (args.options.count("defects")) return drDefects(nl, args);
   if (const std::optional<NoiseConfig> noise = noiseFrom(args)) return drNoisy(nl, args, *noise);
@@ -781,6 +792,7 @@ int cmdSocDr(const Args& args) {
                         : configFrom(args);
   config.numPartitions = args.getN("partitions", config.numPartitions);
   config.groupsPerPartition = args.getN("groups", config.groupsPerPartition);
+  requirePruneWidth(config, soc.topology().numChains());
 
   if (args.options.count("defects")) return socDrDefects(args, soc, workload, config);
 
@@ -955,12 +967,12 @@ int cmdPartitions(const Args& args) {
 int cmdServe(const Args& args) {
   const std::string socketPath = args.get("socket", "");
   if (socketPath.empty()) throw std::invalid_argument("serve needs --socket <path>");
-  Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
-
   serve::ServiceConfig serviceConfig;
   serviceConfig.diagnosis = configFrom(args);
   serviceConfig.numChains = args.getN("chains", 1);
   serviceConfig.simulators = args.getN("sims", 1);
+  requirePruneWidth(serviceConfig.diagnosis, serviceConfig.numChains);
+  Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
 
   serve::ServeOptions options;
   options.socketPath = socketPath;
