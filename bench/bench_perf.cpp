@@ -308,14 +308,14 @@ ScorerComparison measureScorerSpeedup(
   ScorerComparison cmp;
   cmp.sessionsPerSweep = responses.size() * prepared.totalGroups();
   SessionBatchScratch scratch;
-  // Warm-up both paths once (prepared tables are already built; this warms
-  // caches and, in signature configs, the lazy model/contribution tables).
+  // Warm-up both paths once (prepared tables and the signature model are
+  // already built; this warms caches).
   sweepMillis([&](const FaultResponse& r) { return engine.runReference(prepared, r); });
   cmp.referenceMillis =
       sweepMillis([&](const FaultResponse& r) { return engine.runReference(prepared, r); });
-  sweepMillis([&](const FaultResponse& r) { return engine.runBatched(prepared, r, &scratch); });
+  sweepMillis([&](const FaultResponse& r) { return engine.run(prepared, r, &scratch); });
   cmp.batchedMillis =
-      sweepMillis([&](const FaultResponse& r) { return engine.runBatched(prepared, r, &scratch); });
+      sweepMillis([&](const FaultResponse& r) { return engine.run(prepared, r, &scratch); });
   cmp.referenceSessionsPerSec =
       1000.0 * static_cast<double>(cmp.sessionsPerSweep) / cmp.referenceMillis;
   cmp.batchedSessionsPerSec =

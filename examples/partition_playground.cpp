@@ -68,17 +68,15 @@ int main(int argc, char** argv) {
   const SessionEngine engine(topology, sessionConfig);
   const CandidateAnalyzer analyzer(topology);
 
-  // One interval-based partition.
-  IntervalPartitioner interval(IntervalPartitionerConfig{LfsrConfig{16, 0}, 0, 0xBEEF},
-                               topology.maxChainLength(), 4);
+  // One interval-based partition, on the selector hardware's LFSR and seed.
+  IntervalPartitioner interval(IntervalPartitionerConfig{}, topology.maxChainLength(), 4);
   const std::vector<Partition> ip{interval.next()};
   const GroupVerdicts iv = engine.run(ip, response);
   showPartition("interval-based partitioning (4 groups):", ip[0], iv,
                 analyzer.analyze(ip, iv), response);
 
-  // One random-selection partition.
-  RandomSelectionPartitioner random(RandomSelectionConfig{LfsrConfig{16, 0}, 0xACE1},
-                                    topology.maxChainLength(), 4);
+  // One random-selection partition, on the selector hardware's LFSR and seed.
+  RandomSelectionPartitioner random(RandomSelectionConfig{}, topology.maxChainLength(), 4);
   const std::vector<Partition> rp{random.next()};
   const GroupVerdicts rv = engine.run(rp, response);
   showPartition("random-selection partitioning (4 groups):", rp[0], rv,

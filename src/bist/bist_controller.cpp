@@ -31,14 +31,13 @@ std::uint64_t BistController::runSession(const PatternSet& patterns,
   const bool dffPinFault =
       fault && !fault->isOutputFault() && netlist_->gate(fault->gate).type == GateType::Dff;
 
-  const std::uint64_t taps =
-      config_.misrTapMask ? config_.misrTapMask : primitiveTapMask(config_.misrDegree);
   const std::size_t lines = config_.compactor ? config_.compactor->outputLines() : W;
   if (config_.compactor) {
     SCANDIAG_REQUIRE(config_.compactor->inputChains() == W,
                      "compactor width does not match topology");
   }
-  Misr misr(config_.misrDegree, taps, static_cast<unsigned>(lines));
+  Misr misr(config_.misrDegree, primitiveTapMask(config_.misrDegree),
+            static_cast<unsigned>(lines));
 
   // Chain contents; padded positions (beyond a chain's length) stay 0.
   std::vector<std::vector<std::uint8_t>> chain(W, std::vector<std::uint8_t>(L, 0));

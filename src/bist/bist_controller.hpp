@@ -33,8 +33,8 @@ namespace scandiag {
 
 struct BistControllerConfig {
   std::size_t numPatterns = 16;
+  /// MISR width; taps are primitiveTapMask(misrDegree), as in SessionEngine.
   unsigned misrDegree = 16;
-  std::uint64_t misrTapMask = 0;  // 0 = primitive polynomial
   /// Optional space compactor between scan-out and MISR (must outlive the
   /// controller). Null = one MISR input per chain.
   const SpaceCompactor* compactor = nullptr;

@@ -12,9 +12,9 @@ Diagnoser::Diagnoser(Netlist netlist, DiagnoserOptions options)
       options_(std::move(options)),
       topology_(ScanTopology::blockChains(netlist_.dffs().size(),
                                           std::max<std::size_t>(options_.numChains, 1))),
+      pipeline_(topology_, options_.diagnosis),
       patterns_(generatePatterns(netlist_, options_.diagnosis.numPatterns)),
-      faultSim_(netlist_, patterns_),
-      pipeline_(topology_, options_.diagnosis) {}
+      faultSim_(netlist_, patterns_) {}
 
 const std::vector<Partition>& Diagnoser::partitions() const { return pipeline_.partitions(); }
 

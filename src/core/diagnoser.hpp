@@ -70,9 +70,11 @@ class Diagnoser {
   Netlist netlist_;
   DiagnoserOptions options_;
   ScanTopology topology_;
+  // Before the simulator, so a schedule the scheme cannot build on this
+  // topology is refused before any simulation.
+  DiagnosisPipeline pipeline_;
   PatternSet patterns_;
   FaultSimulator faultSim_;
-  DiagnosisPipeline pipeline_;
 };
 
 }  // namespace scandiag

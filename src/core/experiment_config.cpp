@@ -12,7 +12,6 @@ DiagnosisConfig base(SchemeKind scheme, std::size_t partitions, std::size_t grou
   c.groupsPerPartition = groups;
   c.numPatterns = patterns;
   c.pruning = pruning;
-  c.schemeConfig.lfsr = LfsrConfig{/*degree=*/16, /*tapMask=*/0};  // paper: degree-16 primitive
   return c;
 }
 

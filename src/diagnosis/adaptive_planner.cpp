@@ -22,12 +22,21 @@ constexpr double kIntervalPrior = 0.1;
 /// (afterwards the max observed failing-group count takes over).
 constexpr std::size_t kSpreadPrior = 2;
 
-/// Seed of random-selection stream k: the base seed advanced by k odd
+/// Interval candidates in the pool: successive covering seeds, the same rule
+/// as the fixed interval scheme.
+constexpr std::size_t kPoolIntervalCandidates = 2;
+
+/// Random-selection seed streams in the pool (see poolSeed).
+constexpr std::size_t kPoolSeedStreams = 3;
+
+/// Seed of random-selection stream k: the selector's seed advanced by k odd
 /// strides, masked to the LFSR width and bumped off the stuck all-zero state.
-/// Stream 0 is the base seed itself — identical to the fixed schemes' stream.
-std::uint64_t poolSeed(std::uint64_t base, std::size_t k, unsigned degree) {
+/// Stream 0 is kRandomSelectionSeed itself — identical to the fixed schemes'
+/// stream.
+std::uint64_t poolSeed(std::size_t k, unsigned degree) {
   const std::uint64_t mask = degree >= 64 ? ~0ULL : ((std::uint64_t{1} << degree) - 1);
-  const std::uint64_t s = (base + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(k)) & mask;
+  const std::uint64_t s =
+      (kRandomSelectionSeed + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(k)) & mask;
   return s == 0 ? 1 : s;
 }
 
@@ -43,16 +52,15 @@ AdaptivePlanner::AdaptivePlanner(const ScanTopology& topology, const DiagnosisCo
         "superposition pruning is incompatible with the adaptive scheme: pruning needs the "
         "XOR-signature algebra of a schedule fixed up front");
   }
-  const AdaptivePoolConfig& opts = config.schemeConfig.adaptive;
   const std::size_t chainLength = topology.maxChainLength();
   SCANDIAG_REQUIRE(chainLength >= 1, "empty selection axis");
 
-  budget_ = opts.sessionBudget != 0 ? opts.sessionBudget
-                                    : config.numPartitions * config.groupsPerPartition;
+  // Equal tester time to the fixed schedule the planner replaces.
+  budget_ = config.numPartitions * config.groupsPerPartition;
   SCANDIAG_REQUIRE(budget_ >= 1, "adaptive session budget must be positive");
 
   std::vector<Partition> candidates;
-  if (opts.forceFixedOrder) {
+  if (config.schemeConfig.adaptive.forceFixedOrder) {
     // Parity mode: the pool *is* the fixed TwoStep schedule, taken in order.
     auto scheme = makeScheme(SchemeKind::TwoStep, config.schemeConfig, chainLength,
                              config.groupsPerPartition);
@@ -63,9 +71,6 @@ AdaptivePlanner::AdaptivePlanner(const ScanTopology& topology, const DiagnosisCo
       kinds_[p] = PoolKind::Interval;
     }
   } else {
-    if (opts.intervalCandidates == 0 && opts.seedPool == 0) {
-      throw std::invalid_argument("adaptive pool is empty: need interval or random candidates");
-    }
     // The group count, clamped to the chain and normalized to a power of two
     // (random-selection labels are bit fields) — the same shape
     // recommendGroupCount() produces.
@@ -74,20 +79,15 @@ AdaptivePlanner::AdaptivePlanner(const ScanTopology& topology, const DiagnosisCo
     // Enough random candidates per stream that the pool never runs dry before
     // the budget does, whatever the scorer picks.
     const std::size_t maxSteps = std::max<std::size_t>(budget_ / groups, 1);
-    IntervalPartitioner intervals(
-        IntervalPartitionerConfig{config.schemeConfig.lfsr, config.schemeConfig.rlen,
-                                  config.schemeConfig.intervalStartSeed},
-        chainLength, groups);
-    for (std::size_t i = 0; i < opts.intervalCandidates; ++i) {
+    IntervalPartitioner intervals(IntervalPartitionerConfig{}, chainLength, groups);
+    for (std::size_t i = 0; i < kPoolIntervalCandidates; ++i) {
       candidates.push_back(intervals.next());
       kinds_.push_back(PoolKind::Interval);
     }
-    for (std::size_t k = 0; k < opts.seedPool; ++k) {
-      RandomSelectionPartitioner randoms(
-          RandomSelectionConfig{
-              config.schemeConfig.lfsr,
-              poolSeed(config.schemeConfig.randomSeed, k, config.schemeConfig.lfsr.degree)},
-          chainLength, groups);
+    for (std::size_t k = 0; k < kPoolSeedStreams; ++k) {
+      RandomSelectionConfig stream;
+      stream.seed = poolSeed(k, stream.lfsr.degree);
+      RandomSelectionPartitioner randoms(stream, chainLength, groups);
       for (std::size_t i = 0; i < maxSteps; ++i) {
         candidates.push_back(randoms.next());
         kinds_.push_back(PoolKind::Random);
@@ -95,7 +95,6 @@ AdaptivePlanner::AdaptivePlanner(const ScanTopology& topology, const DiagnosisCo
     }
   }
   pool_ = PreparedPartitionSet(std::move(candidates));
-  SCANDIAG_REQUIRE(pool_.batchReady(), "adaptive pool must have the batch layout");
 }
 
 double AdaptivePlanner::scoreCandidate(std::size_t index, const std::vector<std::uint32_t>& counts,
@@ -140,7 +139,7 @@ double AdaptivePlanner::scoreCandidate(std::size_t index, const std::vector<std:
 
 AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
                                      const RowObserver& observer) const {
-  const AdaptivePoolConfig& opts = config_.schemeConfig.adaptive;
+  const bool forceFixedOrder = config_.schemeConfig.adaptive.forceFixedOrder;
   const std::size_t length = topology_->maxChainLength();
   const std::size_t poolSize = pool_.size();
 
@@ -155,7 +154,7 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
   for (;;) {
     const std::size_t before = survivors.count();
     std::size_t pick = BitVector::npos;
-    if (opts.forceFixedOrder) {
+    if (forceFixedOrder) {
       // Parity mode: the fixed schedule, in order, while the budget lasts.
       const std::size_t next = out.chosen.size();
       if (next >= poolSize) break;

@@ -5,11 +5,12 @@
 // information the fixed schedule throws away. AdaptivePlanner closes that
 // loop per fault:
 //
-//   1. A *candidate pool* of partitions is built once per pipeline (interval
-//      partitions with successive covering seeds, plus random-selection
-//      partitions from a small deterministic seed pool, all at the
-//      configured group count) and prepared like any fixed schedule, so
-//      scoring can use the transposed position→group batch layout.
+//   1. A *candidate pool* of partitions is built once per pipeline (two
+//      interval partitions with successive covering seeds, plus
+//      random-selection partitions from three deterministic seed streams,
+//      all at the configured group count) and prepared like any fixed
+//      schedule, so scoring can use the transposed position→group batch
+//      layout.
 //   2. Per fault, the surviving-candidate position set S starts as the whole
 //      selection axis. Each step scores every unchosen, affordable pool
 //      candidate by the expected log-reduction of S — the entropy view: a
@@ -23,7 +24,8 @@
 //      SessionEngine::runPartition, its failing-group union intersects S, and
 //      the loop repeats until S cannot shrink (≤ 1 position, or no candidate
 //      scores positive — the remaining budget is *saved*), or the session
-//      budget is exhausted.
+//      budget (numPartitions × groupsPerPartition, the fixed schedule's
+//      tester time) is exhausted.
 //
 // Determinism: the pool, the scores, and therefore the chosen schedule are
 // pure functions of (config, fault response) — independent of thread count

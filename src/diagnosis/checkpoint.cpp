@@ -185,8 +185,10 @@ std::uint64_t sweepIdFor(const DiagnosisConfig& config) {
   d = setupDigestPiece("pruning", config.pruning ? 1 : 0, d);
   d = setupDigestPiece("patterns", config.numPatterns, d);
   d = setupDigestPiece("misr_degree", config.misrDegree, d);
-  d = setupDigestPiece("misr_taps", config.misrTapMask, d);
-  d = setupDigestPiece("prune_degree", config.pruneDegree, d);
+  // Taps are always primitive (0 marks that) and the prune register is always
+  // kPruneDegree wide. Both pieces stay so journals keep their sweep ids.
+  d = setupDigestPiece("misr_taps", 0, d);
+  d = setupDigestPiece("prune_degree", kPruneDegree, d);
   return d;
 }
 

@@ -1,5 +1,7 @@
 #include "diagnosis/experiment_driver.hpp"
 
+#include <bit>
+
 #include "common/assert.hpp"
 #include "common/journal.hpp"
 #include "common/thread_pool.hpp"
@@ -15,17 +17,43 @@ SessionConfig sessionConfigFor(const DiagnosisConfig& config) {
   sc.mode = config.mode;
   sc.numPatterns = config.numPatterns;
   sc.misrDegree = config.misrDegree;
-  sc.misrTapMask = config.misrTapMask;
   sc.computeSignatures = config.pruning;
-  sc.pruneDegree = config.pruneDegree;
   return sc;
 }
+
+namespace {
+
+/// The group counts a fixed scheme can build on a chain of `chainLength`
+/// positions: interval groups are nonempty runs, so at most one per position;
+/// random-selection labels are r-bit fields of the selection LFSR, so a power
+/// of two from 2 to 2^degree. Two-step needs both. The partitioners keep
+/// their own checks; this one names the scheme, the group count and the
+/// chain length before any of them runs.
+void requireBuildableGroups(SchemeKind scheme, std::size_t groups, std::size_t chainLength) {
+  const bool intervals = scheme != SchemeKind::RandomSelection;
+  const bool labels = scheme == SchemeKind::RandomSelection || scheme == SchemeKind::TwoStep;
+  const std::size_t maxLabels = std::size_t{1} << RandomSelectionConfig{}.lfsr.degree;
+  const bool intervalsFit = groups >= 1 && groups <= chainLength;
+  const bool labelsFit = groups >= 2 && groups <= maxLabels && std::has_single_bit(groups);
+  if ((!intervals || intervalsFit) && (!labels || labelsFit)) return;
+  const bool chainBound = intervals && (!labels || chainLength <= maxLabels);
+  const std::string most = chainBound ? "the chain length" : std::to_string(maxLabels);
+  const std::string rule = labels ? "a power of two from 2 to " + most : "from 1 to " + most;
+  throw std::invalid_argument(schemeName(scheme) + " cannot split a chain of length " +
+                              std::to_string(chainLength) + " into " + std::to_string(groups) +
+                              " groups (the group count must be " + rule + ")");
+}
+
+}  // namespace
 
 std::vector<Partition> buildPartitions(const DiagnosisConfig& config, std::size_t chainLength) {
   // An empty schedule runs no session, so checked analysis would read it as
   // "nothing failed" and exonerate every cell.
   SCANDIAG_REQUIRE(config.numPartitions >= 1,
                    "a partition schedule needs at least one partition");
+  if (config.scheme != SchemeKind::Adaptive) {
+    requireBuildableGroups(config.scheme, config.groupsPerPartition, chainLength);
+  }
   auto scheme =
       makeScheme(config.scheme, config.schemeConfig, chainLength, config.groupsPerPartition);
   return takePartitions(*scheme, config.numPartitions);

@@ -34,9 +34,9 @@ struct DiagnosisConfig {
   SignatureMode mode = SignatureMode::Exact;
   bool pruning = false;
   std::size_t numPatterns = 128;
+  /// Verdict MISR width in SignatureMode::Misr (primitive taps); pruning
+  /// signatures always use the kPruneDegree side register.
   unsigned misrDegree = 16;
-  std::uint64_t misrTapMask = 0;
-  unsigned pruneDegree = 32;
 };
 
 struct FaultDiagnosis {
@@ -113,8 +113,11 @@ class DiagnosisPipeline {
 };
 
 /// Builds the partition sequence a config implies (exposed for tests/benches).
-/// Throws std::invalid_argument for SchemeKind::Adaptive, which has no fixed
-/// sequence — its schedule is chosen online per fault.
+/// Throws std::invalid_argument, naming the scheme, the group count and the
+/// chain length, when the scheme cannot split the chain into that many groups
+/// (interval groups are nonempty runs, random-selection labels are bit
+/// fields), and for SchemeKind::Adaptive, which has no fixed sequence — its
+/// schedule is chosen online per fault.
 std::vector<Partition> buildPartitions(const DiagnosisConfig& config, std::size_t chainLength);
 
 /// The SessionConfig a DiagnosisConfig implies — shared by DiagnosisPipeline

@@ -16,13 +16,19 @@
 
 namespace scandiag {
 
+/// Seed-search starting point of the BIST controller's interval step.
+inline constexpr std::uint64_t kIntervalStartSeed = 0xBEEF;
+
+/// The defaults are the selector hardware's (paper Fig. 1): the degree-16
+/// primitive selection LFSR, the automatic field width and
+/// kIntervalStartSeed. Every scheme builds its interval step from them.
 struct IntervalPartitionerConfig {
   LfsrConfig lfsr{/*degree=*/16, /*tapMask=*/0};
   /// Interval-length field width; 0 = defaultIntervalBits(chain, groups).
   unsigned rlen = 0;
   /// Seed-search starting point; successive partitions take successive
   /// covering seeds.
-  std::uint64_t startSeed = 0xBEEF;
+  std::uint64_t startSeed = kIntervalStartSeed;
 };
 
 class IntervalPartitioner final : public PartitionScheme {

@@ -8,35 +8,27 @@ namespace scandiag {
 
 PreparedPartitionSet::PreparedPartitionSet(std::vector<Partition> partitions)
     : partitions_(std::move(partitions)) {
+  length_ = partitions_.empty() ? 0 : partitions_.front().length();
   tables_.reserve(partitions_.size());
-  for (const Partition& p : partitions_) tables_.push_back(p.groupTable());
-
   groupOffsets_.assign(partitions_.size() + 1, 0);
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
+    SCANDIAG_REQUIRE(partitions_[p].length() == length_,
+                     "every partition of a schedule must span the same selection axis");
+    tables_.push_back(partitions_[p].groupTable());
     groupOffsets_[p + 1] = groupOffsets_[p] + partitions_[p].groupCount();
   }
-  totalGroups_ = groupOffsets_.empty() ? 0 : groupOffsets_.back();
+  totalGroups_ = groupOffsets_.back();
+  SCANDIAG_REQUIRE(totalGroups_ <= std::numeric_limits<std::uint32_t>::max(),
+                   "a schedule's global group ids must fit in 32 bits");
 
-  // Batch layout: only when every partition spans the same selection axis
-  // (the invariant of any schedule a partitioner emits) and global group ids
-  // fit the u32 cells of the transposed table.
-  if (partitions_.empty()) return;
-  const std::size_t length = partitions_.front().length();
-  for (const Partition& p : partitions_) {
-    if (p.length() != length) return;
-  }
-  if (length == 0 || totalGroups_ > std::numeric_limits<std::uint32_t>::max()) return;
-
-  posGroups_.resize(length * partitions_.size());
+  posGroups_.resize(length_ * partitions_.size());
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
     const std::vector<std::size_t>& table = tables_[p];
     const std::uint32_t offset = static_cast<std::uint32_t>(groupOffsets_[p]);
-    for (std::size_t pos = 0; pos < length; ++pos) {
-      posGroups_[pos * partitions_.size() + p] =
-          offset + static_cast<std::uint32_t>(table[pos]);
+    for (std::size_t pos = 0; pos < length_; ++pos) {
+      posGroups_[pos * partitions_.size() + p] = offset + static_cast<std::uint32_t>(table[pos]);
     }
   }
-  batchReady_ = true;
 }
 
 }  // namespace scandiag

@@ -11,16 +11,20 @@
 // docs/ARCHITECTURE.md "Hot-path memory discipline").
 //
 // On top of the per-partition tables it builds the *batch layout* the batched
-// MISR scorer (SessionEngine::runBatched, docs/ARCHITECTURE.md §11) keys on:
-// groups of all partitions are numbered globally (groupOffset(p) + g) and a
+// MISR scorer (SessionEngine::run, docs/ARCHITECTURE.md §11) keys on: groups
+// of all partitions are numbered globally (groupOffset(p) + g) and a
 // transposed flat table stores, per shift position, the global group id the
 // position belongs to in every partition — contiguously, so scoring a fault
 // is one pass over its failing positions with a unit-stride inner loop over
 // the schedule instead of a per-group membership scan per session.
 //
 // Construction also validates the schedule — groupTable() asserts that the
-// groups of each partition are disjoint and cover every position — so a
-// pipeline holding a PreparedPartitionSet never carries a malformed schedule.
+// groups of each partition are disjoint and cover every position, every
+// partition must span the same selection axis, and the global group ids must
+// fit the u32 cells of the transposed table — so a pipeline holding a
+// PreparedPartitionSet never carries a malformed schedule, and every set
+// carries the batch layout. (A schedule mixing lengths could never be scored
+// anyway: every verdict row must match the topology's one length.)
 #pragma once
 
 #include <cstddef>
@@ -37,10 +41,15 @@ class PreparedPartitionSet {
 
   /// Takes ownership of the schedule and builds one group table per
   /// partition (one O(chainLength) pass each, done once for all faults).
+  /// Throws std::invalid_argument when the partitions span different
+  /// lengths or hold more than 2^32 - 1 groups in total. An empty schedule
+  /// is legal (the adaptive pipeline holds one).
   explicit PreparedPartitionSet(std::vector<Partition> partitions);
 
   std::size_t size() const { return partitions_.size(); }
   bool empty() const { return partitions_.empty(); }
+  /// The selection-axis length every partition spans (0 when empty).
+  std::size_t length() const { return length_; }
 
   const std::vector<Partition>& partitions() const { return partitions_; }
   const Partition& partition(std::size_t p) const { return partitions_[p]; }
@@ -52,12 +61,6 @@ class PreparedPartitionSet {
 
   // -- Batch layout (global group numbering + transposed position table). ---
 
-  /// True when every partition spans the same selection axis, so the flat
-  /// transposed table below exists. Schedules built by buildPartitions()
-  /// always qualify; a hand-assembled mixed-length schedule falls back to the
-  /// per-session scorer.
-  bool batchReady() const { return batchReady_; }
-
   /// Total sessions of the schedule (sum of groupCount() over partitions).
   std::size_t totalGroups() const { return totalGroups_; }
 
@@ -66,7 +69,7 @@ class PreparedPartitionSet {
 
   /// The `size()` global group ids position `pos` belongs to, one per
   /// partition, contiguous (transposed layout: one cache-friendly read per
-  /// failing position covers the whole schedule). Valid iff batchReady().
+  /// failing position covers the whole schedule).
   const std::uint32_t* groupsAtPosition(std::size_t pos) const {
     return posGroups_.data() + pos * partitions_.size();
   }
@@ -74,7 +77,7 @@ class PreparedPartitionSet {
  private:
   std::vector<Partition> partitions_;
   std::vector<std::vector<std::size_t>> tables_;  // [partition][position]
-  bool batchReady_ = false;
+  std::size_t length_ = 0;
   std::size_t totalGroups_ = 0;
   std::vector<std::size_t> groupOffsets_;  // [partition + 1]
   std::vector<std::uint32_t> posGroups_;   // [position * size() + partition]

@@ -15,9 +15,15 @@
 
 namespace scandiag {
 
+/// IVR seed of the BIST controller's random-selection step.
+inline constexpr std::uint64_t kRandomSelectionSeed = 0xACE1;
+
+/// The defaults are the selector hardware's (paper Fig. 1): the degree-16
+/// primitive selection LFSR loaded with kRandomSelectionSeed. Every scheme
+/// builds its random step from them.
 struct RandomSelectionConfig {
   LfsrConfig lfsr{/*degree=*/16, /*tapMask=*/0};
-  std::uint64_t seed = 0xACE1;
+  std::uint64_t seed = kRandomSelectionSeed;
 };
 
 class RandomSelectionPartitioner final : public PartitionScheme {

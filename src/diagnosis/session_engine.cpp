@@ -13,10 +13,8 @@ SessionEngine::SessionEngine(const ScanTopology& topology, const SessionConfig& 
     : topology_(&topology), config_(config) {
   SCANDIAG_REQUIRE(config.numPatterns >= 1, "session needs at least one pattern");
   if (config.mode != SignatureMode::Misr && !config.computeSignatures) return;
-  const bool misr = config.mode == SignatureMode::Misr;
-  const unsigned degree = misr ? config.misrDegree : config.pruneDegree;
-  const std::uint64_t taps =
-      misr && config.misrTapMask ? config.misrTapMask : primitiveTapMask(degree);
+  const unsigned degree = config.mode == SignatureMode::Misr ? config.misrDegree : kPruneDegree;
+  const std::uint64_t taps = primitiveTapMask(degree);
   const SpaceCompactor* compactor = config.compactor;
   if (compactor) {
     SCANDIAG_REQUIRE(compactor->inputChains() == topology.numChains(),
@@ -43,24 +41,24 @@ std::uint64_t SessionEngine::cellErrorSignature(std::size_t cell,
   return model_->cellSignature(loc.chain, loc.position, errorStream);
 }
 
-PartitionVerdictRow SessionEngine::computeRow(const Partition& partition,
+void SessionEngine::requireMatchingLength(const PreparedPartitionSet& prepared) const {
+  SCANDIAG_REQUIRE(prepared.empty() || prepared.length() == topology_->maxChainLength(),
+                   "partition length does not match topology");
+}
+
+PartitionVerdictRow SessionEngine::computeRow(const PreparedPartitionSet& prepared,
+                                              std::size_t index,
                                               const BitVector& failingPositions,
                                               const std::vector<std::size_t>& cellPos,
                                               const std::vector<std::uint64_t>& cellSig,
-                                              bool needSignatures,
-                                              const std::vector<std::size_t>* groupTable) const {
-  SCANDIAG_REQUIRE(partition.length() == topology_->maxChainLength(),
-                   "partition length does not match topology");
+                                              bool needSignatures) const {
+  const Partition& partition = prepared.partition(index);
   const std::size_t b = partition.groupCount();
   PartitionVerdictRow row;
   row.failing = BitVector(b);
   std::vector<std::uint64_t> sig(b, 0);
   if (needSignatures) {
-    // Prepared callers pass the table computed once per schedule; the
-    // fallback rebuilds it (an O(chainLength) pass) for this call only.
-    const std::vector<std::size_t> rebuilt =
-        groupTable == nullptr ? partition.groupTable() : std::vector<std::size_t>{};
-    const std::vector<std::size_t>& table = groupTable ? *groupTable : rebuilt;
+    const std::vector<std::size_t>& table = prepared.groupTable(index);
     for (std::size_t i = 0; i < cellPos.size(); ++i) sig[table[cellPos[i]]] ^= cellSig[i];
   }
   for (std::size_t g = 0; g < b; ++g) {
@@ -93,15 +91,13 @@ void SessionEngine::prepareCells(const FaultResponse& response, bool needSignatu
   if (hashedWords > 0) obs::count(obs::Counter::SignatureWordsHashed, hashedWords);
 }
 
-GroupVerdicts SessionEngine::runImpl(const std::vector<Partition>& partitions,
-                                     const PreparedPartitionSet* prepared,
-                                     const FaultResponse& response) const {
-  // Counters only — no PhaseScope: this is the per-fault hot path of the
-  // batch DR drivers, and two steady_clock reads per call cost several
-  // percent of a whole diagnosis. Phase timing for session work happens at
-  // the single-fault API (DiagnosisPipeline::diagnose) and in runPartition
-  // (the per-partition retry path), where a call does enough work to
-  // amortize the clock reads.
+GroupVerdicts SessionEngine::runReference(const PreparedPartitionSet& prepared,
+                                          const FaultResponse& response) const {
+  // Counters only — no PhaseScope, as in run(): the per-fault paths read no
+  // clock. Phase timing for session work happens in runPartition (the
+  // per-partition retry path), where a call does enough work to amortize the
+  // clock reads.
+  requireMatchingLength(prepared);
   const bool needSignatures = model_.has_value();
 
   BitVector failingPositions;
@@ -110,35 +106,31 @@ GroupVerdicts SessionEngine::runImpl(const std::vector<Partition>& partitions,
   prepareCells(response, needSignatures, failingPositions, cellPos, cellSig);
 
   GroupVerdicts verdicts;
-  verdicts.failing.reserve(partitions.size());
+  verdicts.failing.reserve(prepared.size());
   if (needSignatures) {
     verdicts.hasSignatures = true;
     verdicts.signatureDegree = model_->degree();
-    verdicts.errorSig.reserve(partitions.size());
+    verdicts.errorSig.reserve(prepared.size());
   }
 
-  std::uint64_t sessions = 0;
-  for (std::size_t p = 0; p < partitions.size(); ++p) {
-    const Partition& partition = partitions[p];
-    sessions += partition.groupCount();
-    PartitionVerdictRow row = computeRow(partition, failingPositions, cellPos, cellSig,
-                                         needSignatures,
-                                         prepared ? &prepared->groupTable(p) : nullptr);
+  for (std::size_t p = 0; p < prepared.size(); ++p) {
+    PartitionVerdictRow row =
+        computeRow(prepared, p, failingPositions, cellPos, cellSig, needSignatures);
     verdicts.failing.push_back(std::move(row.failing));
     if (needSignatures) verdicts.errorSig.push_back(std::move(row.errorSig));
   }
-  obs::count(obs::Counter::PartitionsEvaluated, partitions.size());
-  obs::count(obs::Counter::SessionsRun, sessions);
+  obs::count(obs::Counter::PartitionsEvaluated, prepared.size());
+  obs::count(obs::Counter::SessionsRun, prepared.totalGroups());
   return verdicts;
 }
 
-GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
-                                        const FaultResponse& response,
-                                        SessionBatchScratch* scratch) const {
-  SCANDIAG_REQUIRE(prepared.batchReady(), "batched scorer needs the batch layout");
-  SCANDIAG_REQUIRE(prepared.partition(0).length() == topology_->maxChainLength(),
-                   "partition length does not match topology");
-  // Same no-PhaseScope rule as runImpl: per-fault hot path.
+GroupVerdicts SessionEngine::run(const PreparedPartitionSet& prepared,
+                                 const FaultResponse& response,
+                                 SessionBatchScratch* scratch) const {
+  // Counters only — no PhaseScope: this is the per-fault hot path of the
+  // batch DR drivers, and two steady_clock reads per call cost several
+  // percent of a whole diagnosis.
+  requireMatchingLength(prepared);
   const bool needSignatures = model_.has_value();
   const std::size_t numPartitions = prepared.size();
   const std::size_t total = prepared.totalGroups();
@@ -248,7 +240,7 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
     }
   }
 
-  // PartitionsEvaluated / SessionsRun deltas match runImpl exactly (the
+  // PartitionsEvaluated / SessionsRun deltas match runReference exactly (the
   // counter-parity contract); the two batch counters tally batched-only work.
   obs::count(obs::Counter::PartitionsEvaluated, numPartitions);
   obs::count(obs::Counter::SessionsRun, total);
@@ -257,48 +249,29 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
   return verdicts;
 }
 
-GroupVerdicts SessionEngine::run(const PreparedPartitionSet& prepared,
-                                 const FaultResponse& response,
-                                 SessionBatchScratch* scratch) const {
-  if (prepared.batchReady()) {
-    return runBatched(prepared, response, scratch);
-  }
-  return runImpl(prepared.partitions(), &prepared, response);
-}
-
-GroupVerdicts SessionEngine::runReference(const PreparedPartitionSet& prepared,
-                                          const FaultResponse& response) const {
-  return runImpl(prepared.partitions(), &prepared, response);
-}
-
 GroupVerdicts SessionEngine::run(const std::vector<Partition>& partitions,
                                  const FaultResponse& response) const {
-  return runImpl(partitions, nullptr, response);
-}
-
-PartitionVerdictRow SessionEngine::runPartitionImpl(
-    const Partition& partition, const std::vector<std::size_t>* groupTable,
-    const FaultResponse& response) const {
-  obs::PhaseScope phase(obs::Phase::SignatureCompare);
-  obs::count(obs::Counter::PartitionsEvaluated);
-  obs::count(obs::Counter::SessionsRun, partition.groupCount());
-  const bool needSignatures = model_.has_value();
-  BitVector failingPositions;
-  std::vector<std::size_t> cellPos;
-  std::vector<std::uint64_t> cellSig;
-  prepareCells(response, needSignatures, failingPositions, cellPos, cellSig);
-  return computeRow(partition, failingPositions, cellPos, cellSig, needSignatures, groupTable);
-}
-
-PartitionVerdictRow SessionEngine::runPartition(const Partition& partition,
-                                                const FaultResponse& response) const {
-  return runPartitionImpl(partition, nullptr, response);
+  return runReference(PreparedPartitionSet(partitions), response);
 }
 
 PartitionVerdictRow SessionEngine::runPartition(const PreparedPartitionSet& prepared,
                                                 std::size_t index,
                                                 const FaultResponse& response) const {
-  return runPartitionImpl(prepared.partition(index), &prepared.groupTable(index), response);
+  obs::PhaseScope phase(obs::Phase::SignatureCompare);
+  requireMatchingLength(prepared);
+  obs::count(obs::Counter::PartitionsEvaluated);
+  obs::count(obs::Counter::SessionsRun, prepared.partition(index).groupCount());
+  const bool needSignatures = model_.has_value();
+  BitVector failingPositions;
+  std::vector<std::size_t> cellPos;
+  std::vector<std::uint64_t> cellSig;
+  prepareCells(response, needSignatures, failingPositions, cellPos, cellSig);
+  return computeRow(prepared, index, failingPositions, cellPos, cellSig, needSignatures);
+}
+
+PartitionVerdictRow SessionEngine::runPartition(const Partition& partition,
+                                                const FaultResponse& response) const {
+  return runPartition(PreparedPartitionSet({partition}), 0, response);
 }
 
 }  // namespace scandiag

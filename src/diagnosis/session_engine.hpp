@@ -15,28 +15,30 @@
 //    becomes possible, exactly as in silicon (bench_ablation_aliasing).
 //
 // Error signatures are also the input to the superposition pruner; in exact
-// mode they can be computed on the side with a wider register so pruning
-// stays available without injecting aliasing into the verdicts. Whenever
-// signatures are needed the constructor builds the factored MisrLinearModel
-// (O(chain length · degree) words, bist/misr.hpp); every path computes a
-// cell's signature through it, and the engine is immutable afterwards.
+// mode they are computed on the side in a kPruneDegree-bit register so pruning
+// stays available without injecting aliasing into the verdicts. Both
+// registers use primitive taps. Whenever signatures are needed the
+// constructor builds the factored MisrLinearModel (O(chain length · degree)
+// words, bist/misr.hpp); every path computes a cell's signature through it,
+// and the engine is immutable afterwards.
 //
-// Two scorers produce these verdicts:
+// Two scorers produce these verdicts, one per role:
 //
-//  * **Batched** (the hot path, whenever the prepared schedule carries the
-//    batch layout): MISR linearity means a session's error signature is the
-//    XOR of its cells' individual error signatures, and the group-membership
-//    structure is fixed per schedule — so ALL groups of ALL partitions are
-//    scored in one pass over the fault's failing cells against the
-//    PreparedPartitionSet's transposed position→global-group table, one XOR
-//    (or one bit-set) per (cell, partition). No per-group membership scan
-//    ever runs. See docs/ARCHITECTURE.md §11.
-//  * **Reference** (runReference): the literal one-session-at-a-time
-//    evaluation (per-group intersects / per-partition signature bucketing).
-//    Kept as the parity oracle — tests/diagnosis/batched_parity_test holds
-//    the two bit-identical across schemes, circuits, thread counts, pruning,
-//    and noise — and as the fallback for bare (unprepared) schedules and the
-//    per-partition retry path of the recovery layer.
+//  * **Batched** (run, the hot path): MISR linearity means a session's error
+//    signature is the XOR of its cells' individual error signatures, and the
+//    group-membership structure is fixed per schedule — so ALL groups of ALL
+//    partitions are scored in one pass over the fault's failing cells
+//    against the PreparedPartitionSet's transposed position→global-group
+//    table, one XOR (or one bit-set) per (cell, partition). No per-group
+//    membership scan ever runs. Every prepared set carries that table, so
+//    there is no other path. See docs/ARCHITECTURE.md §11.
+//  * **Reference** (runReference, and runPartition for one partition): the
+//    literal one-session-at-a-time evaluation (per-group intersects /
+//    per-partition signature bucketing). It is the parity oracle —
+//    tests/diagnosis/batched_parity_test holds the two bit-identical across
+//    schemes, circuits, thread counts, pruning, and noise — and
+//    runPartition is the unit the recovery layer re-runs. The bare-schedule
+//    conveniences prepare their partitions and take this path.
 #pragma once
 
 #include <cstdint>
@@ -57,17 +59,18 @@ enum class SignatureMode {
   Misr,   // group fails iff MISR error signature != 0
 };
 
+/// Width of the side register Exact-mode pruning signatures are computed in:
+/// the widest the primitive-polynomial table covers. It takes one scan-out
+/// line per chain, so pruning runs on at most kPruneDegree chains.
+inline constexpr unsigned kPruneDegree = 32;
+
 struct SessionConfig {
   SignatureMode mode = SignatureMode::Exact;
   std::size_t numPatterns = 128;
-  /// Verdict MISR (mode == Misr).
+  /// Verdict MISR width (mode == Misr), primitive taps.
   unsigned misrDegree = 16;
-  std::uint64_t misrTapMask = 0;  // 0 = primitive polynomial of misrDegree
   /// Compute per-group error signatures for the superposition pruner.
   bool computeSignatures = false;
-  /// Signature width used for pruning in Exact mode (wider = less chance of
-  /// pruning away a true failing cell by XOR cancellation).
-  unsigned pruneDegree = 32;
   /// Optional space compactor between the scan-out lines and the MISR (must
   /// outlive the engine). Null = one MISR input per chain.
   const SpaceCompactor* compactor = nullptr;
@@ -109,37 +112,33 @@ class SessionEngine {
   const ScanTopology& topology() const { return *topology_; }
   const SessionConfig& config() const { return config_; }
 
-  /// Hot-path entry point: the batched scorer when the prepared set carries
-  /// the batch layout (batchReady()), else the per-session reference. Both
-  /// scorers are bit-identical. `scratch` (optional) reuses buffers across
-  /// calls on the batched path.
+  /// The batched scorer: every group of every partition in one pass over
+  /// the fault's failing cells. `scratch` (optional) reuses buffers across
+  /// calls.
   GroupVerdicts run(const PreparedPartitionSet& prepared, const FaultResponse& response,
                     SessionBatchScratch* scratch = nullptr) const;
 
-  /// One-pass batched scorer (requires prepared.batchReady()).
-  GroupVerdicts runBatched(const PreparedPartitionSet& prepared, const FaultResponse& response,
-                           SessionBatchScratch* scratch = nullptr) const;
-
   /// Per-session reference scorer over a prepared schedule — the parity
-  /// oracle runBatched() is tested against.
+  /// oracle run() is tested against.
   GroupVerdicts runReference(const PreparedPartitionSet& prepared,
                              const FaultResponse& response) const;
 
-  /// Convenience overload for callers holding a bare schedule (tests, one-off
-  /// diagnoses): rebuilds each partition's group table per call. Always the
-  /// per-session reference.
+  /// Convenience overload for callers holding a bare schedule (tests,
+  /// benches, one-off diagnoses): prepares it for this call and runs the
+  /// reference scorer.
   GroupVerdicts run(const std::vector<Partition>& partitions,
                     const FaultResponse& response) const;
 
-  /// Re-runs the sessions of one partition (same patterns, same capture data
-  /// — on a noiseless tester this reproduces run()'s row for that partition
-  /// bit-for-bit). This is the unit the recovery layer re-executes when a
-  /// session verdict is suspect; always the per-session reference path.
-  PartitionVerdictRow runPartition(const Partition& partition,
+  /// Re-runs the sessions of partition `index` (same patterns, same capture
+  /// data — on a noiseless tester this reproduces run()'s row for that
+  /// partition bit-for-bit). This is the unit the recovery layer re-executes
+  /// when a session verdict is suspect; always the per-session reference
+  /// path.
+  PartitionVerdictRow runPartition(const PreparedPartitionSet& prepared, std::size_t index,
                                    const FaultResponse& response) const;
 
-  /// Prepared-schedule runPartition: same row, no group-table rebuild.
-  PartitionVerdictRow runPartition(const PreparedPartitionSet& prepared, std::size_t index,
+  /// Bare-partition runPartition: prepares it for this call.
+  PartitionVerdictRow runPartition(const Partition& partition,
                                    const FaultResponse& response) const;
 
   /// Per-cell error signature of one failing cell (its bit of pattern t
@@ -149,21 +148,15 @@ class SessionEngine {
   std::uint64_t cellErrorSignature(std::size_t cell, const BitVector& errorStream) const;
 
  private:
+  void requireMatchingLength(const PreparedPartitionSet& prepared) const;
   void prepareCells(const FaultResponse& response, bool needSignatures,
                     BitVector& failingPositions, std::vector<std::size_t>& cellPos,
                     std::vector<std::uint64_t>& cellSig) const;
-  /// `groupTable` may be null: signature bucketing then rebuilds the table
-  /// from the partition (the non-prepared fallback path).
-  PartitionVerdictRow computeRow(const Partition& partition, const BitVector& failingPositions,
+  PartitionVerdictRow computeRow(const PreparedPartitionSet& prepared, std::size_t index,
+                                 const BitVector& failingPositions,
                                  const std::vector<std::size_t>& cellPos,
-                                 const std::vector<std::uint64_t>& cellSig, bool needSignatures,
-                                 const std::vector<std::size_t>* groupTable) const;
-  GroupVerdicts runImpl(const std::vector<Partition>& partitions,
-                        const PreparedPartitionSet* prepared,
-                        const FaultResponse& response) const;
-  PartitionVerdictRow runPartitionImpl(const Partition& partition,
-                                       const std::vector<std::size_t>* groupTable,
-                                       const FaultResponse& response) const;
+                                 const std::vector<std::uint64_t>& cellSig,
+                                 bool needSignatures) const;
 
   const ScanTopology* topology_;
   SessionConfig config_;

@@ -36,7 +36,7 @@ PruneStats SuperpositionPruner::prunePositions(const PreparedPartitionSet& prepa
                    "verdicts do not match partitions");
   PruneStats stats;
   if (positions.none() || prepared.empty()) return stats;
-  SCANDIAG_REQUIRE(prepared.batchReady() && prepared.partition(0).length() == positions.size(),
+  SCANDIAG_REQUIRE(prepared.length() == positions.size(),
                    "partitions do not span the candidates' selection axis");
   const std::size_t numPartitions = prepared.size();
 

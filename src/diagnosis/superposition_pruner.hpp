@@ -14,8 +14,9 @@
 // Soundness: the true failure assignment satisfies the system, so a pruned
 // atom's true aggregate signature is zero. That can hide a failing cell only
 // if two or more failing cells in one atom have XOR-cancelling signatures —
-// probability ~2^-degree per pair, which is why Exact-mode pruning defaults
-// to a 32-bit side register (SessionConfig::pruneDegree).
+// probability ~2^-degree per pair, which is why Exact-mode pruning runs in a
+// 32-bit side register (kPruneDegree, the widest primitive polynomial the
+// tap table holds).
 #pragma once
 
 #include "bist/scan_topology.hpp"

@@ -36,9 +36,8 @@ SchemeKind parseSchemeKind(const std::string& name) {
 TwoStepScheme::TwoStepScheme(const SchemeConfig& config, std::size_t chainLength,
                              std::size_t groupCount)
     : intervalRemaining_(config.intervalPartitions),
-      interval_(IntervalPartitionerConfig{config.lfsr, config.rlen, config.intervalStartSeed},
-                chainLength, groupCount),
-      random_(RandomSelectionConfig{config.lfsr, config.randomSeed}, chainLength, groupCount) {}
+      interval_(IntervalPartitionerConfig{}, chainLength, groupCount),
+      random_(RandomSelectionConfig{}, chainLength, groupCount) {}
 
 Partition TwoStepScheme::next() {
   if (intervalRemaining_ > 0) {
@@ -52,12 +51,11 @@ std::unique_ptr<PartitionScheme> makeScheme(SchemeKind kind, const SchemeConfig&
                                             std::size_t chainLength, std::size_t groupCount) {
   switch (kind) {
     case SchemeKind::IntervalBased:
-      return std::make_unique<IntervalPartitioner>(
-          IntervalPartitionerConfig{config.lfsr, config.rlen, config.intervalStartSeed},
-          chainLength, groupCount);
+      return std::make_unique<IntervalPartitioner>(IntervalPartitionerConfig{}, chainLength,
+                                                   groupCount);
     case SchemeKind::RandomSelection:
-      return std::make_unique<RandomSelectionPartitioner>(
-          RandomSelectionConfig{config.lfsr, config.randomSeed}, chainLength, groupCount);
+      return std::make_unique<RandomSelectionPartitioner>(RandomSelectionConfig{}, chainLength,
+                                                          groupCount);
     case SchemeKind::TwoStep:
       return std::make_unique<TwoStepScheme>(config, chainLength, groupCount);
     case SchemeKind::DeterministicInterval:

@@ -37,31 +37,24 @@ std::string schemeName(SchemeKind kind);
 /// std::invalid_argument with the accepted spellings on anything else.
 SchemeKind parseSchemeKind(const std::string& name);
 
-/// Candidate-pool and budget knobs for SchemeKind::Adaptive. Every field is
-/// a deterministic input to pool construction and scoring: two runs with
-/// equal configs choose identical schedules for identical verdicts, at any
-/// thread count.
+/// Test hook for SchemeKind::Adaptive. The pool itself is fixed: two interval
+/// candidates and three random-selection seed streams at the configured group
+/// count, under a budget of numPartitions * groupsPerPartition sessions (see
+/// adaptive_planner.hpp), so two runs with equal configs choose identical
+/// schedules for identical verdicts, at any thread count.
 struct AdaptivePoolConfig {
-  /// Independent random-selection seed streams. Seed k of the pool is
-  /// randomSeed advanced by k odd strides, so streams never collide.
-  std::size_t seedPool = 3;
-  /// Interval partitions (successive covering seeds, same rule as the fixed
-  /// interval scheme).
-  std::size_t intervalCandidates = 2;
-  /// Total session budget per fault; 0 = numPartitions * groupsPerPartition
-  /// (equal tester time to the fixed schedule it replaces).
-  std::size_t sessionBudget = 0;
-  /// Test hook: take the pool in index order instead of by score, with the
-  /// pool reduced to the fixed TwoStep schedule — reproduces
-  /// SchemeKind::TwoStep bit-for-bit (parity tests).
+  /// Take the pool in index order instead of by score, with the pool reduced
+  /// to the fixed TwoStep schedule — reproduces SchemeKind::TwoStep
+  /// bit-for-bit (parity tests).
   bool forceFixedOrder = false;
 };
 
+/// The selector's LFSR, its taps, field width and both seeds are fixed
+/// hardware (paper Fig. 1): every scheme builds its steps from the default
+/// IntervalPartitionerConfig and RandomSelectionConfig. A fixed schedule —
+/// and every tester log replayed against it — therefore follows from
+/// (scheme, partitions, groups, chain length) plus the knobs below.
 struct SchemeConfig {
-  LfsrConfig lfsr{/*degree=*/16, /*tapMask=*/0};
-  std::uint64_t randomSeed = 0xACE1;
-  std::uint64_t intervalStartSeed = 0xBEEF;
-  unsigned rlen = 0;  // 0 = auto
   /// Partitions taken from the interval step before switching to random
   /// selection (the paper uses 1 in its simulations).
   std::size_t intervalPartitions = 1;

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/errors.hpp"
 #include "bist/prpg.hpp"
@@ -28,31 +29,8 @@ DiagnosisService::DiagnosisService(Netlist netlist, const ServiceConfig& config)
                                           std::max<std::size_t>(config.numChains, 1))),
       patterns_(generatePatterns(netlist_, config.diagnosis.numPatterns, PrpgConfig{})),
       pipeline_(topology_, config.diagnosis),
-      recovery_(topology_, RetryPolicy{}) {
-  const std::size_t count = config_.simulators == 0 ? 1 : config_.simulators;
-  simulators_.reserve(count);
-  freeSimulators_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    simulators_.push_back(std::make_unique<FaultSimulator>(netlist_, patterns_));
-    freeSimulators_.push_back(i);
-  }
-}
-
-DiagnosisService::SimulatorLease::SimulatorLease(const DiagnosisService& service)
-    : service_(&service) {
-  std::unique_lock<std::mutex> lock(service.simMutex_);
-  service.simAvailable_.wait(lock, [&] { return !service.freeSimulators_.empty(); });
-  index_ = service.freeSimulators_.back();
-  service.freeSimulators_.pop_back();
-}
-
-DiagnosisService::SimulatorLease::~SimulatorLease() {
-  {
-    std::lock_guard<std::mutex> lock(service_->simMutex_);
-    service_->freeSimulators_.push_back(index_);
-  }
-  service_->simAvailable_.notify_one();
-}
+      recovery_(topology_, RetryPolicy{}),
+      simulator_(netlist_, patterns_) {}
 
 DiagnoseReply DiagnosisService::handle(const DiagnoseRequest& request, std::uint64_t requestId,
                                        std::chrono::milliseconds deadline,
@@ -90,8 +68,8 @@ DiagnoseReply DiagnosisService::handleInject(const DiagnoseRequest& request, Dia
 
   FaultResponse response;
   {
-    SimulatorLease sim(*this);
-    response = (*sim).simulate(fault);
+    const std::lock_guard<std::mutex> lock(simMutex_);
+    response = simulator_.simulate(fault);
   }
   if (!response.detected()) {
     reply.status = ReplyStatus::Ok;
@@ -115,11 +93,12 @@ DiagnoseReply DiagnosisService::handleDefect(const DiagnoseRequest& request, Dia
 
   FaultResponse response;
   {
-    // Scenario generation fault-simulates every component, so it runs under
-    // a lease like InjectFault's single simulate(). Pool construction per
-    // request is fine at serve scale (one collapsed enumeration + samples).
-    SimulatorLease sim(*this);
-    const DefectScenarioGenerator generator(*sim, mix);
+    // Scenario generation fault-simulates every component, so it holds the
+    // simulator lock like InjectFault's single simulate(). Pool construction
+    // per request is fine at serve scale (one collapsed enumeration +
+    // samples).
+    const std::lock_guard<std::mutex> lock(simMutex_);
+    const DefectScenarioGenerator generator(simulator_, mix);
     const DefectScenario scenario = generator.generate(request.defectIndex);
     response = scenario.composed;
   }

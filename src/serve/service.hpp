@@ -4,10 +4,11 @@
 // Everything expensive is paid once at construction — circuit parse,
 // levelization, pattern generation, fault-free simulation, cone caches (as
 // they warm), PreparedPartitionSet — and shared read-only across requests.
-// The only mutable compute state is the FaultSimulator lease pool:
-// FaultSimulator is explicitly single-thread-at-a-time (mutable cone cache +
-// scratch, see sim/fault_simulator.hpp), so the service owns N instances and
-// handlers lease one per simulate() call, blocking when all are out.
+// The only mutable compute state is the one FaultSimulator: it is explicitly
+// single-thread-at-a-time (mutable cone cache + scratch, see
+// sim/fault_simulator.hpp), so handlers hold simMutex_ around simulate() and
+// scenario generation. Diagnosis after that runs unlocked. The schedule is
+// the fixed one, unpruned: the CLI refuses --scheme adaptive and --prune.
 //
 // handle() implements the graceful-degradation half of the request
 // lifecycle. Partitions are evaluated one at a time through
@@ -21,9 +22,7 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -39,10 +38,6 @@ namespace scandiag::serve {
 struct ServiceConfig {
   DiagnosisConfig diagnosis{};
   std::size_t numChains = 1;
-  /// FaultSimulator instances in the lease pool. More = more concurrent
-  /// InjectFault requests in their simulate() step, at one good-value store
-  /// each. 1 keeps cone-cache counters deterministic (bench golden phase).
-  std::size_t simulators = 1;
 };
 
 class DiagnosisService {
@@ -62,18 +57,6 @@ class DiagnosisService {
                        std::chrono::milliseconds deadline, CancellationToken* cancel) const;
 
  private:
-  /// RAII lease of one pool simulator; blocks until one is free.
-  class SimulatorLease {
-   public:
-    explicit SimulatorLease(const DiagnosisService& service);
-    ~SimulatorLease();
-    const FaultSimulator& operator*() const { return *service_->simulators_[index_]; }
-
-   private:
-    const DiagnosisService* service_;
-    std::size_t index_;
-  };
-
   DiagnoseReply handleInject(const DiagnoseRequest& request, DiagnoseReply reply,
                              const RunControl& control, const Watchdog* deadline) const;
   DiagnoseReply handleLog(const DiagnoseRequest& request, DiagnoseReply reply,
@@ -98,13 +81,9 @@ class DiagnosisService {
   PatternSet patterns_;
   DiagnosisPipeline pipeline_;
   DiagnosisRecovery recovery_;
-
-  // Simulator lease pool (see class comment). Mutable: leases are compute-
-  // state bookkeeping, not service configuration.
-  std::vector<std::unique_ptr<FaultSimulator>> simulators_;
-  mutable std::vector<std::size_t> freeSimulators_;
+  FaultSimulator simulator_;
+  // Serializes every use of simulator_ (see class comment).
   mutable std::mutex simMutex_;
-  mutable std::condition_variable simAvailable_;
 };
 
 }  // namespace scandiag::serve

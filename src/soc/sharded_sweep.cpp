@@ -94,6 +94,13 @@ SocSweepResult runSocClassSweep(const Soc& soc, const WorkloadConfig& workload,
     const ClassPlan& plan = plans[c];
     const CoreInstance& rep = soc.core(plan.representative);
 
+    // Diagnosis runs on the class's core-local topology — identical for
+    // every sibling, so partitions, group tables, and verdicts transfer.
+    // Built first, so a schedule the scheme cannot build on these chains is
+    // refused before the class is simulated.
+    const ScanTopology topology = coreLocalTopology(rep.numCells(), tamWidth);
+    const DiagnosisPipeline pipeline(topology, config);
+
     // Class-keyed seeds: every instance of the class — in any SOC — gets the
     // same patterns and fault sample, which is what makes one evaluation
     // transferable to all siblings.
@@ -108,11 +115,6 @@ SocSweepResult runSocClassSweep(const Soc& soc, const WorkloadConfig& workload,
         universe.sample(std::min(universe.size(), local.numFaults * 4), local.faultSeed);
     const std::vector<FaultResponse> responses =
         sim.collectDetected(candidates, local.numFaults);
-
-    // Diagnosis runs on the class's core-local topology — identical for
-    // every sibling, so partitions, group tables, and verdicts transfer.
-    const ScanTopology topology = coreLocalTopology(rep.numCells(), tamWidth);
-    const DiagnosisPipeline pipeline(topology, config);
 
     const std::uint64_t sweepId = socClassSweepId(config, plan.hash, c);
     SweepManifestRecord manifest;

@@ -7,8 +7,8 @@
 //      cell's model-computed error signature equals one clocked MISR run over
 //      the combined multi-chain error stream.
 //
-// These are the *algebraic* preconditions of runBatched(); the end-to-end
-// scorer parity lives in tests/diagnosis/batched_parity_test.cpp.
+// These are the *algebraic* preconditions of the batched SessionEngine::run();
+// the end-to-end scorer parity lives in tests/diagnosis/batched_parity_test.cpp.
 
 #include "bist/misr.hpp"
 
@@ -59,8 +59,9 @@ TEST(MisrLinearity, SuperpositionAcrossPolysWidthsAndLengths) {
 TEST(MisrLinearity, CellContributionsReconstructFullSessionSignature) {
   // Random multi-chain sessions: per-cell error streams, one clocked MISR run
   // over the combined stream vs the XOR of each cell's model signature. This
-  // is exactly the decomposition runBatched() exploits — if it holds for the
-  // whole topology it holds for every subset (every session of every group).
+  // is exactly the decomposition the batched SessionEngine::run() exploits —
+  // if it holds for the whole topology it holds for every subset (every
+  // session of every group).
   int cases = 0;
   for (unsigned degree : {8u, 16u, 24u}) {
     const std::uint64_t taps = primitiveTapMask(degree);

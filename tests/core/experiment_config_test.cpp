@@ -24,7 +24,10 @@ TEST(Presets, Table2MatchesPaperParameters) {
   EXPECT_EQ(c.numPartitions, 8u);
   EXPECT_EQ(c.groupsPerPartition, 16u);
   EXPECT_TRUE(c.pruning);
-  EXPECT_EQ(c.schemeConfig.lfsr.degree, 16u);  // paper: degree-16 primitive LFSR
+  // Paper: degree-16 primitive selection LFSR — fixed selector hardware that
+  // both partition steps of every scheme are built from.
+  EXPECT_EQ(IntervalPartitionerConfig{}.lfsr.degree, 16u);
+  EXPECT_EQ(RandomSelectionConfig{}.lfsr.degree, 16u);
 }
 
 TEST(Presets, SocConfigsUsePaperGroupCounts) {

@@ -124,9 +124,11 @@ TEST_F(AdaptiveFixture, BudgetIsRespectedAndSoundnessHolds) {
 TEST_F(AdaptiveFixture, StopsEarlyOnceResolvedAndSavesSessions) {
   // At a generous budget the greedy loop stops as soon as one survivor is
   // left — at least one fault must resolve before the budget runs out.
+  // 16 partitions x 4 groups: a 64-session budget over the same 4-group pool.
   DiagnosisConfig config = adaptiveConfig();
-  config.schemeConfig.adaptive.sessionBudget = 64;
+  config.numPartitions = 16;
   const DiagnosisPipeline pipeline(work().topology, config);
+  ASSERT_EQ(pipeline.adaptive()->sessionBudget(), 64u);
   std::size_t savedSomewhere = 0;
   for (const FaultResponse& r : work().responses) {
     const AdaptiveOutcome o = pipeline.adaptive()->run(r);
@@ -203,15 +205,6 @@ TEST_F(AdaptiveFixture, PruningIsRejected) {
   DiagnosisConfig config = adaptiveConfig();
   config.pruning = true;
   EXPECT_THROW(DiagnosisPipeline(work().topology, config), std::invalid_argument);
-}
-
-TEST(AdaptiveScheme, EmptyPoolRejected) {
-  DiagnosisConfig config;
-  config.scheme = SchemeKind::Adaptive;
-  config.schemeConfig.adaptive.seedPool = 0;
-  config.schemeConfig.adaptive.intervalCandidates = 0;
-  const ScanTopology topo = ScanTopology::singleChain(64);
-  EXPECT_THROW(AdaptivePlanner(topo, config), std::invalid_argument);
 }
 
 TEST(AdaptiveScheme, NameParsesAndPrints) {

@@ -1,6 +1,6 @@
 // Parity oracle for the batched MISR scorer (docs/ARCHITECTURE.md §11): the
 // per-session reference path (SessionEngine::runReference) and the batched
-// path the pipelines take must be BIT-IDENTICAL in everything observable —
+// path the pipelines take (SessionEngine::run) must be BIT-IDENTICAL in everything observable —
 // group verdicts, error signatures, diagnosis reports, and the deterministic
 // counter section — across all three partitioning schemes, five circuits,
 // thread counts {1, 2, 8}, with and without superposition pruning, and with
@@ -166,7 +166,7 @@ class BatchedParity : public ::testing::Test {
 };
 
 TEST_F(BatchedParity, VerdictsSignaturesAndCountersMatchPerFault) {
-  // Engine-level oracle: for every fault, runBatched() vs runReference() on
+  // Engine-level oracle: for every fault, run() vs runReference() on
   // the same engine — verdict rows, signatures, and the per-fault counter
   // deltas (via DeltaCapture) must match exactly. Covers both signature
   // modes; Exact runs with pruning signatures on so errorSig is exercised.
@@ -176,7 +176,6 @@ TEST_F(BatchedParity, VerdictsSignaturesAndCountersMatchPerFault) {
       for (SignatureMode mode : {SignatureMode::Exact, SignatureMode::Misr}) {
         const DiagnosisPipeline pipeline(
             work.topology, configFor(scheme, /*pruning=*/mode == SignatureMode::Exact, mode));
-        ASSERT_TRUE(pipeline.prepared().batchReady());
         const SessionEngine& engine = pipeline.engine();
         std::size_t checked = 0;
         for (const FaultResponse& r : work.responses) {
@@ -188,7 +187,7 @@ TEST_F(BatchedParity, VerdictsSignaturesAndCountersMatchPerFault) {
           std::array<std::uint64_t, obs::kNumCounters> batchedDeltas{}, referenceDeltas{};
           {
             obs::DeltaCapture capture;
-            batched = engine.runBatched(pipeline.prepared(), r);
+            batched = engine.run(pipeline.prepared(), r);
             batchedDeltas = capture.deltas();
           }
           {
@@ -222,7 +221,6 @@ TEST_F(BatchedParity, DrReportsBitIdenticalAcrossScorersThreadsAndPruning) {
     for (SchemeKind scheme : kSchemes) {
       for (bool pruning : {false, true}) {
         const DiagnosisPipeline batched(work.topology, configFor(scheme, pruning));
-        ASSERT_TRUE(batched.prepared().batchReady());
         setGlobalThreadCount(1);
         const auto before = obs::MetricsRegistry::instance().snapshot();
         const DrReport expected = referenceEvaluate(batched, work.responses);
@@ -303,8 +301,8 @@ TEST_F(BatchedParity, ScratchReuseMatchesFreshScratch) {
   for (const FaultResponse& r : work.responses) {
     if (!r.detected()) continue;
     if (++checked > 60) break;
-    const GroupVerdicts withReuse = engine.runBatched(pipeline.prepared(), r, &reused);
-    const GroupVerdicts fresh = engine.runBatched(pipeline.prepared(), r);
+    const GroupVerdicts withReuse = engine.run(pipeline.prepared(), r, &reused);
+    const GroupVerdicts fresh = engine.run(pipeline.prepared(), r);
     expectSameVerdicts(withReuse, fresh, "scratch reuse fault " + std::to_string(checked));
   }
   ASSERT_GT(checked, 2u);

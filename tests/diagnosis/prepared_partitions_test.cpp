@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 #include "diagnosis/experiment_driver.hpp"
+#include "diagnosis/interval_partitioner.hpp"
 #include "diagnosis/superposition_pruner.hpp"
 #include "netlist/synthetic_generator.hpp"
 
@@ -13,8 +15,9 @@ namespace scandiag {
 namespace {
 
 // Parity contract of the prepared-schedule hot path: everything computed
-// through a PreparedPartitionSet must be bit-identical to the per-call
-// groupTable() fallback, for every scheme the pipeline can build.
+// through a pipeline's PreparedPartitionSet must be bit-identical to the
+// bare-schedule conveniences (which prepare their partitions per call and
+// take the reference path), for every scheme the pipeline can build.
 
 const SchemeKind kSchemes[] = {SchemeKind::IntervalBased, SchemeKind::RandomSelection,
                                SchemeKind::TwoStep};
@@ -52,6 +55,22 @@ TEST(PreparedPartitionSet, EmptySet) {
   const PreparedPartitionSet prepared;
   EXPECT_TRUE(prepared.empty());
   EXPECT_EQ(prepared.size(), 0u);
+  EXPECT_EQ(prepared.length(), 0u);
+  const PreparedPartitionSet fromNothing{std::vector<Partition>{}};
+  EXPECT_TRUE(fromNothing.empty());
+  EXPECT_EQ(fromNothing.totalGroups(), 0u);
+}
+
+TEST(PreparedPartitionSet, MixedLengthsRejected) {
+  // No topology has two chain lengths, so such a schedule could never be
+  // scored; it is refused when prepared, not when first run.
+  const std::vector<Partition> mixed{IntervalPartitioner::fromLengths({4, 4}, 8),
+                                     IntervalPartitioner::fromLengths({5, 5}, 10)};
+  EXPECT_THROW(PreparedPartitionSet{mixed}, std::invalid_argument);
+  const PreparedPartitionSet same{{IntervalPartitioner::fromLengths({4, 4}, 8),
+                                   IntervalPartitioner::fromLengths({2, 6}, 8)}};
+  EXPECT_EQ(same.length(), 8u);
+  EXPECT_EQ(same.totalGroups(), 4u);
 }
 
 class PreparedParityFixture : public ::testing::Test {

@@ -124,12 +124,11 @@ TEST(SessionEngine, ExactModeComputesPruneSignaturesOnRequest) {
   const ScanTopology topo = ScanTopology::singleChain(12);
   SessionConfig config{SignatureMode::Exact, 8};
   config.computeSignatures = true;
-  config.pruneDegree = 32;
   const SessionEngine engine(topo, config);
   const std::vector<Partition> parts{IntervalPartitioner::fromLengths({6, 6}, 12)};
   const GroupVerdicts v = engine.run(parts, makeResponse(12, 8, {3}));
   EXPECT_TRUE(v.hasSignatures);
-  EXPECT_EQ(v.signatureDegree, 32u);
+  EXPECT_EQ(v.signatureDegree, kPruneDegree);
   EXPECT_NE(v.errorSig[0][0], 0u);
 }
 
@@ -209,8 +208,7 @@ TEST(SessionEngine, BatchedSignaturesMatchClockedMisr) {
     const char* name;
     ScanTopology topo;
     SignatureMode mode;
-    unsigned degree;            // verdict MISR degree, or prune degree in Exact mode
-    std::uint64_t taps;         // 0 = primitive polynomial
+    unsigned degree;             // verdict MISR degree, or kPruneDegree in Exact mode
     std::size_t compactorLines;  // 0 = one MISR input per chain
     std::size_t patterns;
     std::size_t partitions;
@@ -218,29 +216,24 @@ TEST(SessionEngine, BatchedSignaturesMatchClockedMisr) {
     std::size_t faults;
   };
   const std::vector<Case> cases = {
-      {"single/misr8", ScanTopology::singleChain(97), SignatureMode::Misr, 8, 0, 0, 20, 4, 8, 12},
-      {"single/misr16-taps", ScanTopology::singleChain(97), SignatureMode::Misr, 16,
-       (std::uint64_t{1} << 15) | 0x2D, 0, 65, 3, 4, 12},
-      {"block/misr31", ScanTopology::blockChains(203, 6), SignatureMode::Misr, 31, 0, 0, 70, 4,
-       8, 12},
-      {"block/misr16-taps/compactor", ScanTopology::blockChains(203, 6), SignatureMode::Misr, 16,
-       (std::uint64_t{1} << 15) | 0x1003, 4, 64, 4, 8, 12},
-      {"stitched/misr8/compactor", stitchedChains(150, 9, 3), SignatureMode::Misr, 8,
-       (std::uint64_t{1} << 7) | 0x1D, 5, 63, 4, 4, 12},
-      {"block/exact32", ScanTopology::blockChains(203, 6), SignatureMode::Exact, 32, 0, 0, 33, 4,
-       8, 12},
-      {"stitched/exact12/compactor", stitchedChains(150, 9, 5), SignatureMode::Exact, 12, 0, 3,
-       129, 4, 4, 12},
-      // The tap table stops at degree 32, so the widest register runs in MISR
-      // mode with explicit taps.
-      {"stitched/misr63-taps", stitchedChains(150, 9, 9), SignatureMode::Misr, 63,
-       (std::uint64_t{3} << 61) | 1, 0, 64, 4, 4, 12},
-      {"stitched/exact32", stitchedChains(180, 5, 7), SignatureMode::Exact, 32, 0, 0, 2, 3, 8,
+      {"single/misr8", ScanTopology::singleChain(97), SignatureMode::Misr, 8, 0, 20, 4, 8, 12},
+      {"single/misr16", ScanTopology::singleChain(97), SignatureMode::Misr, 16, 0, 65, 3, 4, 12},
+      {"block/misr31", ScanTopology::blockChains(203, 6), SignatureMode::Misr, 31, 0, 70, 4, 8,
        12},
+      {"block/misr16/compactor", ScanTopology::blockChains(203, 6), SignatureMode::Misr, 16, 4,
+       64, 4, 8, 12},
+      {"stitched/misr8/compactor", stitchedChains(150, 9, 3), SignatureMode::Misr, 8, 5, 63, 4,
+       4, 12},
+      {"block/exact32", ScanTopology::blockChains(203, 6), SignatureMode::Exact, kPruneDegree, 0,
+       33, 4, 8, 12},
+      {"stitched/exact32/compactor", stitchedChains(150, 9, 5), SignatureMode::Exact,
+       kPruneDegree, 3, 129, 4, 4, 12},
+      {"stitched/exact32", stitchedChains(180, 5, 7), SignatureMode::Exact, kPruneDegree, 0, 2,
+       3, 8, 12},
       // 40,000 cells x 128 patterns: no signature table may grow with that
       // product, so a topology this size takes the same path as the rest.
-      {"block-40k/exact32", ScanTopology::blockChains(40000, 16), SignatureMode::Exact, 32, 0, 0,
-       128, 2, 4, 2},
+      {"block-40k/exact32", ScanTopology::blockChains(40000, 16), SignatureMode::Exact,
+       kPruneDegree, 0, 128, 2, 4, 2},
   };
   std::uint64_t seed = 17;
   for (const Case& c : cases) {
@@ -251,21 +244,18 @@ TEST(SessionEngine, BatchedSignaturesMatchClockedMisr) {
     SessionConfig config{c.mode, c.patterns};
     if (c.mode == SignatureMode::Misr) {
       config.misrDegree = c.degree;
-      config.misrTapMask = c.taps;
     } else {
       config.computeSignatures = true;
-      config.pruneDegree = c.degree;
     }
     config.compactor = compactor ? &*compactor : nullptr;
     const SessionEngine engine(c.topo, config);
-    const std::uint64_t taps = c.taps ? c.taps : primitiveTapMask(c.degree);
+    const std::uint64_t taps = primitiveTapMask(c.degree);
 
     DiagnosisConfig schedule;
     schedule.scheme = SchemeKind::TwoStep;
     schedule.numPartitions = c.partitions;
     schedule.groupsPerPartition = c.groups;
     const PreparedPartitionSet prepared(buildPartitions(schedule, c.topo.maxChainLength()));
-    ASSERT_TRUE(prepared.batchReady());
 
     Xoroshiro128 rng(seed++);
     const std::size_t chainLen = c.topo.maxChainLength();

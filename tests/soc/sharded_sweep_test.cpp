@@ -13,10 +13,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/journal.hpp"
+#include "obs/metrics.hpp"
 #include "soc/journal_merge.hpp"
 #include "soc/soc_builder.hpp"
 #include "soc/soc_report.hpp"
@@ -96,6 +98,30 @@ TEST(ShardedSweep, ShardRangesTileTheSweep) {
     EXPECT_EQ(it->second.actualCount, record.actualCount);
     EXPECT_EQ(it->second.verdictDigest, record.verdictDigest);
     EXPECT_EQ(it->second.counterDeltas, record.counterDeltas);
+  }
+}
+
+TEST(ShardedSweep, UnbuildableScheduleIsRefusedBeforeSimulation) {
+  // s298's 14 cells over an 8-wide TAM leave core-local chains of 2
+  // positions, which two-step cannot split into 16 groups. The sweep says so
+  // in plain words before it fault-simulates the class.
+  const Soc soc = buildReplicatedSoc("s298", 4, 8);
+  DiagnosisConfig config = sweepConfig();
+  config.groupsPerPartition = 16;
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::instance().snapshot();
+  std::string message = "no error";
+  try {
+    runSocClassSweep(soc, sweepWorkload(), config, shardOptions(0, 1), {}, nullptr, nullptr);
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(message,
+            "two-step cannot split a chain of length 2 into 16 groups (the group count must be "
+            "a power of two from 2 to the chain length)");
+  if constexpr (obs::kMetricsCompiled) {
+    const obs::MetricsSnapshot after = obs::MetricsRegistry::instance().snapshot();
+    const auto simulated = static_cast<std::size_t>(obs::Counter::FaultsSimulated);
+    EXPECT_EQ(after.counters[simulated], before.counters[simulated]);
   }
 }
 

@@ -31,9 +31,12 @@
 //                     two-step; adaptive picks each next partition online per
 //                     fault — dr/soc-dr/diagnose/plan only, and incompatible
 //                     with --prune and the `partitions` command)
-//   --partitions N    (default 8)      --groups N      (default 16)
+//   --partitions N    (default 8)      --groups N      (default 16; interval
+//                     and two-step need at most one group per chain position,
+//                     random and two-step a power of two — else exit 2)
 //   --patterns N      (default 128)    --faults N      (default 500)
-//   --chains N        (default 1)      --prune         (off; <= 32 chains)
+//   --chains N        (default 1)      --prune         (off; <= 32 chains; not
+//                                                      on serve)
 //   --seed N          (fault-sample seed, default 0xFA17)
 //   --threads N       (worker threads for the per-fault loops; default
 //                      SCANDIAG_THREADS, else all hardware threads; results
@@ -76,7 +79,8 @@
 //                     (default 16)
 //   --handlers N      handler threads for framing I/O (default 2; compute runs
 //                     on the --threads pool)
-//   --sims N          FaultSimulator lease pool size (default 1)
+//   (serve runs the fixed schedule without pruning: --scheme adaptive and
+//   --prune are refused with exit 2)
 //   --request-deadline-ms N   per-request watchdog; exceeding it degrades the
 //                     reply to DEADLINE with a partial superset (default 0 = off)
 //   --io-timeout-ms N whole-frame read/write deadline (slowloris bound,
@@ -117,7 +121,8 @@
 //   0  success
 //   1  internal/runtime failure
 //   2  usage error (bad flag, unknown scheme, missing argument, a numeric
-//      option that is not one whole unsigned number, zero partitions)
+//      option that is not one whole unsigned number, zero partitions, a
+//      group count the scheme cannot build on the chain)
 //   3  input file not found
 //   4  input file failed to parse
 //   5  diagnosis still inconsistent after the retry budget was exhausted
@@ -245,8 +250,8 @@ DiagnosisConfig configFrom(const Args& args) {
 /// register, so it cannot run on more chains than the register is wide.
 /// Checked before any circuit is simulated.
 void requirePruneWidth(const DiagnosisConfig& config, std::size_t chains) {
-  if (!config.pruning || chains <= config.pruneDegree) return;
-  throw std::invalid_argument("--prune supports at most " + std::to_string(config.pruneDegree) +
+  if (!config.pruning || chains <= kPruneDegree) return;
+  throw std::invalid_argument("--prune supports at most " + std::to_string(kPruneDegree) +
                               " scan chains (the width of its signature register), not " +
                               std::to_string(chains));
 }
@@ -970,8 +975,12 @@ int cmdServe(const Args& args) {
   serve::ServiceConfig serviceConfig;
   serviceConfig.diagnosis = configFrom(args);
   serviceConfig.numChains = args.getN("chains", 1);
-  serviceConfig.simulators = args.getN("sims", 1);
-  requirePruneWidth(serviceConfig.diagnosis, serviceConfig.numChains);
+  // The daemon runs the fixed schedule one partition at a time and answers
+  // from the intersection: it has no online planner and never prunes.
+  if (serviceConfig.diagnosis.scheme == SchemeKind::Adaptive)
+    throw std::invalid_argument("serve is incompatible with --scheme adaptive");
+  if (serviceConfig.diagnosis.pruning)
+    throw std::invalid_argument("serve is incompatible with --prune");
   Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
 
   serve::ServeOptions options;
