@@ -9,10 +9,11 @@
 //     >= 100x bench_table3's SOC-1 at 6,173 cells), class-deduped: one
 //     representative evaluation stands for all 702 instances. Reports
 //     cells/sec over the whole SOC.
-//  3. Streaming fault enumeration over every core at meta scale: per-fault
-//     memory must be flat (the enumerator is a scalar cursor; nothing per
-//     fault is materialized). VmRSS growth across ~7M streamed sites is
-//     reported as timing and gated in CI via stream_rss_flat.
+//  3. Fault universe walk over every core at meta scale: per-fault memory
+//     must be flat (each module's collapsed universe is cached once on its
+//     shared netlist; nothing per core or per fault is materialized). VmRSS
+//     growth across ~7M walked sites is reported as timing and gated in CI
+//     via stream_rss_flat.
 //
 // Counters are deterministic and golden-gated (results/golden/
 // BENCH_soc_scale.json) by the workflow_dispatch big-sweep CI job — not by
@@ -146,22 +147,16 @@ int main(int argc, char** argv) {
     report.timing("sweep_seconds", sweepSecs);
     report.timing("cells_per_sec", cellsPerSec);
 
-    // --- 3. Streaming fault enumeration, flat memory ----------------------
-    // Warm every cache the stream touches (fanout index on the one shared
-    // netlist), then measure RSS growth across the full meta-scale stream.
-    {
-      FaultEnumerator warmup(*big.core(0).netlist, true);
-      while (warmup.next()) {
-      }
-    }
+    // --- 3. Fault universe walk, flat memory -------------------------------
+    // validate() cached each module's collapsed universe when the SOC was
+    // built, and sibling cores share their module's netlist, so walking every
+    // core's universe at meta scale must allocate nothing per fault.
     const std::size_t rssBefore = rssKb();
     const auto streamStart = std::chrono::steady_clock::now();
     std::uint64_t streamed = 0;
     for (std::size_t k = 0; k < big.coreCount(); ++k) {
-      FaultEnumerator en(*big.core(k).netlist, true);
-      while (en.next()) {
-      }
-      streamed += en.yielded();
+      for (const FaultSite& site : FaultList::enumerateCollapsed(*big.core(k).netlist).faults())
+        streamed += site.gate != kInvalidGate ? 1 : 0;
     }
     const double streamSecs = seconds(streamStart, std::chrono::steady_clock::now());
     const std::size_t rssAfter = rssKb();
@@ -170,7 +165,7 @@ int main(int argc, char** argv) {
     // one byte each would blow straight through this bound.
     const bool flat = growthKb < 4096;
     row("");
-    row("streamed %llu fault sites over %zu cores in %.2fs — RSS growth %zu KiB (%s)",
+    row("walked %llu fault sites over %zu cores in %.2fs — RSS growth %zu KiB (%s)",
         static_cast<unsigned long long>(streamed), big.coreCount(), streamSecs, growthKb,
         flat ? "flat" : "NOT FLAT");
     report.timing("stream_sites", streamed);

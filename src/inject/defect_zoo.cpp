@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "sim/fault_list.hpp"
 #include "sim/open_faults.hpp"
 
 namespace scandiag {
@@ -193,10 +192,9 @@ FaultResponse maskResponse(const FaultResponse& response, const BitVector& activ
 
 DefectScenarioGenerator::DefectScenarioGenerator(const FaultSimulator& simulator,
                                                  const DefectMix& mix)
-    : sim_(&simulator), mix_(mix) {
+    : sim_(&simulator), mix_(mix), stuckPool_(simulator.netlist().collapsedFaults()) {
   SCANDIAG_REQUIRE(mix.k >= 1, "defect mix needs k >= 1");
-  stuckPool_ = FaultList::enumerateCollapsed(simulator.netlist()).faults();
-  SCANDIAG_REQUIRE(!stuckPool_.empty(), "empty stuck-at fault universe");
+  SCANDIAG_REQUIRE(!stuckPool_->empty(), "empty stuck-at fault universe");
   if (mix.bridges) {
     bridgePool_ = enumerateBridgeCandidates(simulator.netlist(), kPoolSize, mix.seed ^ 0xB21D6EULL);
   }
@@ -223,7 +221,7 @@ DefectScenario DefectScenarioGenerator::generate(std::size_t index) const {
       const DefectKind kind = kinds[rng.nextBelow(kinds.size())];
       switch (kind) {
         case DefectKind::StuckAt: {
-          const FaultSite site = stuckPool_[rng.nextBelow(stuckPool_.size())];
+          const FaultSite site = (*stuckPool_)[rng.nextBelow(stuckPool_->size())];
           if (usedSites.count(site.gate) != 0) break;
           FaultResponse resp = sim_->simulate(site);
           if (!resp.detected()) break;

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -113,9 +114,12 @@ BitVector intermittentActivationMask(std::uint64_t seed, std::size_t scenario,
 FaultResponse maskResponse(const FaultResponse& response, const BitVector& activation);
 
 /// Draws deterministic scenarios from a fault simulator's circuit. The
-/// simulator reference must outlive the generator. generate() calls
-/// simulate() and therefore follows FaultSimulator's one-thread-at-a-time
-/// ownership rule — generate scenarios serially, diagnose them in parallel.
+/// simulator reference must outlive the generator. Construction reads only
+/// the netlist (its cached collapsed universe, its fanouts for the bridge
+/// feedback check), so on a validated netlist it needs no simulator lock.
+/// generate() calls simulate() and therefore follows FaultSimulator's
+/// one-thread-at-a-time ownership rule — generate scenarios serially,
+/// diagnose them in parallel.
 class DefectScenarioGenerator {
  public:
   DefectScenarioGenerator(const FaultSimulator& simulator, const DefectMix& mix);
@@ -129,7 +133,7 @@ class DefectScenarioGenerator {
  private:
   const FaultSimulator* sim_;
   DefectMix mix_;
-  std::vector<FaultSite> stuckPool_;
+  std::shared_ptr<const std::vector<FaultSite>> stuckPool_;  // the netlist's collapsed universe
   std::vector<BridgeFault> bridgePool_;
   std::vector<GateId> openPool_;
 };

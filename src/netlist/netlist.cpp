@@ -5,6 +5,7 @@
 #include <cctype>
 
 #include "common/assert.hpp"
+#include "netlist/fault_sites.hpp"
 #include "netlist/levelizer.hpp"
 
 namespace scandiag {
@@ -102,8 +103,9 @@ void Netlist::setDffInput(GateId dff, GateId driver) {
 
 void Netlist::markOutput(GateId gate) {
   SCANDIAG_REQUIRE(gate < gates_.size(), "unresolved output gate");
-  if (std::find(outputs_.begin(), outputs_.end(), gate) == outputs_.end())
-    outputs_.push_back(gate);
+  if (std::find(outputs_.begin(), outputs_.end(), gate) != outputs_.end()) return;
+  invalidateCaches();  // an observed stem joins the fault universe
+  outputs_.push_back(gate);
 }
 
 void Netlist::appendFanin(GateId gate, GateId driver) {
@@ -147,6 +149,14 @@ const Levelization& Netlist::levelization() const {
   return *levelization_;
 }
 
+const std::shared_ptr<const std::vector<FaultSite>>& Netlist::collapsedFaults() const {
+  if (!collapsedFaults_) {
+    collapsedFaults_ =
+        std::make_shared<const std::vector<FaultSite>>(enumerateFaultSites(*this, true));
+  }
+  return collapsedFaults_;
+}
+
 void Netlist::validate() const {
   for (GateId id = 0; id < gates_.size(); ++id) {
     const Gate& g = gates_[id];
@@ -155,10 +165,15 @@ void Netlist::validate() const {
       SCANDIAG_REQUIRE(f < gates_.size(), "fanin out of range at gate " + names_[id]);
     }
   }
-  // Levelization throws on combinational cycles; the result stays cached.
+  // Levelization throws on combinational cycles; the results stay cached.
   (void)levelization();
+  (void)collapsedFaults();
 }
 
-void Netlist::invalidateCaches() { fanoutsValid_ = false; levelization_.reset(); }
+void Netlist::invalidateCaches() {
+  fanoutsValid_ = false;
+  levelization_.reset();
+  collapsedFaults_.reset();
+}
 
 }  // namespace scandiag

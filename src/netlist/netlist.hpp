@@ -20,6 +20,7 @@
 namespace scandiag {
 
 struct Levelization;  // netlist/levelizer.hpp
+struct FaultSite;     // netlist/fault_sites.hpp
 
 using GateId = std::uint32_t;
 inline constexpr GateId kInvalidGate = static_cast<GateId>(-1);
@@ -89,13 +90,19 @@ class Netlist {
   const std::vector<std::vector<GateId>>& fanouts() const;
   std::size_t fanoutCount(GateId id) const { return fanouts().at(id).size(); }
 
-  /// levelize(*this), cached like fanouts() (copies share it). validate()
-  /// fills both caches; only a validated netlist may be shared across threads.
+  /// levelize(*this), cached like fanouts() (copies share it).
   const Levelization& levelization() const;
+
+  /// enumerateFaultSites(*this, collapse=true), cached and shared like the
+  /// levelization: the collapsed single-stuck-at universe every fault sample
+  /// is drawn from.
+  const std::shared_ptr<const std::vector<FaultSite>>& collapsedFaults() const;
 
   /// Structural validation: every fanin resolved, every DFF has a D input,
   /// fanin arities match gate types, no combinational cycles.
-  /// Throws std::invalid_argument describing the first violation.
+  /// Throws std::invalid_argument describing the first violation. Fills all
+  /// three caches (fanouts, levelization, collapsed faults); only a validated
+  /// netlist may be shared across threads.
   void validate() const;
 
  private:
@@ -111,6 +118,7 @@ class Netlist {
   mutable std::vector<std::vector<GateId>> fanouts_;  // lazy cache
   mutable bool fanoutsValid_ = false;
   mutable std::shared_ptr<const Levelization> levelization_;  // lazy cache
+  mutable std::shared_ptr<const std::vector<FaultSite>> collapsedFaults_;  // lazy cache
 };
 
 }  // namespace scandiag

@@ -12,6 +12,12 @@ namespace scandiag::serve {
 
 namespace {
 
+/// Fills every netlist cache up front: handlers read them concurrently.
+Netlist validated(Netlist netlist) {
+  netlist.validate();
+  return netlist;
+}
+
 DiagnoseReply errorReply(DiagnoseReply reply, std::string message) {
   reply.status = ReplyStatus::Error;
   reply.resolved = false;
@@ -23,7 +29,7 @@ DiagnoseReply errorReply(DiagnoseReply reply, std::string message) {
 }  // namespace
 
 DiagnosisService::DiagnosisService(Netlist netlist, const ServiceConfig& config)
-    : netlist_(std::move(netlist)),
+    : netlist_(validated(std::move(netlist))),
       config_(config),
       topology_(ScanTopology::blockChains(netlist_.dffs().size(),
                                           std::max<std::size_t>(config.numChains, 1))),
@@ -91,16 +97,14 @@ DiagnoseReply DiagnosisService::handleDefect(const DiagnoseRequest& request, Dia
   }
   if (request.defectSeed != 0) mix.seed = request.defectSeed;
 
+  // The pools read only the validated netlist's caches, so they are built
+  // outside the simulator lock; generate() fault-simulates every component
+  // and holds the lock like InjectFault's single simulate().
+  const DefectScenarioGenerator generator(simulator_, mix);
   FaultResponse response;
   {
-    // Scenario generation fault-simulates every component, so it holds the
-    // simulator lock like InjectFault's single simulate(). Pool construction
-    // per request is fine at serve scale (one collapsed enumeration +
-    // samples).
     const std::lock_guard<std::mutex> lock(simMutex_);
-    const DefectScenarioGenerator generator(simulator_, mix);
-    const DefectScenario scenario = generator.generate(request.defectIndex);
-    response = scenario.composed;
+    response = generator.generate(request.defectIndex).composed;
   }
   if (!response.detected()) {
     reply.status = ReplyStatus::Ok;

@@ -2,13 +2,17 @@
 // `scandiag serve`.
 //
 // Everything expensive is paid once at construction — circuit parse,
-// levelization, pattern generation, fault-free simulation, cone caches (as
-// they warm), PreparedPartitionSet — and shared read-only across requests.
+// levelization, the collapsed fault universe, pattern generation, fault-free
+// simulation, cone caches (as they warm), PreparedPartitionSet — and shared
+// read-only across requests.
 // The only mutable compute state is the one FaultSimulator: it is explicitly
 // single-thread-at-a-time (mutable cone cache + scratch, see
 // sim/fault_simulator.hpp), so handlers hold simMutex_ around simulate() and
-// scenario generation. Diagnosis after that runs unlocked. The schedule is
-// the fixed one, unpruned: the CLI refuses --scheme adaptive and --prune.
+// DefectScenarioGenerator::generate() only. The netlist is validated at
+// construction, so a defect request builds its scenario pools from the
+// netlist's caches unlocked, and diagnosis after simulation runs unlocked
+// too. The schedule is the fixed one, unpruned: the CLI refuses --scheme
+// adaptive and --prune.
 //
 // handle() implements the graceful-degradation half of the request
 // lifecycle. Partitions are evaluated one at a time through

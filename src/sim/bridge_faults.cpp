@@ -22,33 +22,59 @@ std::string_view bridgeKindName(BridgeKind kind) {
   throw std::logic_error("unknown BridgeKind");
 }
 
-bool isFeedbackFree(const Netlist& netlist, GateId a, GateId b) {
-  // Forward BFS over combinational fanout from `from`; true if `to` reached.
-  const auto reaches = [&](GateId from, GateId to) {
-    std::vector<bool> visited(netlist.gateCount(), false);
-    std::vector<GateId> stack{from};
-    visited[from] = true;
-    const auto& fanouts = netlist.fanouts();
-    while (!stack.empty()) {
-      const GateId g = stack.back();
-      stack.pop_back();
+namespace {
+
+/// Bridge feedback check over one netlist. The gate-indexed visit stamps are
+/// allocated once, so each check costs O(the two fanout cones walked), not
+/// O(gates) — the ConeWalker idiom. Single-owner: a check mutates the stamps.
+class FeedbackChecker {
+ public:
+  explicit FeedbackChecker(const Netlist& netlist)
+      : netlist_(&netlist), stamp_(netlist.gateCount(), 0) {}
+
+  bool feedbackFree(GateId a, GateId b) { return !reaches(a, b) && !reaches(b, a); }
+
+ private:
+  // Forward DFS over combinational fanout from `from`; true if `to` reached.
+  bool reaches(GateId from, GateId to) {
+    if (++epoch_ == 0) {  // wrapped: clear stamps so no stale one aliases an epoch
+      std::fill(stamp_.begin(), stamp_.end(), 0u);
+      epoch_ = 1;
+    }
+    const auto& fanouts = netlist_->fanouts();
+    stamp_[from] = epoch_;
+    stack_.assign(1, from);
+    while (!stack_.empty()) {
+      const GateId g = stack_.back();
+      stack_.pop_back();
       for (GateId user : fanouts[g]) {
-        if (netlist.gate(user).type == GateType::Dff) continue;  // sequential edge
+        if (netlist_->gate(user).type == GateType::Dff) continue;  // sequential edge
         if (user == to) return true;
-        if (visited[user]) continue;
-        visited[user] = true;
-        stack.push_back(user);
+        if (stamp_[user] == epoch_) continue;
+        stamp_[user] = epoch_;
+        stack_.push_back(user);
       }
     }
     return false;
-  };
-  return !reaches(a, b) && !reaches(b, a);
+  }
+
+  const Netlist* netlist_;
+  std::vector<std::uint32_t> stamp_;  // [gate] epoch of its last visit
+  std::vector<GateId> stack_;
+  std::uint32_t epoch_ = 0;
+};
+
+}  // namespace
+
+bool isFeedbackFree(const Netlist& netlist, GateId a, GateId b) {
+  return FeedbackChecker(netlist).feedbackFree(a, b);
 }
 
 std::vector<BridgeFault> enumerateBridgeCandidates(const Netlist& netlist, std::size_t count,
                                                    std::uint64_t seed) {
   SCANDIAG_REQUIRE(netlist.gateCount() >= 2, "need at least two nets to bridge");
   Xoroshiro128 rng(seed);
+  FeedbackChecker checker(netlist);
   std::vector<BridgeFault> bridges;
   const BridgeKind kinds[] = {BridgeKind::WiredAnd, BridgeKind::WiredOr,
                               BridgeKind::ADominatesB, BridgeKind::BDominatesA};
@@ -67,7 +93,7 @@ std::vector<BridgeFault> enumerateBridgeCandidates(const Netlist& netlist, std::
     if (ta == GateType::Const0 || ta == GateType::Const1 || tb == GateType::Const0 ||
         tb == GateType::Const1)
       continue;
-    if (!isFeedbackFree(netlist, a, b)) continue;
+    if (!checker.feedbackFree(a, b)) continue;
     bridges.push_back(BridgeFault{a, b, kinds[bridges.size() % 4]});
   }
   return bridges;

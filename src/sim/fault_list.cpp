@@ -2,109 +2,26 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
 #include "common/rng.hpp"
 
 namespace scandiag {
 
-namespace {
+FaultList::FaultList(std::vector<FaultSite> faults)
+    : faults_(std::make_shared<const std::vector<FaultSite>>(std::move(faults))) {}
 
-/// True if the branch fault (type, stuckAt) on an input pin is equivalent to
-/// a stem fault of the same gate and should be dropped when collapsing.
-bool branchCollapses(GateType type, bool stuckAt) {
-  switch (type) {
-    case GateType::And:
-    case GateType::Nand:
-      return stuckAt == false;  // controlling value 0
-    case GateType::Or:
-    case GateType::Nor:
-      return stuckAt == true;  // controlling value 1
-    case GateType::Buf:
-    case GateType::Not:
-      return true;  // single-input: both input faults map to output faults
-    default:
-      return false;  // XOR/XNOR/DFF: no controlling value
-  }
-}
-
-std::vector<FaultSite> enumerateSites(const Netlist& netlist, bool collapse) {
-  std::vector<FaultSite> faults;
-  FaultEnumerator en(netlist, collapse);
-  while (const std::optional<FaultSite> site = en.next()) faults.push_back(*site);
-  return faults;
-}
-
-}  // namespace
-
-FaultEnumerator::FaultEnumerator(const Netlist& netlist, bool collapse)
-    : netlist_(&netlist), collapse_(collapse) {
-  netlist.fanouts();  // build the (netlist-owned) fanout index up front
-}
-
-std::optional<FaultSite> FaultEnumerator::next() {
-  const Netlist& netlist = *netlist_;
-  const auto& fanouts = netlist.fanouts();
-  while (gate_ < netlist.gateCount()) {
-    const Gate& g = netlist.gate(gate_);
-    if (g.type == GateType::Const0 || g.type == GateType::Const1) {
-      ++gate_;
-      continue;
-    }
-    // Stem faults. A stem that drives nothing is unobservable; skip it so the
-    // sampler never wastes budget on structurally undetectable faults.
-    if (stemPhase_ < 2) {
-      const bool observedStem =
-          !fanouts[gate_].empty() ||
-          std::find(netlist.outputs().begin(), netlist.outputs().end(), gate_) !=
-              netlist.outputs().end();
-      if (!observedStem) {
-        stemPhase_ = 2;
-      } else {
-        const bool sa = stemPhase_ == 1;
-        ++stemPhase_;
-        ++yielded_;
-        return FaultSite{gate_, FaultSite::kOutputPin, sa};
-      }
-    }
-    // Branch faults where the driver fans out.
-    while (pin_ < g.fanins.size()) {
-      const GateId driver = g.fanins[pin_];
-      SCANDIAG_REQUIRE(driver != kInvalidGate, "dangling fanin during fault enumeration");
-      if (fanouts[driver].size() <= 1) {
-        ++pin_;
-        pinPhase_ = 0;
-        continue;
-      }
-      while (pinPhase_ < 2) {
-        const bool sa = pinPhase_ == 1;
-        ++pinPhase_;
-        if (collapse_ && branchCollapses(g.type, sa)) continue;
-        ++yielded_;
-        return FaultSite{gate_, static_cast<int>(pin_), sa};
-      }
-      ++pin_;
-      pinPhase_ = 0;
-    }
-    ++gate_;
-    stemPhase_ = 0;
-    pin_ = 0;
-    pinPhase_ = 0;
-  }
-  return std::nullopt;
-}
-
-FaultList::FaultList(std::vector<FaultSite> faults) : faults_(std::move(faults)) {}
+FaultList::FaultList(std::shared_ptr<const std::vector<FaultSite>> faults)
+    : faults_(std::move(faults)) {}
 
 FaultList FaultList::enumerateCollapsed(const Netlist& netlist) {
-  return FaultList(enumerateSites(netlist, /*collapse=*/true));
+  return FaultList(netlist.collapsedFaults());
 }
 
 FaultList FaultList::enumerateAll(const Netlist& netlist) {
-  return FaultList(enumerateSites(netlist, /*collapse=*/false));
+  return FaultList(enumerateFaultSites(netlist, /*collapse=*/false));
 }
 
 std::vector<FaultSite> FaultList::sample(std::size_t n, std::uint64_t seed) const {
-  std::vector<FaultSite> pool = faults_;
+  std::vector<FaultSite> pool = *faults_;
   Xoroshiro128 rng(seed);
   // Partial Fisher-Yates: the first min(n, size) entries become the sample.
   const std::size_t take = std::min(n, pool.size());

@@ -1,69 +1,38 @@
-// Single-stuck-at fault universe: enumeration, equivalence collapsing,
-// deterministic sampling.
-//
-// Enumeration follows standard practice:
-//  * a stem (output) fault pair on every gate, including primary inputs and
-//    DFF outputs (a stuck scan-cell Q) and DFF D pins (a stuck capture path);
-//  * branch (input-pin) fault pairs only where the driving net fans out —
-//    with fanout 1 the branch fault is identical to the stem fault.
-// Collapsing applies the classic controlling-value equivalences
-// (AND in-SA0 ≡ out-SA0, NAND in-SA0 ≡ out-SA1, OR in-SA1 ≡ out-SA1,
-// NOR in-SA1 ≡ out-SA0, BUF/NOT input faults ≡ output faults).
+// Single-stuck-at fault universe and its deterministic sampling. The
+// enumeration and its collapsing rule live in netlist/fault_sites; the
+// collapsed universe is the netlist's own cached list, shared, not copied.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "sim/logic_simulator.hpp"
 
 namespace scandiag {
 
-/// Streaming fault enumeration: yields the exact sequence
-/// FaultList::enumerateCollapsed / enumerateAll materializes, one site per
-/// next() call, from O(1) enumerator state (a gate cursor plus pin/polarity
-/// counters — no per-site storage). Million-cell meta-chain sweeps walk the
-/// universe through this so per-fault memory stays flat regardless of
-/// circuit size; FaultList::enumerate* is now a thin collector over it, so
-/// the two can never disagree.
-class FaultEnumerator {
- public:
-  FaultEnumerator(const Netlist& netlist, bool collapse);
-
-  /// Next fault site in enumeration order, or nullopt when exhausted.
-  std::optional<FaultSite> next();
-
-  /// Sites yielded so far.
-  std::uint64_t yielded() const { return yielded_; }
-
- private:
-  const Netlist* netlist_;
-  bool collapse_;
-  GateId gate_ = 0;       // current gate under enumeration
-  unsigned stemPhase_ = 0;  // 0 = sa0 pending, 1 = sa1 pending, 2 = stems done
-  std::size_t pin_ = 0;     // current fanin pin
-  unsigned pinPhase_ = 0;   // 0 = sa0 pending, 1 = sa1 pending
-  std::uint64_t yielded_ = 0;
-};
-
 class FaultList {
  public:
   FaultList() = default;
   explicit FaultList(std::vector<FaultSite> faults);
 
-  /// Collapsed fault universe of `netlist`.
+  /// Collapsed fault universe of `netlist`: shares netlist.collapsedFaults().
   static FaultList enumerateCollapsed(const Netlist& netlist);
-  /// Uncollapsed universe (all stems + all branches at fanout stems).
+  /// Uncollapsed universe (all stems + all branches at fanout stems),
+  /// enumerated afresh.
   static FaultList enumerateAll(const Netlist& netlist);
 
-  const std::vector<FaultSite>& faults() const { return faults_; }
-  std::size_t size() const { return faults_.size(); }
+  const std::vector<FaultSite>& faults() const { return *faults_; }
+  std::size_t size() const { return faults_->size(); }
 
   /// Deterministic uniform sample of min(n, size()) distinct faults.
   std::vector<FaultSite> sample(std::size_t n, std::uint64_t seed) const;
 
  private:
-  std::vector<FaultSite> faults_;
+  explicit FaultList(std::shared_ptr<const std::vector<FaultSite>> faults);
+
+  std::shared_ptr<const std::vector<FaultSite>> faults_ =
+      std::make_shared<const std::vector<FaultSite>>();
 };
 
 }  // namespace scandiag

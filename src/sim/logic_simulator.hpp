@@ -14,26 +14,13 @@
 #include <vector>
 
 #include "netlist/cone_analysis.hpp"
+#include "netlist/fault_sites.hpp"
 #include "netlist/levelizer.hpp"
 #include "netlist/netlist.hpp"
 
 namespace scandiag {
 
 using SimWord = std::uint64_t;
-
-/// Single stuck-at fault site. pin == kOutputPin is a stem (output) fault;
-/// otherwise the fault sits on fanin `pin` of `gate` (a branch fault, distinct
-/// from the stem when the driver has fanout > 1).
-struct FaultSite {
-  GateId gate = kInvalidGate;
-  int pin = kOutputPin;
-  bool stuckAt = false;
-
-  static constexpr int kOutputPin = -1;
-
-  bool isOutputFault() const { return pin == kOutputPin; }
-  friend bool operator==(const FaultSite&, const FaultSite&) = default;
-};
 
 /// Human-readable fault name, e.g. "g42/SA1" or "g42.in2/SA0".
 std::string describeFault(const Netlist& netlist, const FaultSite& fault);

@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/journal.hpp"
 #include "common/thread_pool.hpp"
 #include "netlist/synthetic_generator.hpp"
 #include "obs/metrics.hpp"
@@ -282,6 +283,56 @@ TEST(DefectZooPipelineTest, ZeroPartitionsIsRejected) {
   empty.numPartitions = 0;
   EXPECT_THROW(DefectZooPipeline(f.sim, f.topology, empty, DefectPolicy{}),
                std::invalid_argument);
+}
+
+// ---- Pinned scenarios -------------------------------------------------------
+
+std::uint64_t digestScenario(const DefectScenario& s, std::uint64_t h) {
+  h = fnv1a64(static_cast<std::uint64_t>(s.components.size()), h);
+  for (const DefectComponent& c : s.components) {
+    h = fnv1a64(static_cast<std::uint64_t>(c.kind), h);
+    h = fnv1a64(static_cast<std::uint64_t>(c.fault.gate), h);
+    h = fnv1a64(static_cast<std::uint64_t>(static_cast<std::int64_t>(c.fault.pin)), h);
+    h = fnv1a64(static_cast<std::uint64_t>(c.fault.stuckAt), h);
+    h = fnv1a64(static_cast<std::uint64_t>(c.bridge.a), h);
+    h = fnv1a64(static_cast<std::uint64_t>(c.bridge.b), h);
+    h = fnv1a64(static_cast<std::uint64_t>(c.bridge.kind), h);
+    h = fnv1a64(static_cast<std::uint64_t>(c.intermittent()), h);
+  }
+  for (const std::size_t cell : s.composed.failingCells.toIndices())
+    h = fnv1a64(static_cast<std::uint64_t>(cell), h);
+  return h;
+}
+
+TEST(DefectZoo, ScenariosMatchParentDigests) {
+  // Scenarios 0-63 of serve's mix on s9234 and of two s953 mixes, drawn
+  // through the generator's pools. Recorded while each generator still
+  // enumerated its own copy of the collapsed universe and feedback-checked
+  // bridges with two gate-sized arrays per candidate, so sharing the
+  // netlist's universe and the stamped walk provably kept every draw.
+  struct Expected {
+    const char* circuit;
+    const char* spec;
+    std::uint64_t seed;  // 0: the spec's default
+    std::uint64_t digest;
+  };
+  const Expected expected[] = {
+      {"s9234", "2,bridge,open", 0x5E7E, 0x8b6637f6475a9600ULL},
+      {"s953", "3", 0, 0x6bc8c2c8ea9955c9ULL},
+      {"s953", "2,intermittent:0.5", 0, 0x229b501442b0f46fULL},
+  };
+  for (const Expected& e : expected) {
+    SCOPED_TRACE(std::string(e.circuit) + " " + e.spec);
+    const Netlist nl = generateNamedCircuit(e.circuit);
+    const PatternSet patterns = generatePatterns(nl, DiagnosisConfig{}.numPatterns, PrpgConfig{});
+    const FaultSimulator sim(nl, patterns);
+    DefectMix mix = parseDefectSpec(e.spec);
+    if (e.seed != 0) mix.seed = e.seed;
+    const DefectScenarioGenerator generator(sim, mix);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t index = 0; index < 64; ++index) h = digestScenario(generator.generate(index), h);
+    EXPECT_EQ(h, e.digest);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bist/prpg.hpp"
+#include "netlist/fault_sites.hpp"
 #include "netlist/levelizer.hpp"
 #include "sim/fault_list.hpp"
 #include "sim/fault_simulator.hpp"
@@ -195,6 +201,59 @@ TEST(Netlist, ConstantGates) {
   nl.validate();
   EXPECT_TRUE(isSourceType(nl.gate(c0).type));
   EXPECT_TRUE(isSourceType(nl.gate(c1).type));
+}
+
+// a, b, c inputs; g = AND(a, b), h = OR(g, c) feeds ff, n = NOT(ff) is the
+// one output, d = NAND(b, n) drives nothing. Every mutation below changes
+// the collapsed universe, so a stale cache cannot pass for a fresh one.
+struct FaultCacheFixture {
+  Netlist nl{"faults"};
+  GateId a, b, c, ff, g, h, n, d;
+  FaultCacheFixture() {
+    a = nl.addInput("a");
+    b = nl.addInput("b");
+    c = nl.addInput("c");
+    ff = nl.addDff("ff");
+    g = nl.addGate(GateType::And, "g", {a, b});
+    h = nl.addGate(GateType::Or, "h", {g, c});
+    n = nl.addGate(GateType::Not, "n", {ff});
+    d = nl.addGate(GateType::Nand, "d", {b, n});
+    nl.setDffInput(ff, h);
+    nl.markOutput(n);
+    nl.validate();
+  }
+};
+
+TEST(NetlistFaultCache, ValidateFillsItAndCopiesShareIt) {
+  const FaultCacheFixture f;
+  // A copy taken after validate() reads the very same vector, so validate()
+  // filled it: a lazily filled cache would be enumerated twice.
+  const Netlist copy = f.nl;
+  ASSERT_TRUE(copy.collapsedFaults() != nullptr);
+  EXPECT_EQ(copy.collapsedFaults()->data(), f.nl.collapsedFaults()->data());
+  EXPECT_EQ(FaultList::enumerateCollapsed(copy).faults().data(), f.nl.collapsedFaults()->data());
+  EXPECT_EQ(*f.nl.collapsedFaults(), enumerateFaultSites(f.nl, /*collapse=*/true));
+}
+
+TEST(NetlistFaultCache, EveryMutationOfACopyDropsIt) {
+  const FaultCacheFixture f;
+  const std::vector<FaultSite> before = *f.nl.collapsedFaults();
+  const std::vector<std::pair<std::string, std::function<void(Netlist&)>>> mutations = {
+      {"addGate", [&](Netlist& nl) { nl.addGate(GateType::Xor, "x", {f.a, f.c}); }},
+      {"appendFanin", [&](Netlist& nl) { nl.appendFanin(f.h, f.a); }},
+      {"markOutput", [&](Netlist& nl) { nl.markOutput(f.d); }},
+      {"setDffInput", [&](Netlist& nl) { nl.setDffInput(f.ff, f.g); }},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    SCOPED_TRACE(name);
+    Netlist copy = f.nl;
+    (void)copy.collapsedFaults();  // shared with the original until mutated
+    mutate(copy);
+    const std::vector<FaultSite> fresh = enumerateFaultSites(copy, /*collapse=*/true);
+    EXPECT_EQ(*copy.collapsedFaults(), fresh);
+    EXPECT_NE(fresh, before);
+    EXPECT_EQ(*f.nl.collapsedFaults(), before);  // the original keeps its own
+  }
 }
 
 }  // namespace

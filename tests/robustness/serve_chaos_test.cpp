@@ -286,10 +286,10 @@ TEST(ServeChaos, DefectRequestUnderDeadlinePressureRepliesSupersetNotError) {
   // reply carrying a non-empty candidate superset (all cells if no partition
   // ran) — never an Error, never a crash, never an empty candidate list.
   // A service heavy enough that scenario generation alone outlives the 1 ms
-  // budget: s9234 with a 2048-pattern set means each of the four components
-  // is fault-simulated over 2048 patterns before any partition can run.
+  // budget: s9234 with an 8192-pattern set means each of the four components
+  // is fault-simulated over 8192 patterns before any partition can run.
   ServiceConfig heavy;
-  heavy.diagnosis.numPatterns = 2048;
+  heavy.diagnosis.numPatterns = 8192;
   const DiagnosisService service(generateNamedCircuit("s9234"), heavy);
 
   ServeOptions options;

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "common/journal.hpp"
 #include "netlist/synthetic_generator.hpp"
 
 namespace scandiag {
@@ -119,51 +120,52 @@ TEST(FaultList, UniverseScalesWithCircuit) {
             FaultList::enumerateCollapsed(small).size() * 10);
 }
 
-// The streaming enumerator exists so million-cell sweeps never materialize a
-// fault vector; its one correctness obligation is exact agreement — order
-// included — with the materialized lists (which are now built THROUGH it, so
-// a disagreement would be a self-inconsistency, caught here directly).
-TEST(FaultEnumerator, StreamsExactlyTheCollapsedUniverseInOrder) {
-  const Netlist nl = generateNamedCircuit("s1488");
-  const FaultList list = FaultList::enumerateCollapsed(nl);
-  FaultEnumerator en(nl, /*collapse=*/true);
-  for (const FaultSite& expected : list.faults()) {
-    const auto got = en.next();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->gate, expected.gate);
-    EXPECT_EQ(got->pin, expected.pin);
-    EXPECT_EQ(got->stuckAt, expected.stuckAt);
+// ---- Pinned universes -------------------------------------------------------
+
+std::uint64_t digestSites(const std::vector<FaultSite>& sites, std::uint64_t h) {
+  for (const FaultSite& f : sites) {
+    h = fnv1a64(static_cast<std::uint64_t>(f.gate), h);
+    h = fnv1a64(static_cast<std::uint64_t>(static_cast<std::int64_t>(f.pin)), h);
+    h = fnv1a64(static_cast<std::uint64_t>(f.stuckAt), h);
   }
-  EXPECT_FALSE(en.next().has_value());
-  EXPECT_FALSE(en.next().has_value());  // exhausted stays exhausted
-  EXPECT_EQ(en.yielded(), list.size());
+  return h;
 }
 
-TEST(FaultEnumerator, StreamsExactlyTheUncollapsedUniverseInOrder) {
-  FanoutFixture f;
-  const FaultList list = FaultList::enumerateAll(f.nl);
-  FaultEnumerator en(f.nl, /*collapse=*/false);
-  std::size_t n = 0;
-  while (const auto got = en.next()) {
-    ASSERT_LT(n, list.size());
-    EXPECT_EQ(got->gate, list.faults()[n].gate);
-    EXPECT_EQ(got->pin, list.faults()[n].pin);
-    EXPECT_EQ(got->stuckAt, list.faults()[n].stuckAt);
-    ++n;
+TEST(FaultList, UniversesMatchParentDigests) {
+  // Every (gate, pin, stuckAt) of both universes, in order, and of three
+  // samples of the collapsed one. Recorded while the enumeration still lived
+  // in sim/ and re-walked the netlist on every call, so moving it into the
+  // netlist's cache provably kept every universe and every sample.
+  struct Expected {
+    const char* circuit;
+    std::size_t collapsed, all;
+    std::uint64_t collapsedDigest, allDigest, sampleDigest;
+  };
+  const Expected expected[] = {
+      {"s27", 44, 58, 0xd351274fa115c8a4ULL, 0xf406672afcd131a4ULL, 0xc4c28d181a02e299ULL},
+      {"s953", 1637, 2200, 0x9465e09f630b83c2ULL, 0x23a96517a279d77dULL, 0xac199af6f7b13708ULL},
+      {"s9234", 22904, 30614, 0xc7aefea7b788a831ULL, 0xdb9fd881c9149834ULL,
+       0x4cd15a671c0a73b4ULL},
+      {"s35932", 68000, 90550, 0xda20e3f25497d58bULL, 0x3a92b8da4dc898dcULL,
+       0x814d36e1d873d1e0ULL},
+      {"s38417", 91934, 123148, 0x9d7f1f393b041f31ULL, 0xcdfac9828394ae09ULL,
+       0xaa75608d37d8e78bULL},
+  };
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
+  for (const Expected& e : expected) {
+    SCOPED_TRACE(e.circuit);
+    const Netlist nl = generateNamedCircuit(e.circuit);
+    const FaultList collapsed = FaultList::enumerateCollapsed(nl);
+    const FaultList all = FaultList::enumerateAll(nl);
+    std::uint64_t sampled = kBasis;
+    for (const std::size_t n : {std::size_t{24}, std::size_t{1600}, collapsed.size() + 1})
+      sampled = digestSites(collapsed.sample(n, 0xFA17), sampled);
+    EXPECT_EQ(collapsed.size(), e.collapsed);
+    EXPECT_EQ(all.size(), e.all);
+    EXPECT_EQ(digestSites(collapsed.faults(), kBasis), e.collapsedDigest);
+    EXPECT_EQ(digestSites(all.faults(), kBasis), e.allDigest);
+    EXPECT_EQ(sampled, e.sampleDigest);
   }
-  EXPECT_EQ(n, list.size());
-}
-
-TEST(FaultEnumerator, StateIsFlatPerFault) {
-  // The whole point: advancing costs O(1) memory. The cursor is a handful of
-  // scalars — if someone adds a per-fault vector to it, this breaks loudly.
-  static_assert(sizeof(FaultEnumerator) <= 64,
-                "FaultEnumerator must hold a flat cursor, not materialized state");
-  const Netlist nl = generateNamedCircuit("s298");
-  FaultEnumerator en(nl, true);
-  while (en.next()) {
-  }
-  EXPECT_EQ(en.yielded(), FaultList::enumerateCollapsed(nl).size());
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "bist/prpg.hpp"
+#include "inject/defect_zoo.hpp"
 #include "soc/soc_builder.hpp"
 
 namespace scandiag {
@@ -95,6 +100,40 @@ TEST(SocExperiment, MultiChainSocWorks) {
 TEST(SocExperiment, InvalidCoreIndexRejected) {
   const Soc soc = miniSoc();
   EXPECT_THROW(socResponsesForFailingCore(soc, 99, quickWorkload()), std::invalid_argument);
+}
+
+TEST(SharedNetlist, FourThreadsReadItLikeOneThread) {
+  // rep:s298x4's four cores share one netlist. Four threads, unsynchronized
+  // after they start, each draw core k's fault sample from its cached
+  // collapsed universe and build a defect generator on it (the pools serve
+  // builds outside its simulator lock). validate() filled every cache when
+  // the module was generated, so the threads only read: the results match
+  // one thread's, and the sanitizer jobs see no race.
+  const Soc soc = buildSocFromSpec("rep:s298x4");
+  ASSERT_EQ(soc.coreCount(), 4u);
+  for (std::size_t k = 1; k < soc.coreCount(); ++k)
+    ASSERT_EQ(soc.core(k).netlist.get(), soc.core(0).netlist.get());
+  const auto run = [&](std::size_t k) {
+    std::vector<std::size_t> out;
+    for (const FaultResponse& r : socResponsesForFailingCore(soc, k, quickWorkload()))
+      out.insert(out.end(), r.failingCellOrdinals.begin(), r.failingCellOrdinals.end());
+    const Netlist& nl = *soc.core(k).netlist;
+    const PatternSet patterns = generatePatterns(nl, 64, PrpgConfig{});
+    const FaultSimulator sim(nl, patterns);
+    const DefectScenarioGenerator generator(sim, parseDefectSpec("2,bridge,open"));
+    for (const std::size_t cell : generator.generate(k).composed.failingCellOrdinals)
+      out.push_back(cell);
+    return out;
+  };
+  // Threads first: a serial pass would fill any cache validate() had left
+  // empty before the threads could race on it.
+  std::vector<std::vector<std::size_t>> parallel(soc.coreCount()), serial(soc.coreCount());
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < soc.coreCount(); ++k)
+    threads.emplace_back([&, k] { parallel[k] = run(k); });
+  for (std::thread& t : threads) t.join();
+  for (std::size_t k = 0; k < soc.coreCount(); ++k) serial[k] = run(k);
+  EXPECT_EQ(parallel, serial);
 }
 
 }  // namespace

@@ -120,9 +120,10 @@
 // Exit codes:
 //   0  success
 //   1  internal/runtime failure
-//   2  usage error (bad flag, unknown scheme, missing argument, a numeric
-//      option that is not one whole unsigned number, zero partitions, a
-//      group count the scheme cannot build on the chain)
+//   2  usage error (an option or flag no subcommand reads, unknown scheme,
+//      missing argument, a numeric option that is not one whole unsigned
+//      number, zero partitions, a group count the scheme cannot build on the
+//      chain)
 //   3  input file not found
 //   4  input file failed to parse
 //   5  diagnosis still inconsistent after the retry budget was exhausted
@@ -139,6 +140,7 @@
 //      says how many; --metrics is written as for 0
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -147,6 +149,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/watchdog.hpp"
@@ -176,6 +179,22 @@ struct InconsistentDiagnosisError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Every option (takes a value) and flag (takes none) any subcommand reads.
+/// Any other --name is a usage error before any work, so a misspelt option
+/// never silently runs the default.
+constexpr std::array<std::string_view, 38> kOptionNames{
+    "alias", "atpg-budget", "cells", "chains", "checkpoint", "deadline-ms", "defects",
+    "drain-ms", "fault", "faults", "groups", "handlers", "intermittent", "io-timeout-ms",
+    "journal", "log", "max-retries", "metrics", "noise", "noise-seed", "o", "out", "partitions",
+    "patterns", "queue", "refine-budget", "report", "request-deadline-ms", "retry-budget", "sa",
+    "samples", "scheme", "seed", "shard", "socket", "target", "threads", "xmask"};
+constexpr std::array<std::string_view, 5> kFlagNames{"prune", "json", "resume", "class-sweep",
+                                                     "no-dedup"};
+
+bool isOneOf(std::string_view key, const auto& names) {
+  return std::find(names.begin(), names.end(), key) != names.end();
+}
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
@@ -187,9 +206,10 @@ struct Args {
       std::string a = argv[i];
       if (a.rfind("--", 0) == 0) {
         const std::string key = a.substr(2);
-        if (key == "prune" || key == "json" || key == "resume" || key == "class-sweep" ||
-            key == "no-dedup") {
+        if (isOneOf(key, kFlagNames)) {
           args.flags[key] = true;
+        } else if (!isOneOf(key, kOptionNames)) {
+          throw std::invalid_argument("unknown option --" + key);
         } else if (i + 1 < argc) {
           args.options[key] = argv[++i];
         } else {
