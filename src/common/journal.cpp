@@ -12,18 +12,18 @@
 #include <sstream>
 
 #include "common/errors.hpp"
+#include "common/wire.hpp"
 
 namespace scandiag {
 namespace {
 
-// Frame layout: [u32 payloadLen][u32 crc32(payload)][payload], little-endian.
-// The header frame is an ordinary frame whose payload starts with record type
-// kHeaderType and carries magic + version + setup digest + setup info.
+// Every record is one wire frame (common/wire.hpp). The header frame is an
+// ordinary frame of record type kHeaderType carrying magic + version + setup
+// digest + setup info.
 constexpr std::uint16_t kHeaderType = 0;
 constexpr char kMagic[4] = {'S', 'D', 'J', 'L'};
 constexpr std::uint16_t kVersion = 1;
-constexpr std::size_t kFramePrefix = 8;  // len + crc
-constexpr std::size_t kMaxPayload = 1u << 24;  // 16 MiB sanity bound per record
+constexpr std::uint32_t kMaxPayload = 1u << 24;  // 16 MiB sanity bound per record
 // Sane cap on the header's setup-info string: far above any real setup
 // description, far below an allocation a corrupt header could weaponize.
 constexpr std::uint32_t kMaxSetupInfo = 64u * 1024;
@@ -41,56 +41,11 @@ const std::array<std::uint32_t, 256>& crcTable() {
   return table;
 }
 
-void putU16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void putU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void putU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint16_t getU16(const char* p) {
-  return static_cast<std::uint16_t>(static_cast<unsigned char>(p[0]) |
-                                    (static_cast<unsigned char>(p[1]) << 8));
-}
-
-std::uint32_t getU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-std::uint64_t getU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-std::string frameFor(std::uint16_t type, const std::string& payload) {
-  std::string body;
-  body.reserve(2 + payload.size());
-  putU16(body, type);
-  body.append(payload);
-  std::string frame;
-  frame.reserve(kFramePrefix + body.size());
-  putU32(frame, static_cast<std::uint32_t>(body.size()));
-  putU32(frame, crc32(body.data(), body.size()));
-  frame.append(body);
-  return frame;
-}
-
 std::string headerPayload(std::uint64_t setupDigest, const std::string& setupInfo) {
-  std::string payload;
-  payload.append(kMagic, sizeof kMagic);
-  putU16(payload, kVersion);
-  putU64(payload, setupDigest);
-  putU32(payload, static_cast<std::uint32_t>(setupInfo.size()));
-  payload.append(setupInfo);
+  std::string payload(kMagic, sizeof kMagic);
+  wire::putU16(payload, kVersion);
+  wire::putU64(payload, setupDigest);
+  wire::putString(payload, setupInfo);
   return payload;
 }
 
@@ -125,19 +80,18 @@ void fsyncParentDir(const std::string& path) {
 }
 
 // Parses the header payload (past the u16 type) or throws JournalFormatError.
-void parseHeader(const std::string& payload, const std::string& path,
-                 JournalContents& out) {
-  // magic(4) + version(2) + digest(8) + infoLen(4)
-  if (payload.size() < 18 || std::memcmp(payload.data(), kMagic, sizeof kMagic) != 0) {
+void parseHeader(std::string_view payload, const std::string& path, JournalContents& out) {
+  if (payload.substr(0, sizeof kMagic) != std::string_view(kMagic, sizeof kMagic)) {
     throw JournalFormatError("journal: '" + path + "' has no SDJL header (not a journal?)");
   }
-  const std::uint16_t version = getU16(payload.data() + 4);
+  wire::Cursor<JournalFormatError> cur(payload.substr(sizeof kMagic));
+  const std::uint16_t version = cur.u16();
   if (version != kVersion) {
     throw JournalFormatError("journal: '" + path + "' has unsupported version " +
                              std::to_string(version));
   }
-  out.setupDigest = getU64(payload.data() + 6);
-  const std::uint32_t infoLen = getU32(payload.data() + 14);
+  out.setupDigest = cur.u64();
+  const std::uint32_t infoLen = cur.u32();
   // The info length rides inside a CRC-framed payload, but a corrupt header
   // can still be internally consistent — never size an allocation (or accept
   // a setup string) beyond what a writer could legitimately have produced.
@@ -146,10 +100,10 @@ void parseHeader(const std::string& payload, const std::string& path,
                               std::to_string(infoLen) + "-byte setup info (cap " +
                               std::to_string(kMaxSetupInfo) + ")");
   }
-  if (payload.size() != 18 + static_cast<std::size_t>(infoLen)) {
+  if (infoLen != cur.remaining()) {
     throw JournalFormatError("journal: '" + path + "' header info length mismatch");
   }
-  out.setupInfo = payload.substr(18);
+  out.setupInfo = payload.substr(payload.size() - infoLen);
 }
 
 }  // namespace
@@ -195,15 +149,15 @@ JournalContents readJournal(const std::string& path) {
   std::size_t pos = 0;
   bool sawHeader = false;
   while (pos < bytes.size()) {
+    const wire::FrameView frame =
+        wire::checkFrame(std::string_view(bytes).substr(pos), kMaxPayload);
     // An incomplete frame prefix or body at EOF is a torn tail: report + stop.
-    if (bytes.size() - pos < kFramePrefix) {
+    if (frame.status == wire::FrameStatus::Incomplete) {
       out.truncatedTail = true;
       out.truncatedAtOffset = pos;
       break;
     }
-    const std::uint32_t len = getU32(bytes.data() + pos);
-    const std::uint32_t storedCrc = getU32(bytes.data() + pos + 4);
-    if (len < 2 || len > kMaxPayload) {
+    if (frame.status == wire::FrameStatus::BadLength) {
       // A wild length on the FIRST frame means this is not a journal at all;
       // past the header it means the bytes rotted in place.
       if (!sawHeader) {
@@ -211,33 +165,25 @@ JournalContents readJournal(const std::string& path) {
       }
       throw JournalCorruptError("journal: '" + path + "' frame at offset " +
                                 std::to_string(pos) + " has implausible length " +
-                                std::to_string(len));
+                                std::to_string(frame.len));
     }
-    if (bytes.size() - pos - kFramePrefix < len) {
-      out.truncatedTail = true;
-      out.truncatedAtOffset = pos;
-      break;
-    }
-    const char* body = bytes.data() + pos + kFramePrefix;
-    if (crc32(body, len) != storedCrc) {
+    if (frame.status == wire::FrameStatus::BadCrc) {
       throw JournalCorruptError("journal: '" + path + "' CRC mismatch at offset " +
                                 std::to_string(pos));
     }
-    const std::uint16_t type = getU16(body);
-    std::string payload(body + 2, len - 2);
     if (!sawHeader) {
-      if (type != kHeaderType) {
+      if (frame.type != kHeaderType) {
         throw JournalFormatError("journal: '" + path + "' first frame is not a header");
       }
-      parseHeader(payload, path, out);
+      parseHeader(frame.payload, path, out);
       sawHeader = true;
-    } else if (type == kHeaderType) {
+    } else if (frame.type == kHeaderType) {
       throw JournalFormatError("journal: '" + path + "' has a duplicate header frame at offset " +
                                std::to_string(pos));
     } else {
-      out.records.push_back(JournalRecord{type, std::move(payload)});
+      out.records.push_back(JournalRecord{frame.type, std::string(frame.payload)});
     }
-    pos += kFramePrefix + len;
+    pos += frame.size;
   }
   if (!sawHeader) {
     // Empty file or header itself torn: the journal never finished creation,
@@ -270,7 +216,8 @@ JournalWriter JournalWriter::create(const std::string& path, std::uint64_t setup
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) throwErrno("journal: cannot create", tmp);
   try {
-    const std::string frame = frameFor(kHeaderType, headerPayload(setupDigest, setupInfo));
+    std::string frame;
+    wire::putFrame(frame, kHeaderType, headerPayload(setupDigest, setupInfo));
     writeAll(fd, frame.data(), frame.size(), tmp);
     fsyncOrThrow(fd, tmp);
   } catch (...) {
@@ -319,7 +266,8 @@ JournalWriter JournalWriter::openForAppend(const std::string& path,
 }
 
 void JournalWriter::append(std::uint16_t type, const std::string& payload) {
-  const std::string frame = frameFor(type, payload);
+  std::string frame;
+  wire::putFrame(frame, type, payload);
   std::lock_guard<std::mutex> lock(mutex_);
   writeAll(fd_, frame.data(), frame.size(), path_);
   fsyncOrThrow(fd_, path_);

@@ -5,8 +5,8 @@
 // checkpoint/resume layer (src/diagnosis/checkpoint.*) builds on:
 //
 //  * **Append-only framing.** The file is a header frame followed by record
-//    frames. Every frame is `[u32 payloadLen][u32 crc32(payload)][payload]`,
-//    little-endian, and every payload starts with a u16 record type. Appends
+//    frames, each one wire frame (common/wire.hpp):
+//    `[u32 len][u32 crc32(type ‖ payload)][u16 type][payload]`. Appends
 //    go through one mutex, are flushed with write(2), and fsync'd, so a record
 //    that append() returned for survives a SIGKILL an instant later.
 //  * **Atomic creation.** A new journal is written to `<path>.tmp` (header

@@ -3,74 +3,38 @@
 #include <algorithm>
 
 #include "common/thread_pool.hpp"
+#include "common/wire.hpp"
 #include "obs/metrics.hpp"
 
 namespace scandiag {
 
 namespace {
 
-void putU16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void putU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void putU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-class Cursor {
- public:
-  explicit Cursor(const std::string& bytes) : bytes_(&bytes) {}
-
-  std::uint16_t u16() { return static_cast<std::uint16_t>(uint(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(uint(4)); }
-  std::uint64_t u64() { return uint(8); }
-  std::size_t remaining() const { return bytes_->size() - pos_; }
-  bool exhausted() const { return pos_ == bytes_->size(); }
-
- private:
-  std::uint64_t uint(std::size_t width) {
-    if (bytes_->size() - pos_ < width) {
-      throw JournalCorruptError("checkpoint: fault record payload is short");
-    }
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < width; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>((*bytes_)[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += width;
-    return v;
-  }
-
-  const std::string* bytes_;
-  std::size_t pos_ = 0;
-};
+/// Cap on the shard meta's SOC spec and a manifest's class name: far above
+/// any spec or circuit name, far below an allocation a forged length could
+/// ask for.
+constexpr std::size_t kMaxLabel = 4096;
 
 }  // namespace
 
 std::string encodeFaultRecord(const FaultRecord& record) {
   std::string out;
   out.reserve(40 + record.counterDeltas.size() * 10);
-  putU64(out, record.sweepId);
-  putU32(out, record.faultIndex);
-  putU64(out, record.candidateCount);
-  putU64(out, record.actualCount);
-  putU64(out, record.verdictDigest);
-  putU32(out, static_cast<std::uint32_t>(record.counterDeltas.size()));
+  wire::putU64(out, record.sweepId);
+  wire::putU32(out, record.faultIndex);
+  wire::putU64(out, record.candidateCount);
+  wire::putU64(out, record.actualCount);
+  wire::putU64(out, record.verdictDigest);
+  wire::putU32(out, static_cast<std::uint32_t>(record.counterDeltas.size()));
   for (const auto& [counter, delta] : record.counterDeltas) {
-    putU16(out, counter);
-    putU64(out, delta);
+    wire::putU16(out, counter);
+    wire::putU64(out, delta);
   }
   return out;
 }
 
 FaultRecord decodeFaultRecord(const std::string& payload) {
-  Cursor cur(payload);
+  wire::Cursor<JournalCorruptError> cur(payload);
   FaultRecord record;
   record.sweepId = cur.u64();
   record.faultIndex = cur.u32();
@@ -97,36 +61,28 @@ FaultRecord decodeFaultRecord(const std::string& payload) {
     }
     record.counterDeltas.emplace_back(counter, delta);
   }
-  if (!cur.exhausted()) {
-    throw JournalCorruptError("checkpoint: fault record has trailing bytes");
-  }
+  cur.expectExhausted("fault record");
   return record;
 }
 
 std::string encodeShardMetaRecord(const ShardMetaRecord& record) {
   std::string out;
   out.reserve(20 + record.socSpec.size());
-  putU32(out, record.shardIndex);
-  putU32(out, record.shardCount);
-  putU64(out, record.baseDigest);
-  putU32(out, static_cast<std::uint32_t>(record.socSpec.size()));
-  out.append(record.socSpec);
+  wire::putU32(out, record.shardIndex);
+  wire::putU32(out, record.shardCount);
+  wire::putU64(out, record.baseDigest);
+  wire::putString(out, record.socSpec);
   return out;
 }
 
 ShardMetaRecord decodeShardMetaRecord(const std::string& payload) {
-  Cursor cur(payload);
+  wire::Cursor<JournalCorruptError> cur(payload);
   ShardMetaRecord record;
   record.shardIndex = cur.u32();
   record.shardCount = cur.u32();
   record.baseDigest = cur.u64();
-  const std::uint32_t specLen = cur.u32();
-  if (specLen != cur.remaining()) {
-    throw JournalCorruptError("checkpoint: shard meta claims a " + std::to_string(specLen) +
-                              "-byte spec but " + std::to_string(cur.remaining()) +
-                              " bytes remain");
-  }
-  record.socSpec = payload.substr(payload.size() - specLen);
+  record.socSpec = cur.str(kMaxLabel);
+  cur.expectExhausted("shard meta");
   if (record.shardCount == 0 || record.shardIndex >= record.shardCount) {
     throw JournalCorruptError("checkpoint: shard meta names shard " +
                               std::to_string(record.shardIndex) + " of " +
@@ -138,31 +94,25 @@ ShardMetaRecord decodeShardMetaRecord(const std::string& payload) {
 std::string encodeSweepManifestRecord(const SweepManifestRecord& record) {
   std::string out;
   out.reserve(32 + record.className.size());
-  putU64(out, record.sweepId);
-  putU64(out, record.classHash);
-  putU32(out, record.classOrdinal);
-  putU32(out, record.responseCount);
-  putU32(out, record.instanceCount);
-  putU32(out, static_cast<std::uint32_t>(record.className.size()));
-  out.append(record.className);
+  wire::putU64(out, record.sweepId);
+  wire::putU64(out, record.classHash);
+  wire::putU32(out, record.classOrdinal);
+  wire::putU32(out, record.responseCount);
+  wire::putU32(out, record.instanceCount);
+  wire::putString(out, record.className);
   return out;
 }
 
 SweepManifestRecord decodeSweepManifestRecord(const std::string& payload) {
-  Cursor cur(payload);
+  wire::Cursor<JournalCorruptError> cur(payload);
   SweepManifestRecord record;
   record.sweepId = cur.u64();
   record.classHash = cur.u64();
   record.classOrdinal = cur.u32();
   record.responseCount = cur.u32();
   record.instanceCount = cur.u32();
-  const std::uint32_t nameLen = cur.u32();
-  if (nameLen != cur.remaining()) {
-    throw JournalCorruptError("checkpoint: sweep manifest claims a " +
-                              std::to_string(nameLen) + "-byte name but " +
-                              std::to_string(cur.remaining()) + " bytes remain");
-  }
-  record.className = payload.substr(payload.size() - nameLen);
+  record.className = cur.str(kMaxLabel);
+  cur.expectExhausted("sweep manifest");
   return record;
 }
 

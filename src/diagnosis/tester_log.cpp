@@ -23,7 +23,7 @@ constexpr std::size_t kMaxSessions = 1 << 24;
 
 }  // namespace
 
-TesterLog parseTesterLog(std::istream& in) {
+TesterLog parseTesterLog(std::istream& in, std::optional<SessionShape> expected) {
   TesterLog log;
   bool sawHeader = false;
   std::size_t failingSessions = 0, failingWithSig = 0;
@@ -47,6 +47,13 @@ TesterLog parseTesterLog(std::istream& in) {
         fail(lineNo, "sessions header requests an implausibly large schedule");
       std::string trailing;
       if (is >> trailing) fail(lineNo, "unexpected trailing token '" + trailing + "'");
+      if (expected && (log.numPartitions != expected->partitions ||
+                       log.groupsPerPartition != expected->groups)) {
+        fail(lineNo, "schedule " + std::to_string(log.numPartitions) + "x" +
+                         std::to_string(log.groupsPerPartition) + " does not match the expected " +
+                         std::to_string(expected->partitions) + "x" +
+                         std::to_string(expected->groups));
+      }
       sawHeader = true;
       log.verdicts.failing.assign(log.numPartitions, BitVector(log.groupsPerPartition));
       log.verdicts.errorSig.assign(log.numPartitions,
@@ -93,9 +100,9 @@ TesterLog parseTesterLog(std::istream& in) {
   return log;
 }
 
-TesterLog parseTesterLogString(const std::string& text) {
+TesterLog parseTesterLogString(const std::string& text, std::optional<SessionShape> expected) {
   std::istringstream in(text);
-  return parseTesterLog(in);
+  return parseTesterLog(in, expected);
 }
 
 TesterLog parseTesterLogFile(const std::string& path) {

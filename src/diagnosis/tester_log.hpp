@@ -19,6 +19,7 @@
 #pragma once
 
 #include <istream>
+#include <optional>
 #include <string>
 
 #include "diagnosis/candidate_analyzer.hpp"
@@ -33,8 +34,19 @@ struct TesterLog {
   GroupVerdicts verdicts;  // hasSignatures iff every failing session had one
 };
 
-TesterLog parseTesterLog(std::istream& in);
-TesterLog parseTesterLogString(const std::string& text);
+/// Session shape of a schedule: partitions x groups per partition.
+struct SessionShape {
+  std::size_t partitions = 0;
+  std::size_t groups = 0;
+};
+
+/// `expected`, when given, is the only shape the caller accepts: a sessions
+/// header naming another is a ParseError before any verdict table is sized,
+/// so a server with a fixed schedule never allocates for a log it would
+/// refuse. Without it the shape comes from the log (`scandiag offline`).
+TesterLog parseTesterLog(std::istream& in, std::optional<SessionShape> expected = std::nullopt);
+TesterLog parseTesterLogString(const std::string& text,
+                               std::optional<SessionShape> expected = std::nullopt);
 TesterLog parseTesterLogFile(const std::string& path);
 
 /// Serializes verdicts in the log format (failing sessions only, plus the

@@ -4,7 +4,7 @@
 
 #include <unordered_map>
 
-#include "serve/wire.hpp"
+#include "common/wire.hpp"
 
 namespace scandiag::serve {
 
@@ -48,8 +48,7 @@ std::uint64_t decodeId(const JournalRecord& record) {
                              " has payload of " + std::to_string(record.payload.size()) +
                              " bytes (want 8)");
   }
-  wire::Cursor cur(record.payload);
-  return cur.u64();
+  return wire::Cursor<JournalFormatError>(record.payload).u64();
 }
 
 }  // namespace
@@ -103,8 +102,11 @@ ServeLedger replayLedger(const std::string& path) {
     const std::uint64_t id = decodeId(record);
     switch (record.type) {
       case kAcceptedRecord:
+        if (!open.emplace(id, false).second) {
+          throw JournalFormatError("ledger: request " + std::to_string(id) +
+                                   " accepted twice");
+        }
         ++ledger.accepted;
-        open.emplace(id, false);
         break;
       case kOkRecord:
       case kShedRecord:

@@ -6,16 +6,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/journal.hpp"  // crc32
-
 namespace scandiag::serve {
 
 namespace {
-
-std::uint32_t getU32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
 
 std::chrono::steady_clock::time_point deadlineFrom(std::chrono::milliseconds timeout) {
   return std::chrono::steady_clock::now() + timeout;
@@ -94,6 +87,24 @@ void writeAll(int fd, const char* data, std::size_t size,
   }
 }
 
+/// The socket's reading of a frame check: more bytes needed (nullopt), a
+/// frame, or the typed error for a wild length or a bad CRC.
+std::optional<Frame> frameFrom(const wire::FrameView& check, std::size_t* consumed) {
+  switch (check.status) {
+    case wire::FrameStatus::Incomplete:
+      return std::nullopt;
+    case wire::FrameStatus::BadLength:
+      throw FrameFormatError("frame payload length " + std::to_string(check.len) +
+                             " out of range [2, " + std::to_string(kMaxFramePayload) + "]");
+    case wire::FrameStatus::BadCrc:
+      throw FrameCorruptError("frame CRC mismatch");
+    case wire::FrameStatus::Ok:
+      break;
+  }
+  if (consumed) *consumed = check.size;
+  return Frame{check.type, std::string(check.payload)};
+}
+
 }  // namespace
 
 std::string encodeFrame(std::uint16_t type, std::string_view payload) {
@@ -103,73 +114,29 @@ std::string encodeFrame(std::uint16_t type, std::string_view payload) {
                            std::to_string(kMaxFramePayload));
   }
   std::string out;
-  out.reserve(kFrameHeaderBytes + total);
-  const auto putU32 = [&out](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  };
-  putU32(static_cast<std::uint32_t>(total));
-  // CRC over the full payload (type tag included), matching the journal.
-  const char typeBytes[2] = {static_cast<char>(type & 0xFF), static_cast<char>((type >> 8) & 0xFF)};
-  std::uint32_t crc = crc32(typeBytes, 2, 0);
-  crc = crc32(payload.data(), payload.size(), crc);
-  putU32(crc);
-  out.append(typeBytes, 2);
-  out.append(payload);
+  wire::putFrame(out, type, payload);
   return out;
 }
 
 std::optional<Frame> decodeFrame(std::string_view bytes, std::size_t* consumed) {
-  if (bytes.size() < kFrameHeaderBytes) return std::nullopt;
-  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
-  const std::uint32_t len = getU32(p);
-  const std::uint32_t crcStored = getU32(p + 4);
-  if (len < 2 || len > kMaxFramePayload) {
-    throw FrameFormatError("frame payload length " + std::to_string(len) +
-                           " out of range [2, " + std::to_string(kMaxFramePayload) + "]");
-  }
-  if (bytes.size() - kFrameHeaderBytes < len) return std::nullopt;
-  const char* payload = bytes.data() + kFrameHeaderBytes;
-  const std::uint32_t crcActual = crc32(payload, len, 0);
-  if (crcActual != crcStored) {
-    throw FrameCorruptError("frame CRC mismatch (stored " + std::to_string(crcStored) +
-                            ", computed " + std::to_string(crcActual) + ")");
-  }
-  Frame frame;
-  frame.type = static_cast<std::uint16_t>(static_cast<unsigned char>(payload[0]) |
-                                          (static_cast<unsigned char>(payload[1]) << 8));
-  frame.payload.assign(payload + 2, len - 2);
-  if (consumed) *consumed = kFrameHeaderBytes + len;
-  return frame;
+  return frameFrom(wire::checkFrame(bytes, kMaxFramePayload), consumed);
 }
 
 Frame readFrame(int fd, std::chrono::milliseconds timeout) {
   const auto deadline = deadlineFrom(timeout);
-  char header[kFrameHeaderBytes];
-  if (!readExact(fd, header, sizeof header, deadline)) {
+  std::string bytes(kFrameHeaderBytes, '\0');
+  if (!readExact(fd, bytes.data(), bytes.size(), deadline)) {
     throw PeerClosedError("peer closed connection");
   }
-  const auto* p = reinterpret_cast<const unsigned char*>(header);
-  const std::uint32_t len = getU32(p);
-  const std::uint32_t crcStored = getU32(p + 4);
-  // Validate the length BEFORE allocating: a hostile prefix must cost nothing.
-  if (len < 2 || len > kMaxFramePayload) {
-    throw FrameFormatError("frame payload length " + std::to_string(len) +
-                           " out of range [2, " + std::to_string(kMaxFramePayload) + "]");
-  }
-  std::string payload(len, '\0');
-  if (!readExact(fd, payload.data(), len, deadline)) {
+  // The header alone settles the length BEFORE allocating: a hostile prefix
+  // must cost nothing. A length in range leaves the frame incomplete.
+  const wire::FrameView header = wire::checkFrame(bytes, kMaxFramePayload);
+  (void)frameFrom(header, nullptr);
+  bytes.resize(kFrameHeaderBytes + header.len);
+  if (!readExact(fd, bytes.data() + kFrameHeaderBytes, header.len, deadline)) {
     throw FrameFormatError("peer closed between frame header and payload");
   }
-  const std::uint32_t crcActual = crc32(payload.data(), payload.size(), 0);
-  if (crcActual != crcStored) {
-    throw FrameCorruptError("frame CRC mismatch (stored " + std::to_string(crcStored) +
-                            ", computed " + std::to_string(crcActual) + ")");
-  }
-  Frame frame;
-  frame.type = static_cast<std::uint16_t>(static_cast<unsigned char>(payload[0]) |
-                                          (static_cast<unsigned char>(payload[1]) << 8));
-  frame.payload.assign(payload, 2, std::string::npos);
-  return frame;
+  return *frameFrom(wire::checkFrame(bytes, kMaxFramePayload), nullptr);
 }
 
 void writeFrame(int fd, std::uint16_t type, std::string_view payload,

@@ -1,9 +1,10 @@
-// CRC-framed socket protocol: the journal's framing discipline over a fd.
+// CRC-framed socket protocol: the journal's frame over a fd.
 //
-// A serve frame is byte-identical in shape to a journal frame:
+// A serve frame is the same frame a journal record is, built and checked by
+// the same two functions (wire::putFrame / wire::checkFrame,
+// common/wire.hpp):
 //
-//     [u32 payloadLen][u32 crc32(payload)][payload]   little-endian,
-//     payload = [u16 messageType][message bytes]
+//     [u32 len][u32 crc32(type ‖ payload)][u16 messageType][message bytes]
 //
 // so the protocol inherits the journal's property that a length-lying,
 // bit-flipped, or truncated frame is *detected*, never silently accepted.
@@ -28,6 +29,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "common/wire.hpp"
 
 namespace scandiag::serve {
 
@@ -77,7 +80,7 @@ class PeerClosedError : public FrameError {
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
 
 /// Bytes of framing overhead preceding each payload (u32 len + u32 crc).
-inline constexpr std::size_t kFrameHeaderBytes = 8;
+inline constexpr std::size_t kFrameHeaderBytes = wire::kFramePrefix;
 
 struct Frame {
   std::uint16_t type = 0;

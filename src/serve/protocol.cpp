@@ -1,6 +1,6 @@
 #include "serve/protocol.hpp"
 
-#include "serve/wire.hpp"
+#include "common/wire.hpp"
 
 namespace scandiag::serve {
 
@@ -41,7 +41,7 @@ std::string encodeDiagnoseRequest(const DiagnoseRequest& request) {
 }
 
 DiagnoseRequest decodeDiagnoseRequest(const std::string& payload) {
-  wire::Cursor cur(payload);
+  wire::Cursor<FrameFormatError> cur(payload);
   DiagnoseRequest request;
   const std::uint16_t kind = cur.u16();
   if (kind > static_cast<std::uint16_t>(DiagnoseRequest::Kind::DefectScenario)) {
@@ -76,7 +76,7 @@ std::string encodeDiagnoseReply(const DiagnoseReply& reply) {
 }
 
 DiagnoseReply decodeDiagnoseReply(const std::string& payload) {
-  wire::Cursor cur(payload);
+  wire::Cursor<FrameFormatError> cur(payload);
   DiagnoseReply reply;
   const std::uint16_t status = cur.u16();
   if (status > static_cast<std::uint16_t>(ReplyStatus::Error)) {
@@ -116,7 +116,7 @@ std::string encodeStatsReply(const StatsReply& stats) {
 }
 
 StatsReply decodeStatsReply(const std::string& payload) {
-  wire::Cursor cur(payload);
+  wire::Cursor<FrameFormatError> cur(payload);
   StatsReply stats;
   stats.accepted = cur.u64();
   stats.ok = cur.u64();

@@ -120,22 +120,17 @@ DiagnoseReply DiagnosisService::handleLog(const DiagnoseRequest& request, Diagno
                                           const Watchdog* deadline) const {
   (void)control;
   (void)deadline;  // log diagnosis runs no sessions; recovery is sub-ms
-  TesterLog log;
-  try {
-    log = parseTesterLogString(request.logText);
-  } catch (const ParseError& e) {
-    return errorReply(std::move(reply), std::string("tester log: ") + e.what());
-  }
   // The server's partition schedule is burned in at startup (it mirrors the
   // BIST controller); a log recorded against a different schedule would be
-  // silently mis-intersected, so dimension mismatch is a hard request error.
-  if (log.numPartitions != config_.diagnosis.numPartitions ||
-      log.groupsPerPartition != config_.diagnosis.groupsPerPartition) {
-    return errorReply(std::move(reply),
-                      "tester log schedule " + std::to_string(log.numPartitions) + "x" +
-                          std::to_string(log.groupsPerPartition) + " does not match server " +
-                          std::to_string(config_.diagnosis.numPartitions) + "x" +
-                          std::to_string(config_.diagnosis.groupsPerPartition));
+  // silently mis-intersected, so the parser refuses any other shape — before
+  // it sizes a verdict table from the untrusted header.
+  TesterLog log;
+  try {
+    log = parseTesterLogString(request.logText,
+                               SessionShape{config_.diagnosis.numPartitions,
+                                            config_.diagnosis.groupsPerPartition});
+  } catch (const ParseError& e) {
+    return errorReply(std::move(reply), std::string("tester log: ") + e.what());
   }
   reply.detected = true;
   // A recorded log cannot be re-run: recovery with a null rerun callback

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bist/prpg.hpp"
+#include "common/errors.hpp"
 #include "netlist/synthetic_generator.hpp"
 #include "sim/fault_list.hpp"
 
@@ -54,6 +55,25 @@ TEST(TesterLog, ParseErrorsCarryLineNumbers) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
+}
+
+TEST(TesterLog, ExpectedShapeRefusesAnotherHeaderAtTheHeader) {
+  // 65536 x 256 passes the parser's own caps (2^24 sessions) and would size
+  // about 135 MiB of verdict tables; a caller that fixed the shape refuses it
+  // on line 1, before any table exists.
+  try {
+    parseTesterLogString("sessions 65536 256\nverdict 70000 0 fail\n", SessionShape{8, 16});
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_NE(std::string(e.what()).find("does not match"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(parseTesterLogString("sessions 8 15\n", SessionShape{8, 16}), ParseError);
+  const TesterLog log = parseTesterLogString("sessions 8 16\nverdict 7 15 fail\n",
+                                             SessionShape{8, 16});
+  EXPECT_TRUE(log.verdicts.failing[7].test(15));
+  // Without an expected shape the log's own header decides.
+  EXPECT_EQ(parseTesterLogString("sessions 2 4\n").numPartitions, 2u);
 }
 
 TEST(TesterLog, WriteParseRoundTrip) {

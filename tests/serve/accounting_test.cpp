@@ -126,6 +126,19 @@ TEST(Accounting, DoubleTerminalIsCorruption) {
   EXPECT_THROW((void)replayLedger(path), JournalFormatError);
 }
 
+TEST(Accounting, ReusedAcceptedIdIsCorruption) {
+  // A server resumes ids past the journaled maximum, so an id accepted twice
+  // cannot come from a real run; counting both would unbalance the ledger.
+  const std::string path = tempPath("ledger_reused.journal");
+  {
+    RequestAccounting accounting(path);
+    accounting.accepted(1);
+    accounting.terminal(1, RequestOutcome::Ok);
+    accounting.accepted(1);
+  }
+  EXPECT_THROW((void)replayLedger(path), JournalFormatError);
+}
+
 TEST(Accounting, ForeignJournalIsDigestMismatch) {
   const std::string path = tempPath("ledger_foreign.journal");
   {

@@ -9,7 +9,7 @@
 
 #include <string>
 
-#include "serve/wire.hpp"
+#include "common/wire.hpp"
 
 namespace scandiag::serve {
 namespace {
@@ -106,7 +106,7 @@ TEST(WireCursor, ReadsBackWhatHelpersWrote) {
   wire::putU64(bytes, 0x0123456789ABCDEFull);
   wire::putDouble(bytes, 0.734375);
   wire::putString(bytes, "cells");
-  wire::Cursor cur{std::string_view(bytes)};
+  wire::Cursor<FrameFormatError> cur{std::string_view(bytes)};
   EXPECT_EQ(cur.u16(), 0xBEEF);
   EXPECT_EQ(cur.u32(), 0xDEADBEEFu);
   EXPECT_EQ(cur.u64(), 0x0123456789ABCDEFull);
@@ -118,7 +118,7 @@ TEST(WireCursor, ReadsBackWhatHelpersWrote) {
 TEST(WireCursor, TruncatedIntegerThrowsFormatError) {
   std::string bytes;
   wire::putU32(bytes, 7);
-  wire::Cursor cur{std::string_view(bytes)};
+  wire::Cursor<FrameFormatError> cur{std::string_view(bytes)};
   (void)cur.u16();
   (void)cur.u16();
   EXPECT_THROW((void)cur.u16(), FrameFormatError);
@@ -127,7 +127,7 @@ TEST(WireCursor, TruncatedIntegerThrowsFormatError) {
 TEST(WireCursor, StringLengthBeyondCapThrowsBeforeAllocating) {
   std::string bytes;
   wire::putU32(bytes, 0x40000000u);  // claims a 1 GiB string
-  wire::Cursor cur{std::string_view(bytes)};
+  wire::Cursor<FrameFormatError> cur{std::string_view(bytes)};
   EXPECT_THROW((void)cur.str(1024), FrameFormatError);
 }
 
@@ -135,7 +135,7 @@ TEST(WireCursor, StringLengthBeyondRemainingThrows) {
   std::string bytes;
   wire::putString(bytes, "abc");
   bytes.pop_back();  // length says 3, two bytes present
-  wire::Cursor cur{std::string_view(bytes)};
+  wire::Cursor<FrameFormatError> cur{std::string_view(bytes)};
   EXPECT_THROW((void)cur.str(16), FrameFormatError);
 }
 
@@ -143,7 +143,7 @@ TEST(WireCursor, ExpectExhaustedRejectsTrailingBytes) {
   std::string bytes;
   wire::putU16(bytes, 1);
   bytes.push_back('\0');
-  wire::Cursor cur{std::string_view(bytes)};
+  wire::Cursor<FrameFormatError> cur{std::string_view(bytes)};
   (void)cur.u16();
   EXPECT_THROW(cur.expectExhausted("test message"), FrameFormatError);
 }

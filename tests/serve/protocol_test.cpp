@@ -9,7 +9,7 @@
 
 #include <string>
 
-#include "serve/wire.hpp"
+#include "common/wire.hpp"
 
 namespace scandiag::serve {
 namespace {

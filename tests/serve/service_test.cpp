@@ -7,6 +7,7 @@
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -143,6 +144,23 @@ TEST_F(ServiceTest, MismatchedLogScheduleIsErrorReply) {
   const DiagnoseReply reply = service_->handle(request, 5, kNoDeadline, nullptr);
   EXPECT_EQ(reply.status, ReplyStatus::Error);
   EXPECT_NE(reply.message.find("does not match"), std::string::npos);
+}
+
+TEST_F(ServiceTest, LogHeaderOfAnotherShapeIsRefusedBeforeAllocating) {
+  // A 19-byte body claiming 65536 x 256 sessions: sizing its verdict tables
+  // before the shape check would allocate about 135 MiB per request. Peak RSS
+  // is a high-water mark, so the check can only miss growth, never invent it.
+  DiagnoseRequest request;
+  request.kind = DiagnoseRequest::Kind::TesterLog;
+  request.logText = "sessions 65536 256\n";
+  struct rusage before{};
+  ::getrusage(RUSAGE_SELF, &before);
+  const DiagnoseReply reply = service_->handle(request, 7, kNoDeadline, nullptr);
+  struct rusage after{};
+  ::getrusage(RUSAGE_SELF, &after);
+  EXPECT_EQ(reply.status, ReplyStatus::Error);
+  EXPECT_NE(reply.message.find("does not match"), std::string::npos) << reply.message;
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 32 * 1024) << "KiB of peak RSS growth";
 }
 
 TEST_F(ServiceTest, PreCancelledDrainTokenUnwindsAsCancellation) {
