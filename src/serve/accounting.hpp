@@ -77,8 +77,9 @@ class RequestAccounting {
 };
 
 /// Replays a ledger journal. Throws JournalError subtypes on corrupt bytes,
-/// FrameFormatError-shaped JournalFormatError on unknown record types or
-/// malformed payloads. A torn tail is reported via the ledger, not thrown.
+/// FrameFormatError-shaped JournalFormatError on unknown record types,
+/// malformed payloads, or an id accepted twice or closed twice. A torn tail
+/// is reported via the ledger, not thrown.
 ServeLedger replayLedger(const std::string& path);
 
 }  // namespace scandiag::serve
