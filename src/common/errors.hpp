@@ -13,7 +13,9 @@
 // input itself was never inspected.
 #pragma once
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
@@ -56,17 +58,33 @@ class FileNotFoundError : public std::runtime_error {
   std::string path_;
 };
 
-/// Parses a command-line count or seed: the whole of `text` must be one
-/// unsigned integer in strtoull base-0 syntax (decimal, 0x hex, leading-0
-/// octal) that fits in 64 bits. A sign, whitespace, trailing characters or
-/// overflow throw std::invalid_argument naming `what` (a usage error).
-inline std::uint64_t parseUnsigned(const std::string& text, const std::string& what) {
+/// The number rule of every command-line option and spec field (shard i/N,
+/// rep:<module>x<R>:w<W>, a defect mix), with parseReal. A count or seed: the
+/// whole of `text` is one unsigned integer in strtoull base-0 syntax (decimal,
+/// 0x hex, leading-0 octal) no larger than `max`. A sign, whitespace, trailing
+/// characters or overflow throw std::invalid_argument naming `what`.
+inline std::uint64_t parseUnsigned(const std::string& text, const std::string& what,
+                                   std::uint64_t max = UINT64_MAX) {
   const bool digitFirst = !text.empty() && text[0] >= '0' && text[0] <= '9';
   char* end = nullptr;
   errno = 0;
   const unsigned long long value = digitFirst ? std::strtoull(text.c_str(), &end, 0) : 0;
-  if (!digitFirst || *end != '\0' || errno == ERANGE)
-    throw std::invalid_argument(what + " needs an unsigned number, got '" + text + "'");
+  if (!digitFirst || *end != '\0' || errno == ERANGE || value > max) {
+    const std::string bound = max < UINT64_MAX ? " up to " + std::to_string(max) : "";
+    throw std::invalid_argument(what + " needs an unsigned number" + bound + ", got '" + text +
+                                "'");
+  }
+  return value;
+}
+
+/// A rate or target: the whole of `text` is one finite real in strtod syntax;
+/// leading whitespace, trailing characters, nan and infinities are refused.
+inline double parseReal(const std::string& text, const std::string& what) {
+  const bool spaceFirst = text.empty() || std::isspace(static_cast<unsigned char>(text[0]));
+  char* end = nullptr;
+  const double value = spaceFirst ? 0.0 : std::strtod(text.c_str(), &end);
+  if (spaceFirst || end == text.c_str() || *end != '\0' || !std::isfinite(value))
+    throw std::invalid_argument(what + " needs a finite real number, got '" + text + "'");
   return value;
 }
 

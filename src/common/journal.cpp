@@ -206,6 +206,12 @@ JournalWriter::~JournalWriter() {
 
 JournalWriter JournalWriter::create(const std::string& path, std::uint64_t setupDigest,
                                     const std::string& setupInfo) {
+  // readJournal refuses a longer setup info: refuse it before any file exists.
+  if (setupInfo.size() > kMaxSetupInfo) {
+    throw JournalFormatError("journal: '" + path + "' setup info of " +
+                             std::to_string(setupInfo.size()) + " bytes exceeds the " +
+                             std::to_string(kMaxSetupInfo) + "-byte cap");
+  }
   if (std::filesystem::exists(path)) {
     throw JournalError("journal: '" + path + "' already exists (use --resume to continue it)");
   }

@@ -100,7 +100,9 @@ class JournalWriter {
   /// Creates `path` atomically (temp + rename) with a header carrying
   /// `setupDigest`/`setupInfo`, then holds it open for append. Fails with
   /// JournalError if `path` already exists (pass resume semantics through
-  /// openForAppend instead — creation never clobbers).
+  /// openForAppend instead — creation never clobbers), and with
+  /// JournalFormatError, before any file exists, if `setupInfo` is longer
+  /// than readJournal accepts (64 KiB).
   static JournalWriter create(const std::string& path, std::uint64_t setupDigest,
                               const std::string& setupInfo);
 

@@ -47,12 +47,14 @@ TesterLog parseTesterLog(std::istream& in, std::optional<SessionShape> expected)
         fail(lineNo, "sessions header requests an implausibly large schedule");
       std::string trailing;
       if (is >> trailing) fail(lineNo, "unexpected trailing token '" + trailing + "'");
-      if (expected && (log.numPartitions != expected->partitions ||
-                       log.groupsPerPartition != expected->groups)) {
+      const std::size_t partitions =
+          expected && expected->partitions ? expected->partitions : log.numPartitions;
+      const std::size_t groups =
+          expected && expected->groups ? expected->groups : log.groupsPerPartition;
+      if (log.numPartitions != partitions || log.groupsPerPartition != groups) {
         fail(lineNo, "schedule " + std::to_string(log.numPartitions) + "x" +
                          std::to_string(log.groupsPerPartition) + " does not match the expected " +
-                         std::to_string(expected->partitions) + "x" +
-                         std::to_string(expected->groups));
+                         std::to_string(partitions) + "x" + std::to_string(groups));
       }
       sawHeader = true;
       log.verdicts.failing.assign(log.numPartitions, BitVector(log.groupsPerPartition));
@@ -105,10 +107,10 @@ TesterLog parseTesterLogString(const std::string& text, std::optional<SessionSha
   return parseTesterLog(in, expected);
 }
 
-TesterLog parseTesterLogFile(const std::string& path) {
+TesterLog parseTesterLogFile(const std::string& path, std::optional<SessionShape> expected) {
   std::ifstream in(path);
   if (!in.good()) throw FileNotFoundError(path);
-  return parseTesterLog(in);
+  return parseTesterLog(in, expected);
 }
 
 std::string writeTesterLog(const GroupVerdicts& verdicts) {

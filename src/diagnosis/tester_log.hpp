@@ -34,7 +34,8 @@ struct TesterLog {
   GroupVerdicts verdicts;  // hasSignatures iff every failing session had one
 };
 
-/// Session shape of a schedule: partitions x groups per partition.
+/// Session shape of a schedule: partitions x groups per partition. As an
+/// expected shape, a zero count accepts whatever the log's header says.
 struct SessionShape {
   std::size_t partitions = 0;
   std::size_t groups = 0;
@@ -43,11 +44,12 @@ struct SessionShape {
 /// `expected`, when given, is the only shape the caller accepts: a sessions
 /// header naming another is a ParseError before any verdict table is sized,
 /// so a server with a fixed schedule never allocates for a log it would
-/// refuse. Without it the shape comes from the log (`scandiag offline`).
+/// refuse. Without it the shape comes from the log.
 TesterLog parseTesterLog(std::istream& in, std::optional<SessionShape> expected = std::nullopt);
 TesterLog parseTesterLogString(const std::string& text,
                                std::optional<SessionShape> expected = std::nullopt);
-TesterLog parseTesterLogFile(const std::string& path);
+TesterLog parseTesterLogFile(const std::string& path,
+                             std::optional<SessionShape> expected = std::nullopt);
 
 /// Serializes verdicts in the log format (failing sessions only, plus the
 /// header). Inverse of parseTesterLog for diagnosis purposes.

@@ -9,6 +9,7 @@
 
 #include "atpg/podem.hpp"
 #include "common/assert.hpp"
+#include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -33,71 +34,31 @@ constexpr std::size_t kMaxDrawTries = 64;  // draws per component before giving 
 // PODEM backtracks per capture-cell fault in the refinement stall breaker.
 constexpr std::size_t kAtpgBacktrackLimit = 2000;
 
-double parseProbability(const std::string& token) {
-  std::size_t consumed = 0;
-  double p = 0.0;
-  try {
-    p = std::stod(token, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != token.size() || !(p > 0.0) || !(p < 1.0)) {
-    throw std::invalid_argument("defect spec: intermittent probability must be in (0,1), got '" +
-                                token + "'");
-  }
-  return p;
-}
-
 }  // namespace
 
 DefectMix parseDefectSpec(const std::string& spec) {
+  // The appended comma keeps an empty last field ("2,"), which is refused.
+  std::vector<std::string> fields;
+  std::istringstream in(spec + ',');
+  for (std::string field; std::getline(in, field, ',');) fields.push_back(field);
   DefectMix mix;
-  mix.bridges = false;
-  mix.opens = false;
-  mix.intermittentP = 0.0;
-  std::vector<std::string> tokens;
-  std::string token;
-  std::istringstream in(spec);
-  while (std::getline(in, token, ',')) tokens.push_back(token);
-  if (tokens.empty()) throw std::invalid_argument("defect spec: empty (expected k[,bridge][,open][,intermittent:p])");
-
-  // First token: k.
-  {
-    const std::string& first = tokens.front();
-    std::size_t consumed = 0;
-    unsigned long k = 0;
-    try {
-      k = std::stoul(first, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != first.size() || k == 0) {
-      throw std::invalid_argument("defect spec: first field must be a fault count k >= 1, got '" +
-                                  first + "'");
-    }
-    mix.k = static_cast<std::size_t>(k);
-  }
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& t = tokens[i];
+  mix.k = parseUnsigned(fields.front(), "defect spec fault count k");
+  if (mix.k == 0) throw std::invalid_argument("defect spec: fault count k must be at least 1");
+  for (std::size_t i = 1; i < fields.size(); ++i) {
+    const std::string& t = fields[i];
     if (t == "bridge" || t == "bridges") {
       mix.bridges = true;
     } else if (t == "open" || t == "opens") {
       mix.opens = true;
     } else if (t.rfind("intermittent:", 0) == 0) {
-      mix.intermittentP = parseProbability(t.substr(std::string("intermittent:").size()));
+      const std::string p = t.substr(std::string("intermittent:").size());
+      mix.intermittentP = parseReal(p, "defect spec intermittent probability");
+      if (!(mix.intermittentP > 0.0 && mix.intermittentP < 1.0)) {
+        throw std::invalid_argument(
+            "defect spec: intermittent probability must be in (0,1), got '" + p + "'");
+      }
     } else if (t.rfind("seed:", 0) == 0) {
-      const std::string value = t.substr(5);
-      std::size_t consumed = 0;
-      unsigned long long seed = 0;
-      try {
-        seed = std::stoull(value, &consumed, 0);
-      } catch (const std::exception&) {
-        consumed = 0;
-      }
-      if (consumed != value.size()) {
-        throw std::invalid_argument("defect spec: bad seed '" + value + "'");
-      }
-      mix.seed = seed;
+      mix.seed = parseUnsigned(t.substr(5), "defect spec seed");
     } else {
       throw std::invalid_argument(
           "defect spec: unknown field '" + t +

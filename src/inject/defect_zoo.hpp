@@ -64,13 +64,12 @@ struct DefectMix {
   /// scenario of an intermittent mix exercises the degradation path).
   double intermittentP = 0.0;
   std::uint64_t seed = 0xDEFEC7;
-
-  bool enabled() const { return k > 0; }
 };
 
-/// Parses "k[,bridge][,open][,intermittent:p]" (e.g. "2,bridge,open" or
-/// "3,intermittent:0.5"). Throws std::invalid_argument with a message
-/// suitable for stderr on malformed input.
+/// Parses "k[,bridge][,open][,intermittent:p][,seed:n]" (e.g. "2,bridge,open"
+/// or "3,intermittent:0.5"). k and n follow parseUnsigned, p parseReal
+/// (common/errors.hpp). Throws std::invalid_argument with a message suitable
+/// for stderr on malformed input.
 DefectMix parseDefectSpec(const std::string& spec);
 std::string describeDefectMix(const DefectMix& mix);
 

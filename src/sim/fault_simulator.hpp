@@ -62,11 +62,12 @@ struct FaultResponse {
 /// scratch buffers and briefly mutate the good-value store in place
 /// (restoring it before returning), so concurrent calls on a *shared*
 /// instance are not allowed — create one simulator per thread instead, as
-/// the SoC driver and the serve lease pool do. Construction costs the
-/// good-machine simulation plus a few gate-indexed integer arrays (the
-/// levelization is the netlist's); a site's cone is walked, in O(cone), on
-/// its first fault. The read-only accessors (goodValue/goodCaptures/...)
-/// observe the fault-free state whenever no simulate() call is in flight.
+/// the SoC driver does, or hold one lock around every call, as serve does.
+/// Construction costs the good-machine simulation plus a few gate-indexed
+/// integer arrays (the levelization is the netlist's); a site's cone is
+/// walked, in O(cone), on its first fault. The read-only accessors
+/// (goodValue/goodCaptures/...) observe the fault-free state whenever no
+/// simulate() call is in flight.
 class FaultSimulator {
  public:
   FaultSimulator(const Netlist& netlist, const PatternSet& patterns);

@@ -5,6 +5,7 @@
 
 #include "bist/prpg.hpp"
 #include "common/assert.hpp"
+#include "common/errors.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fault_list.hpp"
 #include "sim/fault_simulator.hpp"
@@ -15,17 +16,16 @@ namespace scandiag {
 
 SocShardSpec parseShardSpec(const std::string& text) {
   const std::size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 == text.size()) {
+  if (slash == std::string::npos) {
     throw std::invalid_argument("bad shard spec '" + text + "': expected i/N (0-based)");
   }
+  const std::string what = "shard spec '" + text + "'";
   SocShardSpec spec;
-  try {
-    spec.index = static_cast<std::uint32_t>(std::stoul(text.substr(0, slash)));
-    spec.count = static_cast<std::uint32_t>(std::stoul(text.substr(slash + 1)));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad shard spec '" + text + "': not numbers");
-  }
-  if (spec.count == 0 || spec.index >= spec.count) {
+  spec.index = static_cast<std::uint32_t>(
+      parseUnsigned(text.substr(0, slash), what + " index", UINT32_MAX));
+  spec.count = static_cast<std::uint32_t>(
+      parseUnsigned(text.substr(slash + 1), what + " count", UINT32_MAX));
+  if (spec.index >= spec.count) {
     throw std::invalid_argument("bad shard spec '" + text + "': need index < count");
   }
   return spec;

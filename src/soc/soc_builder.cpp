@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/assert.hpp"
+#include "common/errors.hpp"
 #include "soc/meta_scan_builder.hpp"
 
 namespace scandiag {
@@ -63,38 +64,32 @@ Soc buildReplicatedSoc(const std::string& module, std::size_t replication,
 Soc buildSocFromSpec(const std::string& spec) {
   if (spec == "soc1") return buildSoc1();
   if (spec == "d695") return buildD695();
-  if (spec.rfind("rep:", 0) == 0) {
-    // rep:<module>x<R>[:w<W>]
-    std::string body = spec.substr(4);
-    std::size_t tamWidth = 1;
-    const std::size_t colon = body.find(':');
-    if (colon != std::string::npos) {
-      const std::string w = body.substr(colon + 1);
-      if (w.size() < 2 || w[0] != 'w') {
-        throw std::invalid_argument("bad SOC spec '" + spec + "': expected ':w<W>' suffix");
-      }
-      tamWidth = std::stoul(w.substr(1));
-      body = body.substr(0, colon);
-    }
-    const std::size_t x = body.rfind('x');
-    if (x == std::string::npos || x == 0 || x + 1 == body.size()) {
-      throw std::invalid_argument("bad SOC spec '" + spec +
-                                  "': expected rep:<module>x<R>[:w<W>]");
-    }
-    const std::string module = body.substr(0, x);
-    std::size_t replication = 0;
-    try {
-      replication = std::stoul(body.substr(x + 1));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad SOC spec '" + spec + "': replication is not a number");
-    }
-    if (replication == 0) {
-      throw std::invalid_argument("bad SOC spec '" + spec + "': replication must be >= 1");
-    }
-    return buildReplicatedSoc(module, replication, tamWidth);
+  if (spec.rfind("rep:", 0) != 0) {
+    throw std::invalid_argument("unknown SOC spec '" + spec +
+                                "' (expected soc1, d695, or rep:<module>x<R>[:w<W>])");
   }
-  throw std::invalid_argument("unknown SOC spec '" + spec +
-                              "' (expected soc1, d695, or rep:<module>x<R>[:w<W>])");
+  // rep:<module>x<R>[:w<W>]
+  std::string body = spec.substr(4);
+  std::size_t tamWidth = 1;
+  const std::size_t colon = body.find(':');
+  if (colon != std::string::npos) {
+    if (body.compare(colon + 1, 1, "w") != 0) {
+      throw std::invalid_argument("bad SOC spec '" + spec + "': expected ':w<W>' suffix");
+    }
+    tamWidth = parseUnsigned(body.substr(colon + 2), "SOC spec '" + spec + "' TAM width W");
+    body.resize(colon);
+  }
+  const std::size_t x = body.rfind('x');
+  if (x == std::string::npos || x == 0) {
+    throw std::invalid_argument("bad SOC spec '" + spec +
+                                "': expected rep:<module>x<R>[:w<W>]");
+  }
+  const std::size_t replication =
+      parseUnsigned(body.substr(x + 1), "SOC spec '" + spec + "' replication R");
+  if (replication == 0 || tamWidth == 0) {
+    throw std::invalid_argument("bad SOC spec '" + spec + "': R and W must be at least 1");
+  }
+  return buildReplicatedSoc(body.substr(0, x), replication, tamWidth);
 }
 
 }  // namespace scandiag

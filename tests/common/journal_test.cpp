@@ -86,6 +86,21 @@ TEST(Journal, CreateRefusesExistingFile) {
   EXPECT_EQ(readJournal(path).setupDigest, 1u);
 }
 
+TEST(Journal, CreateRefusesASetupInfoTheReaderWouldRefuse) {
+  // readJournal caps the setup info at 64 KiB; a longer one could be written
+  // and appended to but never resumed, so create refuses it before any file.
+  const std::string path = tempPath("long_setup.journal");
+  EXPECT_THROW(JournalWriter::create(path, 1, std::string(70000, 's')), JournalFormatError);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  const std::string longest(64 * 1024, 'i');
+  { JournalWriter::create(path, 2, longest); }
+  const JournalContents contents = readJournal(path);
+  EXPECT_EQ(contents.setupDigest, 2u);
+  EXPECT_EQ(contents.setupInfo, longest);
+}
+
 TEST(Journal, MissingFileThrowsFileNotFound) {
   EXPECT_THROW(readJournal("/nonexistent/dir/x.journal"), FileNotFoundError);
 }

@@ -76,6 +76,24 @@ TEST(TesterLog, ExpectedShapeRefusesAnotherHeaderAtTheHeader) {
   EXPECT_EQ(parseTesterLogString("sessions 2 4\n").numPartitions, 2u);
 }
 
+TEST(TesterLog, FileParserRefusesAnotherShapeAtTheHeader) {
+  // `scandiag offline` passes its --partitions/--groups here; a zero count
+  // takes the log's own. The sample log's header is "sessions 6 4" on line 11.
+  const std::string path = "data/sample_session.log";
+  EXPECT_EQ(parseTesterLogFile(path, SessionShape{6, 4}).groupsPerPartition, 4u);
+  EXPECT_EQ(parseTesterLogFile(path, SessionShape{0, 4}).numPartitions, 6u);
+  EXPECT_EQ(parseTesterLogFile(path, SessionShape{6, 0}).groupsPerPartition, 4u);
+  for (const SessionShape shape : {SessionShape{6, 8}, SessionShape{8, 4}, SessionShape{0, 8}}) {
+    try {
+      parseTesterLogFile(path, shape);
+      ADD_FAILURE() << "accepted " << shape.partitions << "x" << shape.groups;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 11);
+      EXPECT_NE(std::string(e.what()).find("does not match"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(TesterLog, WriteParseRoundTrip) {
   GroupVerdicts v;
   v.failing = {BitVector(4), BitVector(4)};

@@ -63,7 +63,11 @@ TEST(DefectSpec, DescribeRoundTrips) {
 
 TEST(DefectSpec, RejectsMalformedInput) {
   for (const char* bad : {"", "0", "x", "2,bogus", "2,intermittent:0", "2,intermittent:1",
-                          "2,intermittent:-0.5", "2,intermittent:abc", "2,seed:zz"}) {
+                          "2,intermittent:-0.5", "2,intermittent:abc", "2,seed:zz",
+                          // One number rule: no space, sign, wrap-around or empty field.
+                          " 2", "2 ", "-2", "+2", "2,intermittent: 0.5", "2,intermittent:0.5 ",
+                          "2,intermittent:nan", "2,seed:-1", "2,seed: 5", "2,seed:",
+                          "99999999999999999999", "2,", ",2", "2,,bridge"}) {
     EXPECT_THROW(parseDefectSpec(bad), std::invalid_argument) << "spec '" << bad << "'";
   }
 }

@@ -6,7 +6,9 @@
 // contract (ParseError with a line number, FileNotFoundError for bad paths).
 // The bytes read back from disk — checkpoint records, the serve ledger and a
 // journal header — get 1,000 seeded mutations and 1,000 seeded truncations
-// each, and must decode or throw a JournalError subtype.
+// each, and must decode or throw a JournalError subtype. Defect and shard
+// specs get 1,000 seeded mutations each and must parse or throw
+// std::invalid_argument; a defect spec also reaches the server off its socket.
 
 #include <gtest/gtest.h>
 
@@ -24,8 +26,11 @@
 #include "diagnosis/tester_log.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/bench_writer.hpp"
+#include "inject/defect_zoo.hpp"
 #include "netlist/synthetic_generator.hpp"
 #include "serve/accounting.hpp"
+#include "serve/service.hpp"
+#include "soc/sharded_sweep.hpp"
 
 namespace scandiag {
 namespace {
@@ -147,16 +152,116 @@ TEST(ParserFuzz, DffFaninArityEnforced) {
 TEST(ParserFuzz, NumericOptionsAreWholeUnsignedNumbers) {
   EXPECT_EQ(parseUnsigned("12", "n"), 12u);
   EXPECT_EQ(parseUnsigned("0x7E57ED", "n"), 0x7E57EDu);
+  EXPECT_EQ(parseUnsigned("010", "n"), 8u);
   EXPECT_EQ(parseUnsigned("18446744073709551615", "n"), UINT64_MAX);
   for (const char* bad : {"", "abc", "12x", "-5", "+5", " 5", "5 ", "0x", "1e3",
                           "18446744073709551616"}) {
     EXPECT_THROW(parseUnsigned(bad, "n"), std::invalid_argument) << "input: '" << bad << "'";
   }
+  EXPECT_EQ(parseUnsigned("4294967295", "n", UINT32_MAX), UINT32_MAX);
+  EXPECT_THROW(parseUnsigned("4294967296", "n", UINT32_MAX), std::invalid_argument);
+  EXPECT_EQ(parseUnsigned("1", "n", 1), 1u);
+  EXPECT_THROW(parseUnsigned("2", "n", 1), std::invalid_argument);
+}
+
+TEST(ParserFuzz, RealOptionsAreWholeFiniteReals) {
+  EXPECT_EQ(parseReal("0.5", "x"), 0.5);
+  EXPECT_EQ(parseReal("1e-3", "x"), 1e-3);
+  EXPECT_EQ(parseReal("-0.25", "x"), -0.25);
+  EXPECT_EQ(parseReal("1", "x"), 1.0);
+  for (const char* bad : {"", " 0.5", "0.5 ", "\t1", "0.5x", "abc", "nan", "-nan", "inf",
+                          "-infinity", "1e999", ".", "e3", "0.5,0.5"}) {
+    EXPECT_THROW(parseReal(bad, "x"), std::invalid_argument) << "input: '" << bad << "'";
+  }
+}
+
+constexpr std::uint64_t kFuzzInputs = 1000;
+
+// --- Command-line specs -----------------------------------------------------
+
+/// Text mutations shaped like a typo or a hostile client: a changed, deleted
+/// or inserted character, or an inserted token that breaks a number.
+std::string mutateSpec(const std::string& base, Xoroshiro128& rng) {
+  static const char* const kTokens[] = {" ", "-", "+", ",", ":", "/", "0x", "x",
+                                        "99999999999999999999", "4294967296", "nan", "0"};
+  std::string s = base;
+  const std::size_t edits = 1 + rng.nextBelow(3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t pos = rng.nextBelow(s.size() + 1);
+    switch (rng.nextBelow(4)) {
+      case 0:
+        if (pos < s.size()) s[pos] = static_cast<char>(' ' + rng.nextBelow(95));
+        break;
+      case 1:
+        if (pos < s.size()) s.erase(pos, 1 + rng.nextBelow(3));
+        break;
+      case 2:
+        s.insert(pos, 1, "0123456789"[rng.nextBelow(10)]);
+        break;
+      default:
+        s.insert(pos, kTokens[rng.nextBelow(std::size(kTokens))]);
+        break;
+    }
+  }
+  return s;
+}
+
+TEST(ParserFuzz, ThousandMutatedDefectSpecs) {
+  // A defect spec reaches the server off its socket: a refused one must come
+  // back as an Error reply carrying the parser's message, before any work.
+  const serve::DiagnosisService service(generateNamedCircuit("s27"), [] {
+    serve::ServiceConfig config;
+    config.diagnosis.groupsPerPartition = 2;
+    return config;
+  }());
+  const std::vector<std::string> bases{"2,bridge,open", "3,intermittent:0.5", "1",
+                                       "4,bridge,open,intermittent:0.5,seed:0xC1"};
+  std::size_t accepted = 0;
+  for (std::uint64_t i = 0; i < kFuzzInputs; ++i) {
+    Xoroshiro128 rng(0xDEF5 + i);
+    const std::string spec = mutateSpec(bases[rng.nextBelow(bases.size())], rng);
+    try {
+      const DefectMix mix = parseDefectSpec(spec);
+      ++accepted;
+      EXPECT_GE(mix.k, 1u) << spec;
+      EXPECT_TRUE(mix.intermittentP >= 0.0 && mix.intermittentP < 1.0) << spec;
+      const DefectMix again = parseDefectSpec(describeDefectMix(mix));
+      EXPECT_EQ(again.k, mix.k) << spec;
+      EXPECT_EQ(again.bridges, mix.bridges) << spec;
+      EXPECT_EQ(again.opens, mix.opens) << spec;
+    } catch (const std::invalid_argument& e) {
+      serve::DiagnoseRequest request;
+      request.kind = serve::DiagnoseRequest::Kind::DefectScenario;
+      request.defectSpec = spec;
+      const serve::DiagnoseReply reply = service.handle(request, i, {}, nullptr);
+      EXPECT_EQ(reply.status, serve::ReplyStatus::Error) << spec;
+      EXPECT_EQ(reply.message, e.what()) << spec;
+    }
+  }
+  EXPECT_GT(accepted, kFuzzInputs / 20);  // the mutations are not all fatal
+  EXPECT_LT(accepted, kFuzzInputs / 2);   // nor all harmless
+}
+
+TEST(ParserFuzz, ThousandMutatedShardSpecs) {
+  std::size_t accepted = 0;
+  for (std::uint64_t i = 0; i < kFuzzInputs; ++i) {
+    Xoroshiro128 rng(0x5A4D + i);
+    const std::string spec = mutateSpec(rng.nextBool() ? "0/4" : "3/16", rng);
+    try {
+      const SocShardSpec shard = parseShardSpec(spec);
+      ++accepted;
+      EXPECT_LT(shard.index, shard.count) << spec;
+      const std::string canonical =
+          std::to_string(shard.index) + "/" + std::to_string(shard.count);
+      EXPECT_EQ(parseShardSpec(canonical).count, shard.count) << spec;
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  EXPECT_GT(accepted, kFuzzInputs / 20);
+  EXPECT_LT(accepted, kFuzzInputs / 2);
 }
 
 // --- Disk-side decoders -----------------------------------------------------
-
-constexpr std::uint64_t kFuzzInputs = 1000;
 
 /// Binary counterpart of corrupt(): bit flips, random bytes, wild u32s (the
 /// shape of a forged length or count), deleted spans and inserted bytes.

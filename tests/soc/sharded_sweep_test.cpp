@@ -78,6 +78,13 @@ TEST(ParseShardSpec, AcceptsAndRejects) {
   EXPECT_THROW(parseShardSpec("/4"), std::invalid_argument);
   EXPECT_THROW(parseShardSpec("a/b"), std::invalid_argument);
   EXPECT_THROW(parseShardSpec("0/0"), std::invalid_argument);
+  // Each field is one whole count below 2^32: no trailing text, sign, space
+  // or wrap-around (4294967296/4294967297 once ran the whole sweep as 0/1).
+  for (const char* bad : {"0zz/2", "0/2zz", "4294967296/4294967297", "0/4294967296", "0/4/2",
+                          " 0/2", "0/2 ", "-1/2", "+0/2", "0/+2", "0/", "/"}) {
+    EXPECT_THROW(parseShardSpec(bad), std::invalid_argument) << "shard spec '" << bad << "'";
+  }
+  EXPECT_EQ(parseShardSpec("4294967294/4294967295").index, 4294967294u);
 }
 
 TEST(ShardedSweep, ShardRangesTileTheSweep) {

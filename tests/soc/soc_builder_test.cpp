@@ -83,6 +83,18 @@ TEST(SocBuilder, ValidatesCoreNetlists) {
   for (const CoreInstance& core : soc.cores()) EXPECT_NO_THROW(core.netlist->validate());
 }
 
+TEST(SocBuilder, RefusedSpecsBuildNoSoc) {
+  // R and W follow the one number rule and are at least 1; anything else is
+  // refused as std::invalid_argument, before any core is built.
+  for (const char* bad :
+       {"rep:s298x2zz:w2", "rep:s298x2:w2 junk", "rep:s298x2:w99999999999999999999",
+        "rep:s298x2:wabc", "rep:s298x2:w0", "rep:s298x2:w-1", "rep:s298x2:w", "rep:s298x2:",
+        "rep:s298x2:x2", "rep:s298x0", "rep:s298x-2", "rep:s298x 2", "rep:s298x+2",
+        "rep:s298x99999999999999999999", "rep:s298x", "rep:x2", "rep:s298", "soc2"}) {
+    EXPECT_THROW(buildSocFromSpec(bad), std::invalid_argument) << "spec '" << bad << "'";
+  }
+}
+
 TEST(Soc, ConstructionInvariantsEnforced) {
   std::vector<CoreInstance> cores;
   CoreInstance c;

@@ -1,22 +1,32 @@
 // scandiag — command-line front end.
 //
+// Grammar (tools/cli_args.hpp, shared with scandiag_client):
+//   scandiag <command> [<positional>...] [--option value]... [--flag]...
+// Each command takes only the options and flags it reads (kCommands below);
+// --threads and --metrics are common to every command. Any other --name
+// exits 2 before any work, naming the command and the option. Values:
+//   count    one whole unsigned number: decimal, 0x hex or leading-0 octal
+//            (12, 0xFA17; 010 is 8); no sign, space or trailing text
+//   real     one whole finite real (0.5, 1e-3); no space, nan or inf
+//   ms       a count of milliseconds below 2^32 (about 49 days)
+//   shard    i/N: counts with i < N < 2^32
+//   rep:     rep:<module>x<R>[:w<W>]: counts R, W >= 1 (W defaults to 1)
+//   defects  k[,bridge][,open][,intermittent:p][,seed:n]: counts k >= 1 and
+//            n, a real p in (0,1); serve reads the same spec off its socket
+//
 // Subcommands:
 //   info <circuit>                       circuit statistics and fault universe
 //   emit <circuit> --o <file.bench>      write a synthetic circuit as .bench
 //   diagnose <circuit> --fault <site>    diagnose one injected stuck-at fault
 //   dr <circuit>                         DR experiment on one circuit
-//   soc-dr <soc-spec>                    DR per failing core on a built-in SOC
-//                                        (soc1|d695|rep:<module>x<R>[:w<W>]);
+//   soc-dr <soc1|d695|rep:...>           DR per failing core on a built-in SOC;
 //                                        --shard/--report/--class-sweep (or a
-//                                        rep: spec) switch to the class-sweep
-//                                        protocol: each structural core class
-//                                        is diagnosed once on its core-local
-//                                        topology and the result transfers to
-//                                        every sibling instance
-//   merge-journals <j0> <j1> ... [--out F]  merge the N journals of a sharded
-//                                        class sweep into one report,
-//                                        byte-identical to the unsharded
-//                                        `soc-dr --report` output
+//                                        rep: spec) diagnose each structural
+//                                        core class once, on its core-local
+//                                        topology, for every sibling instance
+//   merge-journals <j0> <j1> ... [--out F]  merge a sharded class sweep's
+//                                        journals into the byte-identical
+//                                        unsharded `soc-dr --report` output
 //   plan <circuit>                       calibrate (groups, partitions) for a DR target
 //   offline --log <file> --cells N       diagnose from a tester session log
 //   partitions <length>                  print a partition sequence
@@ -26,7 +36,7 @@
 // <circuit> is either a .bench file path (contains '.' or '/') or a built-in
 // ISCAS-89 profile name (s27, s953, ..., s38584).
 //
-// Common options:
+// Schedule and workload options (kCommands lists which command takes which):
 //   --scheme interval|random|two-step|deterministic|adaptive  (default
 //                     two-step; adaptive picks each next partition online per
 //                     fault — dr/soc-dr/diagnose/plan only, and incompatible
@@ -35,14 +45,16 @@
 //                     and two-step need at most one group per chain position,
 //                     random and two-step a power of two — else exit 2)
 //   --patterns N      (default 128)    --faults N      (default 500)
-//   --chains N        (default 1)      --prune         (off; <= 32 chains; not
-//                                                      on serve)
-//   --seed N          (fault-sample seed, default 0xFA17)
+//   --chains N        (default 1)      --prune         (off; <= 32 chains)
+//   --seed N          (dr's fault-sample seed, default 0xFA17)
+//   --sa 0|1          diagnose's stuck-at value (default 1)
+//   --json            machine-readable output
+//   --target X        DR target for plan, a real (default 0.5)
+//
+// Common to every command:
 //   --threads N       (worker threads for the per-fault loops; default
 //                      SCANDIAG_THREADS, else all hardware threads; results
 //                      are bit-identical for every value)
-//   --json            machine-readable output (diagnose, dr, plan)
-//   --target X        DR target for plan (default 0.5)
 //   --metrics F       write a pipeline metrics snapshot (counters, phase
 //                     timers, worker utilization) to F as JSON after the
 //                     command finishes (any command; also written on exit 8
@@ -79,8 +91,8 @@
 //                     (default 16)
 //   --handlers N      handler threads for framing I/O (default 2; compute runs
 //                     on the --threads pool)
-//   (serve runs the fixed schedule without pruning: --scheme adaptive and
-//   --prune are refused with exit 2)
+//   (serve runs the fixed schedule without pruning: it refuses --scheme
+//   adaptive and does not take --prune)
 //   --request-deadline-ms N   per-request watchdog; exceeding it degrades the
 //                     reply to DEADLINE with a partial superset (default 0 = off)
 //   --io-timeout-ms N whole-frame read/write deadline (slowloris bound,
@@ -92,8 +104,7 @@
 //
 // Defect-zoo options (dr, soc-dr):
 //   --defects SPEC    diagnose k-fault union scenarios instead of single
-//                     stuck-at faults. SPEC = k[,bridge][,open][,intermittent:p]
-//                     [,seed:n] — e.g. "2,bridge,open" or "3,intermittent:0.5".
+//                     stuck-at faults, e.g. "2,bridge,open" (grammar above).
 //                     dr: --faults N scenarios through the full
 //                     detection -> union analysis -> refinement -> degradation
 //                     ladder; soc-dr: k simultaneous failing cores (stuck-at
@@ -108,7 +119,7 @@
 //   --samples N       full-schedule observations for intermittent scenarios
 //                     (default 3)
 //
-// Noise / resilience options (diagnose, dr):
+// Noise / resilience options (diagnose, dr; R is a real):
 //   --noise R         raw verdict-flip rate per session (both directions)
 //   --intermittent R  intermittent fail->pass rate per failing session
 //   --xmask R         per-position X-masking rate
@@ -120,9 +131,9 @@
 // Exit codes:
 //   0  success
 //   1  internal/runtime failure
-//   2  usage error (an option or flag no subcommand reads, unknown scheme,
-//      missing argument, a numeric option that is not one whole unsigned
-//      number, zero partitions, a group count the scheme cannot build on the
+//   2  usage error (an option or flag the command does not take, unknown
+//      command or scheme, missing argument, a value that breaks the grammar
+//      above, zero partitions, a group count the scheme cannot build on the
 //      chain)
 //   3  input file not found
 //   4  input file failed to parse
@@ -140,18 +151,16 @@
 //      says how many; --metrics is written as for 0
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "common/watchdog.hpp"
 #include "core/scandiag.hpp"
 #include "diagnosis/checkpoint.hpp"
@@ -159,95 +168,13 @@
 #include "serve/server.hpp"
 
 using namespace scandiag;
+using namespace scandiag::cli;
 
 namespace {
-
-enum ExitCode {
-  kExitOk = 0,
-  kExitFailure = 1,
-  kExitUsage = 2,
-  kExitFileNotFound = 3,
-  kExitParseError = 4,
-  kExitInconsistent = 5,
-  kExitInterrupted = 6,
-  kExitServerFatal = 7,
-  kExitDefectSuperset = 8,
-};
 
 /// Diagnosis stayed inconsistent after recovery; the CLI maps this to exit 5.
 struct InconsistentDiagnosisError : std::runtime_error {
   using std::runtime_error::runtime_error;
-};
-
-/// Every option (takes a value) and flag (takes none) any subcommand reads.
-/// Any other --name is a usage error before any work, so a misspelt option
-/// never silently runs the default.
-constexpr std::array<std::string_view, 38> kOptionNames{
-    "alias", "atpg-budget", "cells", "chains", "checkpoint", "deadline-ms", "defects",
-    "drain-ms", "fault", "faults", "groups", "handlers", "intermittent", "io-timeout-ms",
-    "journal", "log", "max-retries", "metrics", "noise", "noise-seed", "o", "out", "partitions",
-    "patterns", "queue", "refine-budget", "report", "request-deadline-ms", "retry-budget", "sa",
-    "samples", "scheme", "seed", "shard", "socket", "target", "threads", "xmask"};
-constexpr std::array<std::string_view, 5> kFlagNames{"prune", "json", "resume", "class-sweep",
-                                                     "no-dedup"};
-
-bool isOneOf(std::string_view key, const auto& names) {
-  return std::find(names.begin(), names.end(), key) != names.end();
-}
-
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
-  std::map<std::string, bool> flags;
-
-  static Args parse(int argc, char** argv) {
-    Args args;
-    for (int i = 1; i < argc; ++i) {
-      std::string a = argv[i];
-      if (a.rfind("--", 0) == 0) {
-        const std::string key = a.substr(2);
-        if (isOneOf(key, kFlagNames)) {
-          args.flags[key] = true;
-        } else if (!isOneOf(key, kOptionNames)) {
-          throw std::invalid_argument("unknown option --" + key);
-        } else if (i + 1 < argc) {
-          args.options[key] = argv[++i];
-        } else {
-          throw std::invalid_argument("option --" + key + " needs a value");
-        }
-      } else {
-        args.positional.push_back(a);
-      }
-    }
-    return args;
-  }
-
-  const std::string& positionalAt(std::size_t i, const std::string& what) const {
-    if (i >= positional.size()) throw std::invalid_argument("missing " + what + " argument");
-    return positional[i];
-  }
-  std::string get(const std::string& key, const std::string& def) const {
-    const auto it = options.find(key);
-    return it == options.end() ? def : it->second;
-  }
-  std::size_t getN(const std::string& key, std::size_t def) const {
-    const auto it = options.find(key);
-    return it == options.end() ? def : parseUnsigned(it->second, "option --" + key);
-  }
-  double getD(const std::string& key, double def) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return def;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-      throw std::invalid_argument("option --" + key + " needs a number, got '" + it->second +
-                                  "'");
-    return v;
-  }
-  bool getFlag(const std::string& key) const {
-    const auto it = flags.find(key);
-    return it != flags.end() && it->second;
-  }
 };
 
 Netlist loadCircuit(const std::string& spec) {
@@ -282,10 +209,10 @@ std::optional<NoiseConfig> noiseFrom(const Args& args) {
                    args.options.count("xmask") || args.options.count("alias");
   if (!any) return std::nullopt;
   NoiseConfig noise;
-  noise.flipRate = args.getD("noise", 0.0);
-  noise.intermittentRate = args.getD("intermittent", 0.0);
-  noise.xMaskRate = args.getD("xmask", 0.0);
-  noise.aliasRate = args.getD("alias", 0.0);
+  noise.flipRate = args.getReal("noise", 0.0);
+  noise.intermittentRate = args.getReal("intermittent", 0.0);
+  noise.xMaskRate = args.getReal("xmask", 0.0);
+  noise.aliasRate = args.getReal("alias", 0.0);
   noise.seed = args.getN("noise-seed", 0x7E57ED);
   return noise;
 }
@@ -298,10 +225,10 @@ std::size_t faultsFrom(const Args& args, std::size_t def) {
   return faults;
 }
 
-RetryPolicy retryFrom(const Args& args) {
-  RetryPolicy retry;
-  retry.sessionBudget = args.getN("retry-budget", 0);
-  retry.maxRetriesPerSession = args.getN("max-retries", 2);
+/// --retry-budget / --max-retries over the mode's defaults.
+RetryPolicy retryFrom(const Args& args, RetryPolicy retry = {}) {
+  retry.sessionBudget = args.getN("retry-budget", retry.sessionBudget);
+  retry.maxRetriesPerSession = args.getN("max-retries", retry.maxRetriesPerSession);
   return retry;
 }
 
@@ -319,12 +246,10 @@ struct CliRunState {
 CliRunState cliRunFrom(const Args& args, std::uint64_t setupDigest,
                        const std::string& setupInfo) {
   CliRunState state;
-  const std::size_t deadlineMs = args.getN("deadline-ms", 0);
-  if (deadlineMs > 0) {
-    state.watchdog = std::make_unique<Watchdog>(
-        globalCancelToken(),
-        std::chrono::milliseconds(static_cast<long long>(deadlineMs)));
-  }
+  const std::size_t deadlineMs = args.getN("deadline-ms", 0, kMaxMilliseconds);
+  if (deadlineMs > 0)
+    state.watchdog = std::make_unique<Watchdog>(globalCancelToken(),
+                                                std::chrono::milliseconds(deadlineMs));
   const std::string path = args.get("checkpoint", "");
   if (path.empty()) {
     if (args.getFlag("resume"))
@@ -426,7 +351,7 @@ int cmdDiagnose(const Args& args) {
   if (faultSpec.empty()) throw std::invalid_argument("diagnose needs --fault <gate-name>");
   const GateId site = nl.findByName(faultSpec);
   if (site == kInvalidGate) throw std::invalid_argument("no gate named '" + faultSpec + "'");
-  const bool sa = args.getN("sa", 1) != 0;
+  const bool sa = args.getN("sa", 1, 1) != 0;
   const FaultSite fault{site, FaultSite::kOutputPin, sa};
 
   if (const std::optional<NoiseConfig> noise = noiseFrom(args))
@@ -552,8 +477,7 @@ int drDefects(const Netlist& nl, const Args& args) {
   for (std::size_t i = 0; i < count; ++i) scenarios.push_back(generator.generate(i));
 
   DefectPolicy policy;
-  policy.retry.sessionBudget = args.getN("retry-budget", policy.retry.sessionBudget);
-  policy.retry.maxRetriesPerSession = args.getN("max-retries", policy.retry.maxRetriesPerSession);
+  policy.retry = retryFrom(args, policy.retry);
   policy.refineSessionBudget = args.getN("refine-budget", policy.refineSessionBudget);
   policy.atpgSessionBudget = args.getN("atpg-budget", policy.atpgSessionBudget);
   policy.intermittentSamples = args.getN("samples", policy.intermittentSamples);
@@ -650,10 +574,11 @@ int socClassSweepCmd(const Args& args, const std::string& spec, const Soc& soc,
   SocSweepOptions options;
   options.socSpec = spec;
   options.dedupClasses = !args.getFlag("no-dedup");
-  const std::string shardText = args.get("shard", "");
-  if (!shardText.empty()) options.shard = parseShardSpec(shardText);
-  if (!shardText.empty() && args.get("checkpoint", "").empty())
-    throw std::invalid_argument("--shard requires --checkpoint <file> (one journal per shard)");
+  if (args.options.count("shard")) {
+    options.shard = parseShardSpec(args.get("shard", ""));
+    if (args.get("checkpoint", "").empty())
+      throw std::invalid_argument("--shard requires --checkpoint <file> (one journal per shard)");
+  }
   if (options.shard.count != 1 && args.options.count("report"))
     throw std::invalid_argument(
         "--report needs the full sweep; run unsharded, or merge the shard journals with "
@@ -731,10 +656,7 @@ int socDrDefects(const Args& args, const Soc& soc, const WorkloadConfig& workloa
 
   const ScanTopology& topology = soc.topology();
   const DiagnosisPipeline pipeline(topology, config);
-  RetryPolicy retry;
-  retry.sessionBudget = args.getN("retry-budget", 256);
-  retry.maxRetriesPerSession = args.getN("max-retries", 2);
-  const DiagnosisRecovery recovery(topology, retry);
+  const DiagnosisRecovery recovery(topology, retryFrom(args, DefectPolicy{}.retry));
   const PreparedPartitionSet& prepared = pipeline.prepared();
 
   struct Slot {
@@ -743,7 +665,6 @@ int socDrDefects(const Args& args, const Soc& soc, const WorkloadConfig& workloa
     bool misdiagnosed = false;
     bool resolved = true;
     double confidence = 1.0;
-    std::size_t unionClusters = 0;
   };
   std::vector<Slot> slots(responses.size());
   globalPool().parallelFor(responses.size(), [&](std::size_t i) {
@@ -761,7 +682,6 @@ int socDrDefects(const Args& args, const Soc& soc, const WorkloadConfig& workloa
     slots[i].misdiagnosed = !response.failingCells.isSubsetOf(recovered.candidates.cells);
     slots[i].resolved = recovered.resolved;
     slots[i].confidence = recovered.confidence;
-    slots[i].unionClusters = recovered.unionClusters;
   });
 
   DrAccumulator acc;
@@ -809,12 +729,10 @@ int cmdSocDr(const Args& args) {
   workload.numFaults = faultsFrom(args, 500);
   workload.numPatterns = args.getN("patterns", 128);
   const bool preset = which == "soc1" || which == "d695";
-  DiagnosisConfig config =
-      which == "soc1"   ? presets::soc1Config(parseSchemeKind(args.get("scheme", "two-step")),
-                                              args.getFlag("prune"))
-      : which == "d695" ? presets::d695Config(parseSchemeKind(args.get("scheme", "two-step")),
-                                              args.getFlag("prune"))
-                        : configFrom(args);
+  const DiagnosisConfig given = configFrom(args);
+  DiagnosisConfig config = which == "soc1"   ? presets::soc1Config(given.scheme, given.pruning)
+                           : which == "d695" ? presets::d695Config(given.scheme, given.pruning)
+                                             : given;
   config.numPartitions = args.getN("partitions", config.numPartitions);
   config.groupsPerPartition = args.getN("groups", config.groupsPerPartition);
   requirePruneWidth(config, soc.topology().numChains());
@@ -876,7 +794,7 @@ int cmdPlan(const Args& args) {
   const CircuitWorkload work = prepareWorkload(nl, wc, args.getN("chains", 1));
 
   PlanRequest request;
-  request.targetDr = args.getD("target", 0.5);
+  request.targetDr = args.getReal("target", 0.5);
   request.maxPartitions = args.getN("partitions", 16);
   request.scheme = parseSchemeKind(args.get("scheme", "two-step"));
   request.numPatterns = wc.numPatterns;
@@ -922,7 +840,10 @@ int cmdOffline(const Args& args) {
   if (cells == 0) throw std::invalid_argument("offline needs --cells <scan cell count>");
   const ScanTopology topology =
       ScanTopology::blockChains(cells, std::max<std::size_t>(args.getN("chains", 1), 1));
-  const TesterLog log = parseTesterLogFile(logPath);
+  // A --partitions/--groups the log's sessions header does not have is
+  // refused on that line (exit 4); an absent one takes the log's.
+  const TesterLog log = parseTesterLogFile(
+      logPath, SessionShape{args.getN("partitions", 0), args.getN("groups", 0)});
   DiagnosisConfig config = configFrom(args);
   config.numPartitions = args.getN("partitions", log.numPartitions);
   config.groupsPerPartition = args.getN("groups", log.groupsPerPartition);
@@ -996,20 +917,18 @@ int cmdServe(const Args& args) {
   serviceConfig.diagnosis = configFrom(args);
   serviceConfig.numChains = args.getN("chains", 1);
   // The daemon runs the fixed schedule one partition at a time and answers
-  // from the intersection: it has no online planner and never prunes.
+  // from the intersection: it has no online planner (and takes no --prune).
   if (serviceConfig.diagnosis.scheme == SchemeKind::Adaptive)
     throw std::invalid_argument("serve is incompatible with --scheme adaptive");
-  if (serviceConfig.diagnosis.pruning)
-    throw std::invalid_argument("serve is incompatible with --prune");
   Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
 
   serve::ServeOptions options;
   options.socketPath = socketPath;
   options.queueCapacity = args.getN("queue", 16);
   options.handlers = args.getN("handlers", 2);
-  options.requestDeadlineMs = args.getN("request-deadline-ms", 0);
-  options.ioTimeoutMs = args.getN("io-timeout-ms", 5000);
-  options.drainBudgetMs = args.getN("drain-ms", 5000);
+  options.requestDeadlineMs = args.getN("request-deadline-ms", 0, kMaxMilliseconds);
+  options.ioTimeoutMs = args.getN("io-timeout-ms", 5000, kMaxMilliseconds);
+  options.drainBudgetMs = args.getN("drain-ms", 5000, kMaxMilliseconds);
   options.journalPath = args.get("journal", "");
   options.metricsPath = args.get("metrics", "");
   options.metricsCircuit = args.positionalAt(1, "circuit");
@@ -1061,28 +980,47 @@ int cmdServeLedger(const Args& args) {
   return ledger.balanced() ? kExitOk : kExitFailure;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: scandiag <info|emit|diagnose|dr|soc-dr|merge-journals|plan|offline|"
-               "partitions|serve|serve-ledger> ... (see header)\n");
-  return kExitUsage;
-}
+/// One row per command: what it runs and the options and flags it reads,
+/// beyond the common --threads and --metrics. Args::parse refuses any other.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  Grammar grammar;
+};
 
-int dispatch(const Args& args) {
-  const std::string& cmd = args.positional[0];
-  if (cmd == "info") return cmdInfo(args);
-  if (cmd == "emit") return cmdEmit(args);
-  if (cmd == "diagnose") return cmdDiagnose(args);
-  if (cmd == "dr") return cmdDr(args);
-  if (cmd == "soc-dr") return cmdSocDr(args);
-  if (cmd == "merge-journals") return cmdMergeJournals(args);
-  if (cmd == "plan") return cmdPlan(args);
-  if (cmd == "offline") return cmdOffline(args);
-  if (cmd == "partitions") return cmdPartitions(args);
-  if (cmd == "serve") return cmdServe(args);
-  if (cmd == "serve-ledger") return cmdServeLedger(args);
-  std::fprintf(stderr, "error: unknown command '%s'\n", cmd.c_str());
-  return usage();
+const std::vector<Command> kCommands{
+    {"info", cmdInfo, {}},
+    {"emit", cmdEmit, {{"o"}, {}}},
+    {"diagnose", cmdDiagnose,
+     {{"fault", "sa", "scheme", "partitions", "groups", "patterns", "chains", "noise",
+       "intermittent", "xmask", "alias", "noise-seed", "retry-budget", "max-retries"},
+      {"prune", "json"}}},
+    {"dr", cmdDr,
+     {{"faults", "seed", "scheme", "partitions", "groups", "patterns", "chains", "deadline-ms",
+       "checkpoint", "noise", "intermittent", "xmask", "alias", "noise-seed", "retry-budget",
+       "max-retries", "defects", "refine-budget", "atpg-budget", "samples"},
+      {"prune", "json", "resume"}}},
+    {"soc-dr", cmdSocDr,
+     {{"faults", "scheme", "partitions", "groups", "patterns", "deadline-ms", "checkpoint",
+       "shard", "report", "defects", "retry-budget", "max-retries"},
+      {"prune", "json", "resume", "class-sweep", "no-dedup"}}},
+    {"merge-journals", cmdMergeJournals, {{"out"}, {}}},
+    {"plan", cmdPlan,
+     {{"faults", "target", "scheme", "partitions", "patterns", "chains"}, {"json"}}},
+    {"offline", cmdOffline,
+     {{"log", "cells", "chains", "scheme", "partitions", "groups"}, {"prune", "json"}}},
+    {"partitions", cmdPartitions, {{"scheme", "partitions", "groups"}, {}}},
+    {"serve", cmdServe,
+     {{"socket", "scheme", "partitions", "groups", "patterns", "chains", "queue", "handlers",
+       "request-deadline-ms", "io-timeout-ms", "drain-ms", "journal"}, {}}},
+    {"serve-ledger", cmdServeLedger, {{"journal"}, {"json"}}},
+};
+
+int usage() {
+  std::string names;
+  for (const Command& c : kCommands) names += (names.empty() ? "" : "|") + std::string(c.name);
+  std::fprintf(stderr, "usage: scandiag <%s> ... (see header)\n", names.c_str());
+  return kExitUsage;
 }
 
 void writeMetricsIfRequested(const Args& args) {
@@ -1102,14 +1040,22 @@ int main(int argc, char** argv) {
   std::optional<Args> parsed;
   try {
     installCancellationSignalHandlers();
-    parsed = Args::parse(argc, argv);
+    if (argc < 2) return usage();
+    const auto command = std::find_if(kCommands.begin(), kCommands.end(),
+                                      [&](const Command& c) { return c.name == argv[1]; });
+    if (command == kCommands.end()) {
+      std::fprintf(stderr, "error: unknown command '%s'\n", argv[1]);
+      return usage();
+    }
+    Grammar grammar = command->grammar;
+    grammar.options.insert(grammar.options.end(), {"threads", "metrics"});
+    parsed = Args::parse(argc, argv, grammar, std::string(command->name));
     const Args& args = *parsed;
-    if (args.positional.empty()) return usage();
     if (args.options.count("threads")) setGlobalThreadCount(args.getN("threads", 0));
-    const int rc = dispatch(args);
-    // A failed or unknown command did no meaningful work; don't let its
-    // metrics snapshot clobber a previous valid one at the same path. Exit 8
-    // is a completed run with a sound superset, so its snapshot is written.
+    const int rc = command->run(args);
+    // A failed command did no meaningful work; don't let its metrics
+    // snapshot clobber a previous valid one at the same path. Exit 8 is a
+    // completed run with a sound superset, so its snapshot is written.
     if (rc == kExitOk || rc == kExitDefectSuperset) writeMetricsIfRequested(args);
     return rc;
   } catch (const OperationCancelled& e) {
@@ -1132,7 +1078,7 @@ int main(int argc, char** argv) {
     return kExitParseError;
   } catch (const InconsistentDiagnosisError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return kExitInconsistent;
+    return kExitUnresolved;
   } catch (const serve::ServerFatalError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return kExitServerFatal;

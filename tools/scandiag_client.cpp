@@ -1,12 +1,18 @@
 // scandiag_client — talks to a running `scandiag serve` daemon.
 //
+// Grammar: scandiag's (tools/cli_args.hpp). It takes only the options and
+// flags below, and no positional argument; anything else exits 2 before it
+// connects. Every N is a count (one whole unsigned number: decimal, 0x hex
+// or leading-0 octal), --timeout-ms below 2^32; SPEC is scandiag's defect
+// spec, parsed by the server.
+//
 // Modes (exactly one):
 //   --fault <gate> [--sa 0|1]   diagnose an injected stuck-at fault by name
 //   --log <file>                diagnose a recorded tester session log
-//   --defects SPEC              diagnose a generated defect-zoo scenario
-//                               (k[,bridge][,open][,intermittent:p][,seed:n]);
-//                               [--defect-index N] picks the scenario,
-//                               [--defect-seed N] overrides the spec seed
+//   --defects SPEC              diagnose a generated defect-zoo scenario;
+//                               [--defect-index N] picks the scenario
+//                               (N < 2^32), [--defect-seed N] overrides
+//                               the spec seed
 //   --ping                      liveness probe (one round trip, no retry)
 //   --stats                     fetch the server's live request totals
 //
@@ -23,8 +29,8 @@
 //   0  terminal reply received (Ok, or Deadline with a usable superset)
 //   1  request failed (server Error reply, retry budget exhausted, protocol
 //      garbage)
-//   2  usage error (including a numeric option that is not one whole
-//      unsigned number)
+//   2  usage error (an option the client does not take, a positional
+//      argument, a count that breaks the grammar)
 //   3  --log file not found
 //   5  reply unresolved (deadline degraded or widened superset) — the
 //      candidates printed are a sound superset, same meaning as scandiag's
@@ -35,62 +41,21 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 
-#include "common/errors.hpp"
+#include "cli_args.hpp"
 #include "common/json.hpp"
 #include "serve/client.hpp"
 
 using namespace scandiag;
+using namespace scandiag::cli;
 
 namespace {
 
-enum ExitCode {
-  kExitOk = 0,
-  kExitFailure = 1,
-  kExitUsage = 2,
-  kExitFileNotFound = 3,
-  kExitUnresolved = 5,
-  kExitDefectSuperset = 8,
-};
-
-struct Args {
-  std::map<std::string, std::string> options;
-  std::map<std::string, bool> flags;
-
-  static Args parse(int argc, char** argv) {
-    Args args;
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a.rfind("--", 0) != 0)
-        throw std::invalid_argument("unexpected positional argument '" + a + "'");
-      const std::string key = a.substr(2);
-      if (key == "ping" || key == "stats" || key == "json") {
-        args.flags[key] = true;
-      } else if (i + 1 < argc) {
-        args.options[key] = argv[++i];
-      } else {
-        throw std::invalid_argument("option --" + key + " needs a value");
-      }
-    }
-    return args;
-  }
-
-  std::string get(const std::string& key, const std::string& def) const {
-    const auto it = options.find(key);
-    return it == options.end() ? def : it->second;
-  }
-  std::size_t getN(const std::string& key, std::size_t def) const {
-    const auto it = options.find(key);
-    return it == options.end() ? def : parseUnsigned(it->second, "option --" + key);
-  }
-  bool getFlag(const std::string& key) const {
-    const auto it = flags.find(key);
-    return it != flags.end() && it->second;
-  }
-};
+const Grammar kGrammar{{"socket", "retries", "timeout-ms", "jitter-seed", "fault", "sa", "log",
+                        "defects", "defect-index", "defect-seed"},
+                       {"ping", "stats", "json"}};
 
 serve::ClientOptions clientOptionsFrom(const Args& args) {
   serve::ClientOptions options;
@@ -98,7 +63,7 @@ serve::ClientOptions clientOptionsFrom(const Args& args) {
   if (options.socketPath.empty())
     throw std::invalid_argument("scandiag_client needs --socket <path>");
   options.maxAttempts = args.getN("retries", 5);
-  options.ioTimeoutMs = args.getN("timeout-ms", 5000);
+  options.ioTimeoutMs = args.getN("timeout-ms", 5000, kMaxMilliseconds);
   options.jitterSeed = args.getN("jitter-seed", 0xC11E57);
   return options;
 }
@@ -192,7 +157,7 @@ int run(const Args& args) {
   if (!gate.empty()) {
     request.kind = serve::DiagnoseRequest::Kind::InjectFault;
     request.gateName = gate;
-    request.stuckAt1 = args.getN("sa", 1) != 0;
+    request.stuckAt1 = args.getN("sa", 1, 1) != 0;
   } else if (!logPath.empty()) {
     std::ifstream in(logPath);
     if (!in) {
@@ -207,7 +172,7 @@ int run(const Args& args) {
     request.kind = serve::DiagnoseRequest::Kind::DefectScenario;
     request.defectSpec = defects;
     request.defectSeed = args.getN("defect-seed", 0);
-    request.defectIndex = static_cast<std::uint32_t>(args.getN("defect-index", 0));
+    request.defectIndex = static_cast<std::uint32_t>(args.getN("defect-index", 0, UINT32_MAX));
   }
 
   return printReply(serve::requestDiagnosis(options, request), args.getFlag("json"),
@@ -218,7 +183,10 @@ int run(const Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    return run(Args::parse(argc, argv));
+    const Args args = Args::parse(argc, argv, kGrammar, "scandiag_client");
+    if (!args.positional.empty())
+      throw std::invalid_argument("unexpected argument '" + args.positional[0] + "'");
+    return run(args);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     std::fprintf(stderr,
