@@ -341,13 +341,14 @@ void reportParallelSpeedup() {
   // speedup experiment (deterministic, CI-gated).
   benchutil::BenchReport report("perf");
   const Netlist nl = generateNamedCircuit("s38584");
-  const CircuitWorkload work = prepareWorkload(nl, presets::table2Workload());
+  const WorkloadConfig workload = presets::table2Workload();
+  const CircuitWorkload work = prepareWorkload(nl, workload);
   const DiagnosisPipeline pipeline(work.topology,
                                    presets::table2(SchemeKind::TwoStep, false));
   report.context("circuit", nl.name());
   report.context("scheme", "two_step");
   report.context("faults", work.responses.size());
-  report.context("patterns", work.patternsApplied);
+  report.context("patterns", workload.numPatterns);
 
   // Before/after rows for the copy-free fault-sim hot path (timing rows are
   // informational; the counter gate lives in the counters section).

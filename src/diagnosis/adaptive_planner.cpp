@@ -144,7 +144,6 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
   const std::size_t poolSize = pool_.size();
 
   AdaptiveOutcome out;
-  out.sessionBudget = budget_;
   BitVector survivors(length, true);
   std::vector<char> used(poolSize, 0);
   std::vector<std::uint32_t> counts(pool_.totalGroups());
@@ -197,8 +196,8 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
     out.sessionsUsed += partition.groupCount();
     out.chosen.push_back(pick);
     out.verdicts.failing.push_back(std::move(row.failing));
-    out.steps.push_back(AdaptiveStepTrace{pick, partition.groupCount(), out.sessionsUsed, after,
-                                          topology_->expandPositions(survivors).count()});
+    out.steps.push_back(
+        AdaptiveStepTrace{out.sessionsUsed, topology_->expandPositions(survivors).count()});
   }
 
   if (pruned > 0) obs::count(obs::Counter::AdaptiveCandidatesPruned, pruned);

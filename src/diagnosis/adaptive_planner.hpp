@@ -19,7 +19,7 @@
 //      estimates how many failing positions the fault spreads over (max
 //      failing-group count observed so far; 2 before the first
 //      observation). Score = (log2(n) − log2(E)) / sessions, so information
-//      is charged per session exactly as CostModel charges tester time.
+//      is charged per session, the unit of tester time.
 //   3. The best candidate (ties → lowest pool index) is run through
 //      SessionEngine::runPartition, its failing-group union intersects S, and
 //      the loop repeats until S cannot shrink (≤ 1 position, or no candidate
@@ -48,12 +48,10 @@
 
 namespace scandiag {
 
-/// One executed step of an adaptive schedule.
+/// One executed step of an adaptive schedule: the anytime curve
+/// DiagnosisPipeline::evaluateSweep reads.
 struct AdaptiveStepTrace {
-  std::size_t poolIndex = 0;           // which pool candidate ran
-  std::size_t sessions = 0;            // its group count (sessions charged)
   std::size_t cumulativeSessions = 0;  // spent through this step
-  std::size_t survivorPositions = 0;   // |S| after intersecting its verdicts
   std::size_t survivorCells = 0;       // expandPositions(S).count() after
 };
 
@@ -66,7 +64,6 @@ struct AdaptiveOutcome {
   std::vector<std::size_t> chosen;  // pool indices, step order
   std::vector<AdaptiveStepTrace> steps;
   std::size_t sessionsUsed = 0;
-  std::size_t sessionBudget = 0;
 };
 
 class AdaptivePlanner {

@@ -150,26 +150,28 @@ UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& part
   UnionAnalysis out;
   BitVector& floorPositions = out.supersetFloor.positions;
   floorPositions = BitVector(length);
+  // Per-cluster intersections on the selection axis, in formation order.
+  std::vector<BitVector> intersections;
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     const Partition& part = partitions[p];
     const BitVector& failing = verdicts.failing[p];
     if (!failingAny(part, failing)) continue;  // a pass exonerates nothing here
     failing.forEachSet([&](std::size_t g) { floorPositions |= part.groups[g]; });
     bool merged = false;
-    for (BitVector& cluster : out.clusterPositions) {
+    for (BitVector& cluster : intersections) {
       if (failingIntersects(part, failing, cluster)) {
         part.intersectFailing(failing, cluster);
         merged = true;
         break;
       }
     }
-    if (!merged) out.clusterPositions.push_back(part.failingUnion(failing));
+    if (!merged) intersections.push_back(part.failingUnion(failing));
   }
 
-  out.clusters = out.clusterPositions.size();
+  out.clusters = intersections.size();
   out.withinBudget = out.clusters <= kMaxUnionFaults;
   out.candidates.positions = BitVector(length);
-  for (const BitVector& cluster : out.clusterPositions) out.candidates.positions |= cluster;
+  for (const BitVector& cluster : intersections) out.candidates.positions |= cluster;
   out.candidates.cells = topology_->expandPositions(out.candidates.positions);
   out.supersetFloor.cells = topology_->expandPositions(floorPositions);
   return out;

@@ -75,9 +75,10 @@ struct CheckedAnalysis {
   bool consistent() const { return inconsistencies.empty(); }
 };
 
-/// Simultaneous-fault budget of every union mode: analyzeUnion, recovery's
-/// union short-circuit and active union refinement resolve at most this many
-/// per-fault clusters; more degrade the answer to a guaranteed superset.
+/// Simultaneous-fault budget of every union mode: analyzeUnion and recovery's
+/// union short-circuit resolve at most this many per-fault clusters, and
+/// DefectZooPipeline at most this many runs of confirmed failing positions
+/// after refinement; more degrade the answer to a guaranteed superset.
 inline constexpr std::size_t kMaxUnionFaults = 4;
 
 /// Result of the checked union mode (analyzeUnion): failing-group patterns
@@ -85,8 +86,6 @@ inline constexpr std::size_t kMaxUnionFaults = 4;
 struct UnionAnalysis {
   /// Union of the per-cluster intersections (see analyzeUnion).
   CandidateSet candidates;
-  /// Per-cluster intersections on the selection axis, in formation order.
-  std::vector<BitVector> clusterPositions;
   /// Union over partitions of the failing unions — contains every position
   /// that ever manifested an error, whatever the defect count. This is the
   /// degrade-never-lie floor: candidates ⊆ supersetFloor always holds, and

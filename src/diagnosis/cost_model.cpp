@@ -18,24 +18,4 @@ DiagnosisCost partitionRunCost(std::size_t numPartitions, std::size_t groupsPerP
   return total;
 }
 
-DiagnosisCost repeatedSessionsCost(std::size_t numSessions, std::size_t numPatterns,
-                                   std::size_t chainLength) {
-  const DiagnosisCost one = sessionCost(numPatterns, chainLength);
-  DiagnosisCost total;
-  total.sessions = numSessions;
-  total.clockCycles = one.clockCycles * numSessions;
-  return total;
-}
-
-DiagnosisCost adaptiveRunCost(std::size_t sessionsSpent, std::size_t numPatterns,
-                              std::size_t chainLength) {
-  // Every adaptive session is a standard BIST session (same patterns, same
-  // shift/capture cadence) — only the schedule is data-dependent.
-  return repeatedSessionsCost(sessionsSpent, numPatterns, chainLength);
-}
-
-DiagnosisCost distinguishingSessionCost(std::size_t numPatterns, std::size_t chainLength) {
-  return sessionCost(numPatterns, chainLength);
-}
-
 }  // namespace scandiag

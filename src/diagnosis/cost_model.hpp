@@ -18,12 +18,6 @@ namespace scandiag {
 struct DiagnosisCost {
   std::size_t sessions = 0;
   std::uint64_t clockCycles = 0;
-
-  DiagnosisCost& operator+=(const DiagnosisCost& rhs) {
-    sessions += rhs.sessions;
-    clockCycles += rhs.clockCycles;
-    return *this;
-  }
 };
 
 /// Cycles for one BIST session: per pattern, chainLength shift-in cycles
@@ -34,25 +28,5 @@ DiagnosisCost sessionCost(std::size_t numPatterns, std::size_t chainLength);
 /// Full partition-based run: partitions x groups sessions.
 DiagnosisCost partitionRunCost(std::size_t numPartitions, std::size_t groupsPerPartition,
                                std::size_t numPatterns, std::size_t chainLength);
-
-/// Cost of `numSessions` repeated sessions — the retry-budget accounting
-/// unit: RecoveredDiagnosis::retrySessions through this gives the exact
-/// tester-time overhead of recovery on top of partitionRunCost.
-DiagnosisCost repeatedSessionsCost(std::size_t numSessions, std::size_t numPatterns,
-                                   std::size_t chainLength);
-
-/// Tester time of an adaptive (data-dependent) schedule: `sessionsSpent`
-/// sessions at the standard per-session rate. Identical accounting to
-/// partitionRunCost when the counts match — adaptive and fixed runs compare
-/// on the same tester-time axis, which is what "equal session budget" means
-/// in the bench_adaptive DR-vs-sessions curves.
-DiagnosisCost adaptiveRunCost(std::size_t sessionsSpent, std::size_t numPatterns,
-                              std::size_t chainLength);
-
-/// Tester time of `numPatterns` PODEM distinguishing patterns applied as one
-/// extra session (defect-zoo stall breaking): a distinguishing set is tiny
-/// (one pattern per unresolved cube), so it is charged as a single session
-/// over just those patterns rather than a full pattern-set re-application.
-DiagnosisCost distinguishingSessionCost(std::size_t numPatterns, std::size_t chainLength);
 
 }  // namespace scandiag

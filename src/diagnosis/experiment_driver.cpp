@@ -97,7 +97,6 @@ FaultDiagnosis DiagnosisPipeline::diagnose(const FaultResponse& response,
       }
     }
     out.candidates = std::move(outcome.candidates);
-    out.sessionsSpent = outcome.sessionsUsed;
   } else {
     const GroupVerdicts verdicts = engine_.run(prepared_, response, scratch);
     if (verdictDigest) {
@@ -218,7 +217,6 @@ CircuitWorkload prepareWorkload(const Netlist& netlist, const WorkloadConfig& co
   out.topology =
       ScanTopology::blockChains(netlist.dffs().size(), std::max<std::size_t>(numChains, 1));
   out.responses = sim.collectDetected(candidates, config.numFaults);
-  out.patternsApplied = config.numPatterns;
   return out;
 }
 

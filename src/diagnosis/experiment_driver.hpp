@@ -43,10 +43,6 @@ struct FaultDiagnosis {
   CandidateSet candidates;
   std::size_t candidateCount = 0;
   std::size_t actualCount = 0;
-  /// Sessions actually run for this fault. 0 on the fixed schemes (their
-  /// count is the static numPartitions * groupsPerPartition); the adaptive
-  /// scheme reports its data-dependent spend here (CostModel::adaptiveRunCost).
-  std::size_t sessionsSpent = 0;
 };
 
 class AdaptivePlanner;
@@ -138,7 +134,6 @@ struct CircuitWorkload {
   ScanTopology topology;
   /// Detected faults only; size <= numFaults.
   std::vector<FaultResponse> responses;
-  std::size_t patternsApplied = 0;
 };
 
 /// Full-scan `netlist` with `numChains` balanced block chains; samples from

@@ -1,7 +1,6 @@
 #include "diagnosis/planner.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -27,29 +26,14 @@ PlanResult planDiagnosis(const ScanTopology& topology,
   SCANDIAG_REQUIRE(!sample.empty(), "planner needs a calibration sample");
   SCANDIAG_REQUIRE(request.maxPartitions >= 1, "need at least one partition");
 
-  // Candidates are clamped to the chain: a partition cannot have more groups
-  // than selection-axis positions (recommendGroupCount applies the same cap —
-  // a 1-cell chain admits exactly one degenerate group, not the 2-group
-  // fallback this code used to propose). The clamp also normalizes to a power
-  // of two, because random-selection labels are bit fields: an explicit
-  // candidate of 8 on a 3-cell chain must become 2, not the 3 that the
-  // random-selection partitioner rejects. Clamping can collide explicit
-  // candidates, so duplicates are dropped to avoid re-evaluating a config.
+  // At most one group per chain position, as recommendGroupCount caps it: a
+  // chain too short for 4 groups gets 2, a one-cell chain its single group.
   const std::size_t maxGroups = topology.maxChainLength();
   std::vector<std::size_t> groups;
-  for (std::size_t g : request.groupCandidates) {
-    const std::size_t clamped =
-        std::max<std::size_t>(std::bit_floor(std::min(g, maxGroups)), 1);
-    if (std::find(groups.begin(), groups.end(), clamped) == groups.end()) {
-      groups.push_back(clamped);
-    }
+  for (std::size_t g : {4u, 8u, 16u, 32u, 64u}) {
+    if (g <= maxGroups) groups.push_back(g);
   }
-  if (groups.empty()) {
-    for (std::size_t g : {4u, 8u, 16u, 32u, 64u}) {
-      if (g <= maxGroups) groups.push_back(g);
-    }
-    if (groups.empty()) groups.push_back(std::min<std::size_t>(2, maxGroups));
-  }
+  if (groups.empty()) groups.push_back(std::min<std::size_t>(2, maxGroups));
 
   PlanResult best;
   for (std::size_t g : groups) {

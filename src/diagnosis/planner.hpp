@@ -12,7 +12,9 @@
 //  * planDiagnosis(): empirical calibration — evaluate candidate (groups,
 //    partitions) configurations against a sample of fault responses and pick
 //    the cheapest (fewest sessions, then fewest cycles) that meets a target
-//    DR. This is what a test engineer would run once per product.
+//    DR. The group counts searched are {4, 8, 16, 32, 64} up to the chain
+//    length (2 on a chain shorter than 4). This is what a test engineer
+//    would run once per product.
 #pragma once
 
 #include "diagnosis/cost_model.hpp"
@@ -28,11 +30,6 @@ struct PlanRequest {
   std::size_t maxPartitions = 16;
   SchemeKind scheme = SchemeKind::TwoStep;
   std::size_t numPatterns = 128;
-  /// Candidate group counts; empty = {4, 8, 16, 32, 64} clamped to the chain.
-  /// Explicit candidates are clamped to the chain length and rounded down to
-  /// a power of two (random-selection labels are bit fields); collisions
-  /// after clamping are evaluated once.
-  std::vector<std::size_t> groupCandidates;
 };
 
 struct PlanResult {

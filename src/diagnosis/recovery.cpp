@@ -89,9 +89,7 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
           break;
         }
       }
-      if (rows.empty()) continue;
-      out.retriedPartitions.push_back(p);
-      if (deterministic.count(p) != 0) continue;
+      if (rows.empty() || deterministic.count(p) != 0) continue;
       const BitVector voted = majorityRow(repaired.failing[p], rows);
       if (voted != repaired.failing[p]) {
         repaired.failing[p] = voted;
@@ -106,7 +104,6 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
     // intersection model no longer applies to any partition. Cluster the
     // failing unions instead; over the fault budget, fall back to the
     // degrade-never-lie superset floor.
-    out.deterministicPartitions = deterministic.size();
     out.unionDiagnosis = true;
     UnionAnalysis analysis = analyzer_.analyzeUnion(partitions, repaired);
     out.unionClusters = analysis.clusters;

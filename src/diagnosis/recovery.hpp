@@ -30,14 +30,13 @@
 // partitions — for a single verdict flip on a clean schedule this is a
 // superset of the true failing cells — plus a confidence score that decays
 // with each repair and each dropped partition, and the session count spent
-// on re-runs so CostModel accounting stays exact.
+// on re-runs.
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "diagnosis/candidate_analyzer.hpp"
-#include "diagnosis/cost_model.hpp"
 
 namespace scandiag {
 
@@ -75,9 +74,8 @@ struct RecoveredDiagnosis {
   CandidateSet candidates;
   /// Inconsistencies detected on the *initial* verdicts (pre-retry).
   std::vector<InconsistencyReport> inconsistencies;
-  std::vector<std::size_t> retriedPartitions;  // re-run at least once
   std::vector<std::size_t> droppedPartitions;  // excluded from the intersection
-  /// Sessions spent on re-runs (feed through sessionCost for cycle totals).
+  /// Sessions spent on re-runs.
   std::size_t retrySessions = 0;
   /// 1.0 for a clean, consistent diagnosis; multiplied by 0.95 per repaired
   /// partition, by 0.9 per unresolved phantom group, and scaled by the
@@ -88,10 +86,9 @@ struct RecoveredDiagnosis {
   /// group survived the budget, or a union analysis exceeded kMaxUnionFaults)
   /// — the CLI maps this to its own exit code.
   bool resolved = true;
-  /// Suspect partitions whose re-run reproduced the original row bit-for-bit
-  /// — a deterministic model violation (multi-fault union), not tester noise.
-  std::size_t deterministicPartitions = 0;
-  /// True when the candidates came from the checked union mode
+  /// True when a suspect partition's re-run reproduced its original row
+  /// bit-for-bit — a deterministic model violation (multi-fault union), not
+  /// tester noise — so the candidates came from the checked union mode
   /// (CandidateAnalyzer::analyzeUnion) instead of the single-fault
   /// intersection; unionClusters is the cluster count it settled on.
   bool unionDiagnosis = false;

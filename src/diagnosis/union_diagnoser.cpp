@@ -35,7 +35,6 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
 
   UnionRefinement out;
   out.confirmed = BitVector(length);
-  out.exonerated = BitVector(length);
   out.unresolved = BitVector(length);
 
   // Maximal contiguous candidate segments, queried whole first (the
@@ -68,10 +67,7 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
             return;
           }
           ++out.sessions;
-          if (!oracle(vlo, vhi)) {
-            setRange(out.exonerated, vlo, vhi);
-            return;
-          }
+          if (!oracle(vlo, vhi)) return;  // exonerated
         }
         if (vhi - vlo == 1) {
           out.confirmed.set(vlo);
@@ -97,7 +93,6 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
           visit(qlo, qhi, /*knownFailing=*/true);
           visit(olo, ohi, /*knownFailing=*/false);
         } else {
-          setRange(out.exonerated, qlo, qhi);
           visit(olo, ohi, /*knownFailing=*/true);
         }
       };
@@ -108,14 +103,6 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
   out.candidates.positions = out.confirmed | out.unresolved;
   out.candidates.cells = topology_->expandPositions(out.candidates.positions);
   out.complete = out.unresolved.none();
-  bool inRun = false;
-  for (std::size_t i = 0; i < length; ++i) {
-    const bool c = out.confirmed.test(i);
-    if (c && !inRun) ++out.failingClusters;
-    inRun = c;
-  }
-  out.withinFaultBudget = out.failingClusters <= kMaxUnionFaults;
-  out.cost = repeatedSessionsCost(out.sessions, numPatterns_, topology_->maxChainLength());
   return out;
 }
 

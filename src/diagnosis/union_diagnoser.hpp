@@ -27,8 +27,9 @@
 //    (degrade-never-lie), just less sharp.
 //
 // The oracle abstracts the tester: oracle(lo, hi) is the verdict of one
-// session observing selection positions [lo, hi). Sessions are charged at
-// the standard CostModel rate.
+// session observing selection positions [lo, hi). Whether the refined answer
+// counts as resolved is the caller's rule: DefectZooPipeline counts clusters
+// over the confirmed positions plus its PODEM confirmations.
 #pragma once
 
 #include <vector>
@@ -36,7 +37,6 @@
 #include "bist/scan_topology.hpp"
 #include "diagnosis/binary_search_diagnoser.hpp"
 #include "diagnosis/candidate_analyzer.hpp"
-#include "diagnosis/cost_model.hpp"
 
 namespace scandiag {
 
@@ -48,36 +48,24 @@ struct UnionRefineConfig {
 struct UnionRefinement {
   /// Positions confirmed failing by a width-1 failing session (or inference).
   BitVector confirmed;
-  /// Positions exonerated by a passing session.
-  BitVector exonerated;
   /// Positions still untested when the budget ran out.
   BitVector unresolved;
   /// confirmed | unresolved, expanded to cells — always a subset of the
   /// input candidates and, for permanent faults with an exact oracle, always
-  /// a superset of the true failing positions.
+  /// a superset of the true failing positions. The candidates it drops were
+  /// exonerated by a passing session.
   CandidateSet candidates;
   std::size_t sessions = 0;
   /// Interval splits performed (obs::Counter::UnionSplits).
   std::size_t splits = 0;
-  /// Maximal runs of confirmed positions — the isolated per-fault clusters.
-  std::size_t failingClusters = 0;
   /// Budget sufficed: every candidate position was confirmed or exonerated.
   bool complete = false;
-  /// failingClusters <= kMaxUnionFaults; more marks the result degraded (k
-  /// exceeded the resolvable budget).
-  bool withinFaultBudget = true;
-  DiagnosisCost cost;
-
-  bool degraded() const { return !complete || !withinFaultBudget; }
 };
 
 class UnionDiagnoser {
  public:
-  UnionDiagnoser(const ScanTopology& topology, const UnionRefineConfig& config,
-                 std::size_t numPatterns)
-      : topology_(&topology), config_(config), numPatterns_(numPatterns) {}
-
-  const UnionRefineConfig& config() const { return config_; }
+  UnionDiagnoser(const ScanTopology& topology, const UnionRefineConfig& config)
+      : topology_(&topology), config_(config) {}
 
   /// Refines `candidatePositions` (selection axis) against the oracle.
   /// `adiPrior` (size maxChainLength, or empty for uniform) orders segments;
@@ -89,7 +77,6 @@ class UnionDiagnoser {
  private:
   const ScanTopology* topology_;
   UnionRefineConfig config_;
-  std::size_t numPatterns_;
 };
 
 /// ADI prior from fault-free capture streams: weight of a selection position

@@ -156,11 +156,19 @@ DefectScenarioGenerator::DefectScenarioGenerator(const FaultSimulator& simulator
     : sim_(&simulator), mix_(mix), stuckPool_(simulator.netlist().collapsedFaults()) {
   SCANDIAG_REQUIRE(mix.k >= 1, "defect mix needs k >= 1");
   SCANDIAG_REQUIRE(!stuckPool_->empty(), "empty stuck-at fault universe");
+  // Every component occupies gates no other component of its scenario does.
+  const Netlist& netlist = simulator.netlist();
+  if (mix.k > netlist.gateCount()) {
+    throw std::invalid_argument("defect spec '" + describeDefectMix(mix) + "': k = " +
+                                std::to_string(mix.k) + " exceeds the " +
+                                std::to_string(netlist.gateCount()) + " gates of " +
+                                netlist.name() + " (each defect needs its own gates)");
+  }
   if (mix.bridges) {
-    bridgePool_ = enumerateBridgeCandidates(simulator.netlist(), kPoolSize, mix.seed ^ 0xB21D6EULL);
+    bridgePool_ = enumerateBridgeCandidates(netlist, kPoolSize, mix.seed ^ 0xB21D6EULL);
   }
   if (mix.opens) {
-    openPool_ = enumerateOpenSites(simulator.netlist(), kPoolSize, mix.seed ^ 0x00BE5ULL);
+    openPool_ = enumerateOpenSites(netlist, kPoolSize, mix.seed ^ 0x00BE5ULL);
   }
 }
 
@@ -221,7 +229,12 @@ DefectScenario DefectScenarioGenerator::generate(std::size_t index) const {
         }
       }
     }
-    SCANDIAG_REQUIRE(drawn, "could not draw a detected defect component (pool too sparse)");
+    if (!drawn) {
+      throw std::invalid_argument(
+          "defect spec '" + describeDefectMix(mix_) + "': scenario " + std::to_string(index) +
+          " found no detected site for defect " + std::to_string(c + 1) + " of k = " +
+          std::to_string(mix_.k) + " (pool too sparse)");
+    }
     out.components.push_back(std::move(comp));
   }
 
@@ -251,8 +264,7 @@ DefectZooPipeline::DefectZooPipeline(const FaultSimulator& simulator,
       topology_(&topology),
       base_(topology, config),
       recovery_(topology, policy.retry),
-      refiner_(topology, UnionRefineConfig{policy.refineSessionBudget},
-               simulator.patterns().numPatterns()),
+      refiner_(topology, UnionRefineConfig{policy.refineSessionBudget}),
       policy_(policy),
       adiPrior_(adiPriorFromGoodCaptures(topology, simulator.goodCaptures())),
       atpg_(policy.atpgSessionBudget > 0 ? std::make_unique<PodemAtpg>(simulator.netlist())
@@ -272,14 +284,9 @@ DefectDiagnosis DefectZooPipeline::diagnose(const DefectScenario& scenario) cons
 
 DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scenario) const {
   const FaultResponse& response = scenario.composed;
-  const DiagnosisConfig& config = base_.config();
-  const std::size_t numPatterns = sim_->patterns().numPatterns();
-  const std::size_t chainLength = topology_->maxChainLength();
 
   DefectDiagnosis out;
   out.actualCount = response.failingCellCount();
-  out.cost = partitionRunCost(config.numPartitions, config.groupsPerPartition, numPatterns,
-                              chainLength);
 
   // Detection + bounded recovery. A genuine permanent union replays
   // bit-identically, so any DisjointFailingUnion report short-circuits into
@@ -293,7 +300,6 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
       recovery_.recover(prepared.partitions(), verdicts, rerun);
   out.inconsistencies = recovered.inconsistencies.size();
   out.extraSessions = recovered.retrySessions;
-  out.cost += repeatedSessionsCost(recovered.retrySessions, numPatterns, chainLength);
   out.confidence = recovered.confidence;
   if (recovered.unionDiagnosis && recovered.unionClusters > 1) {
     out.unionSplits += recovered.unionClusters - 1;
@@ -320,7 +326,6 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
     const UnionRefinement refined = refiner_.refine(candidates.positions, adiPrior_, oracle);
     out.unionSplits += refined.splits;
     out.extraSessions += refined.sessions;
-    out.cost += refined.cost;
     candidates = refined.candidates;
 
     BitVector confirmed = refined.confirmed;
@@ -358,7 +363,6 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
         ++out.extraSessions;
         const PatternSet distinguishing =
             patternsFromCubes(netlist, cubes, 0xF1ULL ^ scenario.seed);
-        out.cost += distinguishingSessionCost(distinguishing.numPatterns(), chainLength);
         // The distinguishing patterns need their own good machine.
         const FaultSimulator local(netlist, distinguishing);
         std::vector<FaultResponse> partResponses;
@@ -413,9 +417,6 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
 }
 
 DefectDiagnosis DefectZooPipeline::diagnoseIntermittent(const DefectScenario& scenario) const {
-  const DiagnosisConfig& config = base_.config();
-  const std::size_t numPatterns = sim_->patterns().numPatterns();
-  const std::size_t chainLength = topology_->maxChainLength();
   const PreparedPartitionSet& prepared = base_.prepared();
   const std::vector<Partition>& partitions = prepared.partitions();
   const std::size_t numPartitions = partitions.size();
@@ -443,9 +444,7 @@ DefectDiagnosis DefectZooPipeline::diagnoseIntermittent(const DefectScenario& sc
     }
   }
   out.actualCount = manifested.count();
-  out.cost = partitionRunCost(numPartitions * samples, config.groupsPerPartition, numPatterns,
-                              chainLength);
-  out.extraSessions = (samples - 1) * numPartitions * config.groupsPerPartition;
+  out.extraSessions = (samples - 1) * numPartitions * base_.config().groupsPerPartition;
 
   const CheckedAnalysis checked = base_.analyzer().analyzeChecked(partitions, firstSample);
   out.inconsistencies = checked.inconsistencies.size();

@@ -115,7 +115,8 @@ FaultResponse maskResponse(const FaultResponse& response, const BitVector& activ
 /// Draws deterministic scenarios from a fault simulator's circuit. The
 /// simulator reference must outlive the generator. Construction reads only
 /// the netlist (its cached collapsed universe, its fanouts for the bridge
-/// feedback check), so on a validated netlist it needs no simulator lock.
+/// feedback check), so on a validated netlist it needs no simulator lock; it
+/// throws std::invalid_argument when k exceeds the circuit's gate count.
 /// generate() calls simulate() and therefore follows FaultSimulator's
 /// one-thread-at-a-time ownership rule — generate scenarios serially,
 /// diagnose them in parallel.
@@ -123,10 +124,10 @@ class DefectScenarioGenerator {
  public:
   DefectScenarioGenerator(const FaultSimulator& simulator, const DefectMix& mix);
 
-  const DefectMix& mix() const { return mix_; }
-
   /// Scenario `index`, deterministic per (mix.seed, index); every component
   /// is detected (nonempty permanent response) and sites are distinct.
+  /// Throws std::invalid_argument, naming the spec, k and `index`, when the
+  /// circuit has too few detected sites left to draw a component.
   DefectScenario generate(std::size_t index) const;
 
  private:
@@ -166,7 +167,6 @@ struct DefectDiagnosis {
   std::size_t atpgPatterns = 0;
   /// Sessions beyond the base schedule (retries + refinement + ATPG).
   std::size_t extraSessions = 0;
-  DiagnosisCost cost;
 };
 
 struct DefectZooReport {
@@ -195,7 +195,6 @@ class DefectZooPipeline {
   DefectZooPipeline(DefectZooPipeline&&) = default;
 
   const DiagnosisPipeline& base() const { return base_; }
-  const DefectPolicy& policy() const { return policy_; }
 
   /// One scenario through detection → union analysis → refinement → PODEM →
   /// degradation. Thread-safe const (parallel evaluate workers share it).

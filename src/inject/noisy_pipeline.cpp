@@ -17,23 +17,14 @@ NoisyPipeline::NoisyPipeline(const ScanTopology& topology, const DiagnosisConfig
 
 ResilientDiagnosis NoisyPipeline::diagnose(const FaultResponse& response,
                                            std::uint64_t faultKey) const {
-  const DiagnosisConfig& config = base_.config();
-  const std::size_t chainLength = topology_->maxChainLength();
   ResilientDiagnosis out;
   out.actualCount = response.failingCellCount();
-  out.cost = partitionRunCost(config.numPartitions, config.groupsPerPartition,
-                              config.numPatterns, chainLength);
 
   if (!corruptor_.config().enabled()) {
     // Zero noise: the resilience layer is bit-identical to the base pipeline.
     FaultDiagnosis clean = base_.diagnose(response);
-    if (base_.adaptive()) {
-      // The adaptive spend is data-dependent; charge what actually ran.
-      out.cost = adaptiveRunCost(clean.sessionsSpent, config.numPatterns, chainLength);
-    }
     out.candidates = std::move(clean.candidates);
     out.candidateCount = clean.candidateCount;
-    out.emptyCandidates = out.candidateCount == 0;
     out.misdiagnosed = !response.failingCells.isSubsetOf(out.candidates.cells);
     return out;
   }
@@ -57,21 +48,19 @@ ResilientDiagnosis NoisyPipeline::diagnose(const FaultResponse& response,
                                                       PartitionVerdictRow& row) {
       const CorruptionTrace trace = corruptor_.corruptRow(
           row, prepared.partition(poolIndex), step, failingPositions, faultKey, /*attempt=*/0);
-      out.injected.events.insert(out.injected.events.end(), trace.events.begin(),
-                                 trace.events.end());
+      out.injectedEvents += trace.count();
     };
     outcome = planner->run(response, observer);
     adaptiveSchedule = planner->schedule(outcome);
     verdicts = std::move(outcome.verdicts);
-    // The adaptive spend is data-dependent; charge what actually ran.
-    out.cost = adaptiveRunCost(outcome.sessionsUsed, config.numPatterns, chainLength);
   } else {
     verdicts = engine.run(prepared, response);
-    out.injected = corruptor_.corrupt(verdicts, prepared.partitions(), failingPositions,
-                                      faultKey, /*attempt=*/0);
+    const CorruptionTrace trace = corruptor_.corrupt(verdicts, prepared.partitions(),
+                                                     failingPositions, faultKey, /*attempt=*/0);
+    out.injectedEvents = trace.count();
   }
-  if (out.injected.count() > 0) {
-    obs::count(obs::Counter::NoiseEventsInjected, out.injected.count());
+  if (out.injectedEvents > 0) {
+    obs::count(obs::Counter::NoiseEventsInjected, out.injectedEvents);
   }
   const std::vector<Partition>& schedule = planner ? adaptiveSchedule : prepared.partitions();
 
@@ -95,8 +84,6 @@ ResilientDiagnosis NoisyPipeline::diagnose(const FaultResponse& response,
   out.resolved = recovered.resolved;
   out.inconsistencies = recovered.inconsistencies.size();
   out.retrySessions = recovered.retrySessions;
-  out.cost += repeatedSessionsCost(recovered.retrySessions, config.numPatterns, chainLength);
-  out.emptyCandidates = out.candidateCount == 0;
   out.misdiagnosed = !response.failingCells.isSubsetOf(out.candidates.cells);
   return out;
 }
@@ -123,8 +110,8 @@ NoisyDrReport NoisyPipeline::evaluate(const std::vector<FaultResponse>& response
     if (!r.detected()) return;
     control.throwIfStopped();
     const ResilientDiagnosis d = diagnose(r, static_cast<std::uint64_t>(i));
-    slots[i] = Slot{d.candidateCount,    d.actualCount, true,        d.misdiagnosed,
-                    d.emptyCandidates,   !d.resolved,   d.confidence, d.inconsistencies,
+    slots[i] = Slot{d.candidateCount,      d.actualCount, true,        d.misdiagnosed,
+                    d.candidateCount == 0, !d.resolved,   d.confidence, d.inconsistencies,
                     d.retrySessions};
   });
 

@@ -35,15 +35,12 @@ struct ResilientDiagnosis {
   /// Ground truth (simulation side): some true failing cell missing from the
   /// candidate set — the misdiagnosis the DR tables assume cannot happen.
   bool misdiagnosed = false;
-  bool emptyCandidates = false;
   double confidence = 1.0;
   bool resolved = true;
   std::size_t inconsistencies = 0;
   std::size_t retrySessions = 0;
-  /// Base schedule plus retry re-runs.
-  DiagnosisCost cost;
-  /// Ground truth of what the corruptor injected on attempt 0.
-  CorruptionTrace injected;
+  /// Ground truth: verdict flips the corruptor injected on attempt 0.
+  std::size_t injectedEvents = 0;
 };
 
 struct NoisyDrReport {

@@ -46,10 +46,11 @@ DiagnoseReply DiagnosisService::handle(const DiagnoseRequest& request, std::uint
   reply.partitionsTotal = static_cast<std::uint32_t>(pipeline_.partitions().size());
 
   // Per-request deadline: a private token so one request's trip never
-  // touches another's, wrapped in a watchdog the partition loop polls.
+  // touches another's, wrapped in a watchdog the partition loop polls. A
+  // negative budget trips on the first poll.
   CancellationToken deadlineToken;
   std::unique_ptr<Watchdog> watchdog;
-  if (deadline.count() > 0) watchdog = std::make_unique<Watchdog>(deadlineToken, deadline);
+  if (deadline.count() != 0) watchdog = std::make_unique<Watchdog>(deadlineToken, deadline);
   RunControl control{cancel, watchdog.get()};
 
   switch (request.kind) {
@@ -89,22 +90,19 @@ DiagnoseReply DiagnosisService::handleInject(const DiagnoseRequest& request, Dia
 DiagnoseReply DiagnosisService::handleDefect(const DiagnoseRequest& request, DiagnoseReply reply,
                                              const RunControl& control,
                                              const Watchdog* deadline) const {
-  DefectMix mix;
-  try {
-    mix = parseDefectSpec(request.defectSpec);
-  } catch (const std::invalid_argument& e) {
-    return errorReply(std::move(reply), e.what());
-  }
-  if (request.defectSeed != 0) mix.seed = request.defectSeed;
-
-  // The pools read only the validated netlist's caches, so they are built
+  // A spec the circuit cannot draw is refused like a malformed one. The
+  // pools read only the validated netlist's caches, so they are built
   // outside the simulator lock; generate() fault-simulates every component
   // and holds the lock like InjectFault's single simulate().
-  const DefectScenarioGenerator generator(simulator_, mix);
   FaultResponse response;
-  {
+  try {
+    DefectMix mix = parseDefectSpec(request.defectSpec);
+    if (request.defectSeed != 0) mix.seed = request.defectSeed;
+    const DefectScenarioGenerator generator(simulator_, mix);
     const std::lock_guard<std::mutex> lock(simMutex_);
     response = generator.generate(request.defectIndex).composed;
+  } catch (const std::invalid_argument& e) {
+    return errorReply(std::move(reply), e.what());
   }
   if (!response.detected()) {
     reply.status = ReplyStatus::Ok;

@@ -54,9 +54,11 @@ class DiagnosisService {
   const DiagnosisPipeline& pipeline() const { return pipeline_; }
 
   /// Serves one request to a terminal reply (Ok / Deadline / Error — never
-  /// Busy; admission is the server's job). `deadline` zero means none.
-  /// `cancel` (optional) is the drain token; when it trips without the
-  /// deadline having tripped, this throws OperationCancelled.
+  /// Busy; admission is the server's job). `deadline` zero means none; a
+  /// negative one is already spent, so no partition runs and the reply is
+  /// the all-cells Deadline superset (the server's budget is unsigned and
+  /// never negative). `cancel` (optional) is the drain token; when it trips
+  /// without the deadline having tripped, this throws OperationCancelled.
   DiagnoseReply handle(const DiagnoseRequest& request, std::uint64_t requestId,
                        std::chrono::milliseconds deadline, CancellationToken* cancel) const;
 

@@ -89,7 +89,18 @@ Soc buildSocFromSpec(const std::string& spec) {
   if (replication == 0 || tamWidth == 0) {
     throw std::invalid_argument("bad SOC spec '" + spec + "': R and W must be at least 1");
   }
-  return buildReplicatedSoc(body.substr(0, x), replication, tamWidth);
+  const std::string module = body.substr(0, x);
+  const std::size_t moduleCells = iscas89Profile(module).numDffs;
+  if (replication > kMaxReplicatedScanCells / moduleCells) {
+    throw std::invalid_argument("bad SOC spec '" + spec + "': R copies of " + module + "'s " +
+                                std::to_string(moduleCells) + " scan cells exceed the " +
+                                std::to_string(kMaxReplicatedScanCells) + "-cell cap");
+  }
+  if (tamWidth > replication * moduleCells) {
+    throw std::invalid_argument("bad SOC spec '" + spec + "': TAM width W exceeds the SOC's " +
+                                std::to_string(replication * moduleCells) + " scan cells");
+  }
+  return buildReplicatedSoc(module, replication, tamWidth);
 }
 
 }  // namespace scandiag

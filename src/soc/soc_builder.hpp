@@ -37,9 +37,16 @@ Soc buildD695();
 Soc buildReplicatedSoc(const std::string& module, std::size_t replication,
                        std::size_t tamWidth);
 
+/// Most scan cells a "rep:" spec may ask for (R x the module's cells): 2^24,
+/// about 16 times the largest SOC any sweep builds ("rep:s38584x702:w8",
+/// about 1M cells).
+inline constexpr std::size_t kMaxReplicatedScanCells = std::size_t{1} << 24;
+
 /// SOC spec grammar shared by the CLI and benches:
 ///   "soc1" | "d695" | "rep:<module>x<R>[:w<W>]"  (e.g. "rep:s38584x702:w8").
-/// Throws std::invalid_argument on a malformed spec or unknown module.
+/// Throws std::invalid_argument, before any core is built, on a malformed
+/// spec, an unknown module, more than kMaxReplicatedScanCells cells, or a
+/// TAM width W above the SOC's scan-cell count.
 Soc buildSocFromSpec(const std::string& spec);
 
 }  // namespace scandiag

@@ -145,13 +145,5 @@ TEST(CostModel, PartitionRunScalesWithSessions) {
   EXPECT_EQ(run.clockCycles, sessionCost(100, 50).clockCycles * 128u);
 }
 
-TEST(CostModel, Accumulation) {
-  DiagnosisCost a = sessionCost(10, 10);
-  const DiagnosisCost b = sessionCost(10, 10);
-  a += b;
-  EXPECT_EQ(a.sessions, 2u);
-  EXPECT_EQ(a.clockCycles, 2u * b.clockCycles);
-}
-
 }  // namespace
 }  // namespace scandiag

@@ -314,7 +314,6 @@ TEST_F(CheckpointTest, DiagnoseMatchesWithAndWithoutScratchOnEveryScheme) {
         EXPECT_EQ(a.candidates.cells, plain.candidates.cells) << what;
         EXPECT_EQ(a.candidateCount, b.candidateCount) << what;
         EXPECT_EQ(a.actualCount, b.actualCount) << what;
-        EXPECT_EQ(a.sessionsSpent, b.sessionsSpent) << what;
         EXPECT_EQ(fresh, reused) << what;
         EXPECT_EQ(fresh, expectedDigest(pipeline, r)) << what;
       }

@@ -27,9 +27,11 @@ TEST(PrepareWorkload, ProducesDetectedResponses) {
   const Netlist nl = generateNamedCircuit("s526");
   const CircuitWorkload work = prepareWorkload(nl, smallWorkload());
   EXPECT_EQ(work.topology.numCells(), nl.dffs().size());
-  EXPECT_EQ(work.patternsApplied, 64u);
   EXPECT_GT(work.responses.size(), 10u);
-  for (const FaultResponse& r : work.responses) EXPECT_TRUE(r.detected());
+  for (const FaultResponse& r : work.responses) {
+    EXPECT_TRUE(r.detected());
+    EXPECT_EQ(r.errorStreams.front().size(), 64u);  // one bit per applied pattern
+  }
 }
 
 TEST(PrepareWorkload, MultiChainTopology) {

@@ -91,14 +91,6 @@ TEST_F(PlannerFixture, InfeasibleTargetReported) {
   EXPECT_FALSE(plan.feasible);
 }
 
-TEST_F(PlannerFixture, CustomCandidateListRespected) {
-  PlanRequest request;
-  request.targetDr = 0.8;
-  request.groupCandidates = {8};
-  const PlanResult plan = planDiagnosis(work().topology, work().responses, request);
-  if (plan.feasible) EXPECT_EQ(plan.config.groupsPerPartition, 8u);
-}
-
 TEST(Planner, EmptySampleRejected) {
   const ScanTopology topo = ScanTopology::singleChain(16);
   EXPECT_THROW(planDiagnosis(topo, {}, PlanRequest{}), std::invalid_argument);
@@ -115,27 +107,10 @@ FaultResponse tinyResponse(std::size_t numCells, std::size_t failing) {
   return r;
 }
 
-TEST(Planner, TinyChainExplicitCandidatesClampedToFeasibleGroups) {
-  // Regression: explicit candidates larger than the chain used to reach
-  // buildPartitions unclamped (8 groups on a 3-cell chain), which the
-  // random-selection partitioner rejects. The clamp must both cap at the
-  // chain length and round down to a power of two.
-  const ScanTopology topo = ScanTopology::singleChain(3);
-  PlanRequest request;
-  request.targetDr = 10.0;  // trivially reachable: exercise every candidate
-  request.maxPartitions = 2;
-  request.numPatterns = 4;
-  request.groupCandidates = {8, 16};
-  PlanResult plan;
-  ASSERT_NO_THROW(plan = planDiagnosis(topo, {tinyResponse(3, 1)}, request));
-  ASSERT_TRUE(plan.feasible);
-  EXPECT_EQ(plan.config.groupsPerPartition, 2u);
-}
-
 TEST(Planner, TinyChainFallbackProposesFeasibleGroups) {
-  // Same regression for the default candidate list: on a 2-cell chain every
-  // default candidate (4..64) exceeds the chain, so the fallback must offer
-  // the 2-group floor rather than an empty (or infeasible) candidate set.
+  // Regression: on a 2-cell chain every candidate group count (4..64)
+  // exceeds the chain, so the fallback must offer the 2-group floor rather
+  // than an empty (or infeasible) candidate set.
   const ScanTopology topo = ScanTopology::singleChain(2);
   PlanRequest request;
   request.targetDr = 10.0;

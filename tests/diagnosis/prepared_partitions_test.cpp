@@ -75,12 +75,13 @@ TEST(PreparedPartitionSet, MixedLengthsRejected) {
 
 class PreparedParityFixture : public ::testing::Test {
  protected:
+  static constexpr std::size_t kPatterns = 96;
   // s953 profile, the paper's Table 1 circuit: 29-cell single chain, enough
   // faults to exercise multi-cell responses.
   static const CircuitWorkload& work() {
     static const CircuitWorkload w = [] {
       WorkloadConfig wc;
-      wc.numPatterns = 96;
+      wc.numPatterns = kPatterns;
       wc.numFaults = 60;
       return prepareWorkload(generateNamedCircuit("s953"), wc);
     }();
@@ -90,7 +91,7 @@ class PreparedParityFixture : public ::testing::Test {
 
 TEST_F(PreparedParityFixture, EngineRunMatchesVectorOverload) {
   for (const SchemeKind scheme : kSchemes) {
-    const DiagnosisConfig config = configFor(scheme, work().patternsApplied);
+    const DiagnosisConfig config = configFor(scheme, kPatterns);
     const std::vector<Partition> partitions =
         buildPartitions(config, work().topology.maxChainLength());
     const PreparedPartitionSet prepared(partitions);
@@ -110,7 +111,7 @@ TEST_F(PreparedParityFixture, EngineRunMatchesVectorOverload) {
 }
 
 TEST_F(PreparedParityFixture, MisrModeRunMatchesVectorOverload) {
-  const DiagnosisConfig config = configFor(SchemeKind::TwoStep, work().patternsApplied);
+  const DiagnosisConfig config = configFor(SchemeKind::TwoStep, kPatterns);
   const std::vector<Partition> partitions =
       buildPartitions(config, work().topology.maxChainLength());
   const PreparedPartitionSet prepared(partitions);
@@ -126,7 +127,7 @@ TEST_F(PreparedParityFixture, MisrModeRunMatchesVectorOverload) {
 }
 
 TEST_F(PreparedParityFixture, RunPartitionMatchesVectorOverload) {
-  const DiagnosisConfig config = configFor(SchemeKind::RandomSelection, work().patternsApplied);
+  const DiagnosisConfig config = configFor(SchemeKind::RandomSelection, kPatterns);
   const std::vector<Partition> partitions =
       buildPartitions(config, work().topology.maxChainLength());
   const PreparedPartitionSet prepared(partitions);
@@ -145,7 +146,7 @@ TEST_F(PreparedParityFixture, RunPartitionMatchesVectorOverload) {
 
 TEST_F(PreparedParityFixture, PrunerMatchesVectorOverload) {
   for (const SchemeKind scheme : kSchemes) {
-    const DiagnosisConfig config = configFor(scheme, work().patternsApplied);
+    const DiagnosisConfig config = configFor(scheme, kPatterns);
     const std::vector<Partition> partitions =
         buildPartitions(config, work().topology.maxChainLength());
     const PreparedPartitionSet prepared(partitions);

@@ -282,7 +282,6 @@ TEST(DiagnosisRecovery, ReplayStableDisjointUnionShortCircuitsToUnionAnalysis) {
       });
 
   ASSERT_TRUE(d.unionDiagnosis);
-  EXPECT_EQ(d.deterministicPartitions, 1u);
   EXPECT_TRUE(d.resolved);
   // Greedy clustering splits the unions into {8..11} and {2,3}.
   EXPECT_EQ(d.unionClusters, 2u);

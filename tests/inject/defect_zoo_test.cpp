@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/journal.hpp"
@@ -154,6 +156,36 @@ TEST(DefectScenarioGeneratorTest, DeterministicDetectedAndMixed) {
   EXPECT_NE(once.seed, generator.generate(5).seed);
 }
 
+TEST(DefectScenarioGeneratorTest, UndrawableSpecsAreRefusedInPlainWords) {
+  // Every defect occupies its own gates, so k above the gate count is
+  // refused at construction; a k the gates admit but the detected sites do
+  // not fails the draw. Both name the spec and carry no source location.
+  const Netlist nl = generateNamedCircuit("s27");
+  const PatternSet patterns = generatePatterns(nl, 64, PrpgConfig{});
+  const FaultSimulator sim(nl, patterns);
+  const auto message = [](const auto& run) {
+    try {
+      run();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  DefectMix mix;
+  mix.k = nl.gateCount() + 1;
+  const std::string tooMany = message([&] { (void)DefectScenarioGenerator(sim, mix); });
+  EXPECT_NE(tooMany.find("defect spec '" + std::to_string(mix.k) + "'"), std::string::npos)
+      << tooMany;
+  EXPECT_EQ(tooMany.find(".cpp:"), std::string::npos) << tooMany;
+
+  mix.k = nl.gateCount();
+  const DefectScenarioGenerator generator(sim, mix);
+  const std::string sparse = message([&] { generator.generate(3); });
+  EXPECT_NE(sparse.find("scenario 3"), std::string::npos) << sparse;
+  EXPECT_NE(sparse.find("k = " + std::to_string(mix.k)), std::string::npos) << sparse;
+  EXPECT_EQ(sparse.find(".cpp:"), std::string::npos) << sparse;
+}
+
 TEST(DefectZooPipelineTest, PermanentUnionsNeverExcludeTrueFailingCells) {
   const ZooFixture f;
   DefectMix mix;
@@ -253,6 +285,41 @@ TEST(DefectZooPipelineTest, StarvedRefinementHandsOffToPodemAtAnyThreadCount) {
   EXPECT_EQ(one.totalUnionSplits, four.totalUnionSplits);
   EXPECT_EQ(one.totalAtpgPatterns, four.totalAtpgPatterns);
   EXPECT_EQ(one.totalExtraSessions, four.totalExtraSessions);
+}
+
+std::size_t maximalRuns(const BitVector& positions) {
+  std::size_t runs = 0;
+  bool inRun = false;
+  for (std::size_t p = 0; p < positions.size(); ++p) {
+    if (positions.test(p) && !inRun) ++runs;
+    inRun = positions.test(p);
+  }
+  return runs;
+}
+
+TEST(DefectZooPipelineTest, ClustersBeyondMaxUnionFaultsDegradeExactCandidates) {
+  // Three stuck-at faults on s9234 at the default refine budget: refinement
+  // confirms every failing position, so the candidates are exact either way.
+  // Scenario 0's confirmed positions form 6 maximal runs — more clusters
+  // than kMaxUnionFaults resolves — so its answer is superset-only at half
+  // confidence; scenario 1's form 4 and resolve.
+  const Netlist nl = generateNamedCircuit("s9234");
+  const DiagnosisConfig config;
+  const PatternSet patterns = generatePatterns(nl, config.numPatterns, PrpgConfig{});
+  const FaultSimulator sim(nl, patterns);
+  const ScanTopology topology = ScanTopology::singleChain(nl.dffs().size());
+  const DefectScenarioGenerator generator(sim, parseDefectSpec("3"));
+  const DefectZooPipeline zoo(sim, topology, config, DefectPolicy{});
+  for (const auto& [index, runs, resolved] :
+       {std::tuple{0u, 6u, false}, std::tuple{1u, 4u, true}}) {
+    SCOPED_TRACE("scenario " + std::to_string(index));
+    const DefectScenario scenario = generator.generate(index);
+    const DefectDiagnosis d = zoo.diagnose(scenario);
+    EXPECT_EQ(d.candidates.cells, scenario.composed.failingCells);
+    EXPECT_EQ(maximalRuns(d.candidates.positions), runs);
+    EXPECT_EQ(d.resolved, resolved);
+    EXPECT_DOUBLE_EQ(d.confidence, resolved ? 1.0 : 0.5);
+  }
 }
 
 TEST(DefectZooPipelineTest, EvaluateStopsBeforeAnyScenarioWhenCancelled) {

@@ -63,7 +63,7 @@ TEST(NoisyPipeline, ZeroNoiseBitIdenticalToBasePipeline) {
     EXPECT_EQ(resilient.inconsistencies, 0u);
     EXPECT_EQ(resilient.retrySessions, 0u);
     EXPECT_DOUBLE_EQ(resilient.confidence, 1.0);
-    EXPECT_FALSE(resilient.injected.any());
+    EXPECT_EQ(resilient.injectedEvents, 0u);
   }
 
   const DrReport cleanReport = base.evaluate(work.responses);
@@ -137,7 +137,7 @@ TEST(NoisyPipeline, SilencingNoiseNeverExoneratesSingleCellFaults) {
     for (std::size_t i = 0; i < responses.size(); ++i) {
       const ResilientDiagnosis d = pipeline.diagnose(responses[i], i);
       EXPECT_FALSE(d.misdiagnosed) << "budget " << budget << " fault " << i;
-      if (d.emptyCandidates) {
+      if (d.candidateCount == 0) {
         EXPECT_EQ(d.inconsistencies, 0u)
             << "budget " << budget << " fault " << i
             << ": empty candidates despite a detected inconsistency";
@@ -169,11 +169,11 @@ TEST(NoisyPipeline, FlipMisdiagnosisNeedsCompoundCorruption) {
     const NoisyPipeline pipeline(topo, smallConfig(), noise, retry);
     for (std::size_t i = 0; i < responses.size(); ++i) {
       const ResilientDiagnosis d = pipeline.diagnose(responses[i], i);
-      if (d.injected.count() <= 1) {
+      if (d.injectedEvents <= 1) {
         EXPECT_FALSE(d.misdiagnosed) << "budget " << budget << " fault " << i;
-        EXPECT_FALSE(d.emptyCandidates) << "budget " << budget << " fault " << i;
+        EXPECT_NE(d.candidateCount, 0u) << "budget " << budget << " fault " << i;
       } else if (d.misdiagnosed) {
-        EXPECT_GE(d.injected.count(), 2u);
+        EXPECT_GE(d.injectedEvents, 2u);
       }
     }
   }
@@ -203,29 +203,6 @@ TEST(NoisyPipeline, RecoveryRepairsWhatDegradationCannot) {
   EXPECT_LE(r.sumCandidates, d.sumCandidates);
   EXPECT_LE(r.unresolved, d.unresolved);
   EXPECT_GE(r.meanConfidence, d.meanConfidence);
-}
-
-TEST(NoisyPipeline, CostAccountsForRetrySessions) {
-  const ScanTopology topo = ScanTopology::singleChain(32);
-  NoiseConfig noise;
-  noise.flipRate = 0.2;
-  RetryPolicy retry;
-  retry.sessionBudget = 64;
-  const NoisyPipeline pipeline(topo, smallConfig(), noise, retry);
-  const NoisyPipeline quiet(topo, smallConfig(), NoiseConfig{}, RetryPolicy{});
-
-  bool sawRetry = false;
-  for (std::size_t i = 0; i < 32; ++i) {
-    const FaultResponse response = makeResponse(32, {i});
-    const ResilientDiagnosis noisy = pipeline.diagnose(response, i);
-    const ResilientDiagnosis clean = quiet.diagnose(response, i);
-    EXPECT_EQ(noisy.cost.sessions, clean.cost.sessions + noisy.retrySessions);
-    if (noisy.retrySessions > 0) {
-      sawRetry = true;
-      EXPECT_GT(noisy.cost.clockCycles, clean.cost.clockCycles);
-    }
-  }
-  EXPECT_TRUE(sawRetry) << "flip rate produced no suspect partitions at this seed";
 }
 
 TEST(NoisyPipeline, ZeroPartitionsIsRejected) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -281,39 +282,65 @@ TEST(ServeChaos, SaturationShedsBusyInsteadOfQueueingUnboundedly) {
 }
 
 TEST(ServeChaos, DefectRequestUnderDeadlinePressureRepliesSupersetNotError) {
-  // Defect-zoo degrade-never-lie at the wire: a k-fault scenario request
-  // whose 1 ms deadline trips mid-work must come back as a typed DEADLINE
-  // reply carrying a non-empty candidate superset (all cells if no partition
-  // ran) — never an Error, never a crash, never an empty candidate list.
-  // A service heavy enough that scenario generation alone outlives the 1 ms
-  // budget: s9234 with an 8192-pattern set means each of the four components
-  // is fault-simulated over 8192 patterns before any partition can run.
+  // Defect-zoo degrade-never-lie: a k-fault scenario request whose deadline
+  // trips must come back as a typed DEADLINE reply carrying a non-empty
+  // candidate superset (all cells if no partition ran) — never an Error,
+  // never a crash, never an empty candidate list. A service heavy enough
+  // that scenario generation can outlive a 1 ms budget: s9234 with an
+  // 8192-pattern set fault-simulates each of the four components over 8192
+  // patterns before any partition can run.
   ServiceConfig heavy;
   heavy.diagnosis.numPatterns = 8192;
   const DiagnosisService service(generateNamedCircuit("s9234"), heavy);
+  DiagnoseRequest request;
+  request.kind = DiagnoseRequest::Kind::DefectScenario;
+  // k=4 with every permanent kind plus intermittent sampling: the heaviest
+  // generation path.
+  request.defectSpec = "4,bridge,open,intermittent:0.5";
+  request.defectIndex = 1;
+  const DiagnoseReply full = service.handle(request, 0, std::chrono::milliseconds(0), nullptr);
+  ASSERT_EQ(full.status, ReplyStatus::Ok) << full.message;
+  const auto coversFull = [&full](const DiagnoseReply& reply) {
+    for (const std::uint32_t cell : full.candidateCells) {
+      if (std::find(reply.candidateCells.begin(), reply.candidateCells.end(), cell) ==
+          reply.candidateCells.end()) {
+        return false;
+      }
+    }
+    return true;
+  };
 
+  // In process, with a deadline already spent (a negative budget), the
+  // Deadline path runs on every machine.
+  const DiagnoseReply spent =
+      service.handle(request, 0, std::chrono::milliseconds(-1), nullptr);
+  ASSERT_EQ(spent.status, ReplyStatus::Deadline) << spent.message;
+  EXPECT_TRUE(spent.detected);
+  EXPECT_FALSE(spent.resolved);
+  EXPECT_FALSE(spent.candidateCells.empty()) << "degraded reply lost the superset";
+  EXPECT_TRUE(coversFull(spent));
+  EXPECT_LT(spent.confidence, full.confidence);
+  EXPECT_LT(spent.partitionsUsed, spent.partitionsTotal);
+
+  // Over the socket a 1 ms budget may or may not trip, so only what holds
+  // either way is asserted.
   ServeOptions options;
   options.socketPath = chaosSocketPath("defect_deadline");
   options.requestDeadlineMs = 1;
   RunningServer running(options, service);
-
   ClientOptions client;
   client.socketPath = options.socketPath;
-  DiagnoseRequest request;
-  request.kind = DiagnoseRequest::Kind::DefectScenario;
-  // k=4 with every permanent kind plus intermittent sampling: the heaviest
-  // generation path, so the deadline trips during the request, not before.
-  request.defectSpec = "4,bridge,open,intermittent:0.5";
-  request.defectIndex = 1;
-
   const DiagnoseReply reply = requestDiagnosis(client, request);
-  ASSERT_EQ(reply.status, ReplyStatus::Deadline) << reply.message;
+  ASSERT_NE(reply.status, ReplyStatus::Error) << reply.message;
   EXPECT_TRUE(reply.detected);
-  EXPECT_FALSE(reply.resolved);
-  EXPECT_FALSE(reply.candidateCells.empty()) << "degraded reply lost the superset";
-  EXPECT_LT(reply.confidence, 1.0);
+  EXPECT_FALSE(reply.candidateCells.empty()) << "reply lost the superset";
+  if (reply.status == ReplyStatus::Deadline) {
+    EXPECT_TRUE(coversFull(reply)) << "degraded answer dropped a candidate cell";
+  } else {
+    EXPECT_EQ(reply.candidateCells, full.candidateCells);
+  }
 
-  // The handler survived the degraded request: an honest ping still answers.
+  // The handler survived the request: an honest ping still answers.
   EXPECT_NO_THROW((void)ping(client));
 }
 

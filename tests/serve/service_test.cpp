@@ -31,6 +31,9 @@ DiagnoseRequest injectRequest(const std::string& gate, bool sa) {
 }
 
 constexpr std::chrono::milliseconds kNoDeadline{0};
+/// A negative deadline is already spent: the degradation path runs on every
+/// machine, not only where a short budget happens to expire.
+constexpr std::chrono::milliseconds kSpentDeadline{-1};
 
 /// One warm service + one reference simulator shared across tests (service
 /// construction is the expensive part; tests only read it).
@@ -174,29 +177,50 @@ TEST_F(ServiceTest, PreCancelledDrainTokenUnwindsAsCancellation) {
 }
 
 TEST_F(ServiceTest, DeadlineReplyIsAlwaysASoundSuperset) {
-  // The watchdog trips on wall-clock, so whether a 1 ms deadline fires on a
-  // small circuit is machine-dependent. The contract is not: the reply is
-  // either a full Ok answer or a Deadline degradation whose candidates are a
-  // superset of the full run's, self-reporting reduced confidence.
+  // The contract of a deadline reply: a typed Deadline degradation whose
+  // candidates are a superset of the full run's, self-reporting reduced
+  // confidence — and it survives the wire unchanged.
   const auto [fault, response] = detectedFault();
   const DiagnoseRequest request =
       injectRequest(netlist_->gateName(fault.gate), fault.stuckAt);
   const DiagnoseReply full = service_->handle(request, 8, kNoDeadline, nullptr);
-  const DiagnoseReply reply =
-      service_->handle(request, 9, std::chrono::milliseconds(1), nullptr);
-  ASSERT_TRUE(reply.status == ReplyStatus::Ok || reply.status == ReplyStatus::Deadline);
-  if (reply.status == ReplyStatus::Deadline) {
-    EXPECT_FALSE(reply.resolved);
-    EXPECT_LT(reply.confidence, full.confidence);
-    EXPECT_LT(reply.partitionsUsed, reply.partitionsTotal);
-    for (const std::uint32_t cell : full.candidateCells) {
-      EXPECT_NE(std::find(reply.candidateCells.begin(), reply.candidateCells.end(), cell),
-                reply.candidateCells.end())
-          << "degraded answer dropped candidate cell " << cell;
-    }
-  } else {
-    EXPECT_EQ(reply.candidateCells, full.candidateCells);
+  const DiagnoseReply reply = service_->handle(request, 9, kSpentDeadline, nullptr);
+  ASSERT_EQ(full.status, ReplyStatus::Ok);
+  ASSERT_EQ(reply.status, ReplyStatus::Deadline);
+  EXPECT_TRUE(reply.detected);
+  EXPECT_FALSE(reply.resolved);
+  EXPECT_FALSE(reply.candidateCells.empty());
+  EXPECT_LT(reply.confidence, full.confidence);
+  EXPECT_LT(reply.partitionsUsed, reply.partitionsTotal);
+  for (const std::uint32_t cell : full.candidateCells) {
+    EXPECT_NE(std::find(reply.candidateCells.begin(), reply.candidateCells.end(), cell),
+              reply.candidateCells.end())
+        << "degraded answer dropped candidate cell " << cell;
   }
+
+  const DiagnoseReply decoded = decodeDiagnoseReply(encodeDiagnoseReply(reply));
+  EXPECT_EQ(decoded.status, reply.status);
+  EXPECT_EQ(decoded.requestId, reply.requestId);
+  EXPECT_EQ(decoded.detected, reply.detected);
+  EXPECT_EQ(decoded.resolved, reply.resolved);
+  EXPECT_EQ(decoded.confidence, reply.confidence);
+  EXPECT_EQ(decoded.partitionsUsed, reply.partitionsUsed);
+  EXPECT_EQ(decoded.partitionsTotal, reply.partitionsTotal);
+  EXPECT_EQ(decoded.candidateCells, reply.candidateCells);
+  EXPECT_EQ(decoded.message, reply.message);
+}
+
+TEST_F(ServiceTest, UndrawableDefectSpecIsErrorReply) {
+  // k above the circuit's gate count cannot be drawn: refused in plain
+  // words, like a malformed spec, with no source location in the message.
+  DiagnoseRequest request;
+  request.kind = DiagnoseRequest::Kind::DefectScenario;
+  request.defectSpec = "100000";
+  const DiagnoseReply reply = service_->handle(request, 11, kNoDeadline, nullptr);
+  EXPECT_EQ(reply.status, ReplyStatus::Error);
+  EXPECT_FALSE(reply.resolved);
+  EXPECT_NE(reply.message.find("defect spec '100000'"), std::string::npos) << reply.message;
+  EXPECT_EQ(reply.message.find(".cpp:"), std::string::npos) << reply.message;
 }
 
 TEST_F(ServiceTest, UndetectedFaultRepliesOkNotDetected) {

@@ -84,13 +84,16 @@ TEST(SocBuilder, ValidatesCoreNetlists) {
 }
 
 TEST(SocBuilder, RefusedSpecsBuildNoSoc) {
-  // R and W follow the one number rule and are at least 1; anything else is
-  // refused as std::invalid_argument, before any core is built.
+  // R and W follow the one number rule and are at least 1, R x the module's
+  // cells stays within kMaxReplicatedScanCells and W within the SOC's cells;
+  // anything else is refused as std::invalid_argument, before any core is
+  // built (the last two once reached an allocation that failed).
   for (const char* bad :
        {"rep:s298x2zz:w2", "rep:s298x2:w2 junk", "rep:s298x2:w99999999999999999999",
         "rep:s298x2:wabc", "rep:s298x2:w0", "rep:s298x2:w-1", "rep:s298x2:w", "rep:s298x2:",
         "rep:s298x2:x2", "rep:s298x0", "rep:s298x-2", "rep:s298x 2", "rep:s298x+2",
-        "rep:s298x99999999999999999999", "rep:s298x", "rep:x2", "rep:s298", "soc2"}) {
+        "rep:s298x99999999999999999999", "rep:s298x", "rep:x2", "rep:s298", "soc2",
+        "rep:s298x2:w29", "rep:s298x2:w9223372036854775807", "rep:s298x100000000000"}) {
     EXPECT_THROW(buildSocFromSpec(bad), std::invalid_argument) << "spec '" << bad << "'";
   }
 }

@@ -2,8 +2,10 @@
 // and one set of exit codes. An argument is `--name value` for a name in the
 // command's options, `--name` for one of its flags, or a positional; any other
 // `--name` is a usage error before any work, so a misspelt option never
-// silently runs the default. Values follow the number rule of
-// common/errors.hpp: a count is parseUnsigned, a real parseReal.
+// silently runs the default. So is an empty value (`--report ''`): no option
+// reads "" as a value, and callers would take it for an absent option. Values
+// follow the number rule of common/errors.hpp: a count is parseUnsigned, a
+// real parseReal.
 #pragma once
 
 #include <algorithm>
@@ -65,7 +67,7 @@ struct Args {
         args.flags.insert(key);
       } else if (!isOneOf(key, grammar.options)) {
         throw std::invalid_argument(command + " does not take --" + key);
-      } else if (i + 1 < argc) {
+      } else if (i + 1 < argc && *argv[i + 1] != '\0') {
         args.options[key] = argv[++i];
       } else {
         throw std::invalid_argument("option --" + key + " needs a value");

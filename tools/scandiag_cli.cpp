@@ -3,16 +3,20 @@
 // Grammar (tools/cli_args.hpp, shared with scandiag_client):
 //   scandiag <command> [<positional>...] [--option value]... [--flag]...
 // Each command takes only the options and flags it reads (kCommands below);
-// --threads and --metrics are common to every command. Any other --name
-// exits 2 before any work, naming the command and the option. Values:
+// --threads and --metrics are common to every command. Any other --name,
+// and any empty value (--report ''), exits 2 before any work, naming the
+// option. Values:
 //   count    one whole unsigned number: decimal, 0x hex or leading-0 octal
 //            (12, 0xFA17; 010 is 8); no sign, space or trailing text
 //   real     one whole finite real (0.5, 1e-3); no space, nan or inf
 //   ms       a count of milliseconds below 2^32 (about 49 days)
 //   shard    i/N: counts with i < N < 2^32
-//   rep:     rep:<module>x<R>[:w<W>]: counts R, W >= 1 (W defaults to 1)
+//   rep:     rep:<module>x<R>[:w<W>]: counts R, W >= 1 (W defaults to 1),
+//            R x the module's scan cells <= 2^24 (kMaxReplicatedScanCells),
+//            W <= that cell count
 //   defects  k[,bridge][,open][,intermittent:p][,seed:n]: counts k >= 1 and
-//            n, a real p in (0,1); serve reads the same spec off its socket
+//            n, a real p in (0,1); k at most the circuit's gate count; serve
+//            reads the same spec off its socket
 //
 // Subcommands:
 //   info <circuit>                       circuit statistics and fault universe
@@ -323,7 +327,7 @@ int diagnoseNoisy(const Netlist& nl, const Args& args, const FaultSite& fault,
         .field("resolved", d.resolved)
         .field("inconsistencies", d.inconsistencies)
         .field("retrySessions", d.retrySessions)
-        .field("injectedEvents", d.injected.count());
+        .field("injectedEvents", d.injectedEvents);
     json.key("candidateCells").beginArray();
     for (std::size_t c : d.candidates.cells.toIndices()) json.value(c);
     json.endArray().endObject();
@@ -333,7 +337,7 @@ int diagnoseNoisy(const Netlist& nl, const Args& args, const FaultSite& fault,
                 "(confidence %.3f, %zu injected events, %zu inconsistencies, "
                 "%zu retry sessions)\n",
                 faultSpec.c_str(), d.actualCount, d.candidateCount, d.confidence,
-                d.injected.count(), d.inconsistencies, d.retrySessions);
+                d.injectedEvents, d.inconsistencies, d.retrySessions);
     std::printf("candidates:");
     for (std::size_t c : d.candidates.cells.toIndices()) std::printf(" %zu", c);
     std::printf("\n");
