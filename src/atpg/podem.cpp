@@ -101,64 +101,55 @@ struct Decision {
 
 void TestCube::applyTo(PatternSet& patterns, std::size_t t, const Netlist& netlist,
                        std::uint64_t fillSeed) const {
+  // Fill bits are drawn in GateId order: the merge of dffs() and inputs(),
+  // both ascending, visits exactly the sources in that order.
   Xoroshiro128 rng(fillSeed ^ (0x9e3779b97f4a7c15ULL * (t + 1)));
-  for (GateId id = 0; id < netlist.gateCount(); ++id) {
-    if (!patterns.isSource(id)) continue;
+  const std::vector<GateId>& dffs = netlist.dffs();
+  const std::vector<GateId>& inputs = netlist.inputs();
+  std::size_t k = 0, i = 0;
+  while (k < dffs.size() || i < inputs.size()) {
+    const bool dff = i == inputs.size() || (k < dffs.size() && dffs[k] < inputs[i]);
+    const GateId id = dff ? dffs[k] : inputs[i];
+    const std::size_t row = dff ? k++ : dffs.size() + i++;
     const bool bit = (id < care.size() && care.test(id)) ? value.test(id) : rng.nextBool();
-    patterns.stream(id).set(t, bit);
+    patterns.setRowBit(row, t, bit);
   }
 }
 
-PodemAtpg::PodemAtpg(const Netlist& netlist) : sim_(netlist) {
-  const Netlist& nl = sim_.netlist();
+PodemAtpg::PodemAtpg(const Netlist& netlist) : sim_(netlist), image_(&sim_.image()) {
   const Levelization& lev = sim_.levelization();
-  const std::size_t n = nl.gateCount();
-  const auto& fanouts = nl.fanouts();
-  type_.resize(n);
-  faninStart_.assign(n + 1, 0);
-  fanoutStart_.assign(n + 1, 0);
-  for (GateId id = 0; id < n; ++id) {
-    const Gate& g = nl.gate(id);
-    type_[id] = g.type;
-    fanin_.insert(fanin_.end(), g.fanins.begin(), g.fanins.end());
-    faninStart_[id + 1] = static_cast<std::uint32_t>(fanin_.size());
-    // A DFF's D edge is sequential: only combinational users get events.
-    for (GateId user : fanouts[id]) {
-      if (!isSourceType(nl.gate(user).type)) fanout_.push_back(user);
-    }
-    fanoutStart_[id + 1] = static_cast<std::uint32_t>(fanout_.size());
-  }
-
+  const std::size_t n = image_->gateCount();
   orderPos_.assign(n, 0);
   for (std::size_t i = 0; i < lev.order.size(); ++i)
     orderPos_[lev.order[i]] = static_cast<std::uint32_t>(i);
 
   allX_.assign(n, VX);
   for (GateId id = 0; id < n; ++id) {
-    if (type_[id] == GateType::Const0) allX_[id] = V0;
-    if (type_[id] == GateType::Const1) allX_[id] = V1;
+    if (image_->type[id] == GateType::Const0) allX_[id] = V0;
+    if (image_->type[id] == GateType::Const1) allX_[id] = V1;
   }
   for (GateId id : lev.order) allX_[id] = eval(id, allX_.data(), FaultSite::kOutputPin, VX);
 }
 
 std::uint8_t PodemAtpg::eval(GateId id, const std::uint8_t* plane, int pin,
                              std::uint8_t forced) const {
-  return evalGate3(type_[id], fanin_.data() + faninStart_[id],
-                   faninStart_[id + 1] - faninStart_[id], plane, pin, forced);
+  const std::span<const GateId> fanins = image_->fanins(id);
+  return evalGate3(image_->type[id], fanins.data(), fanins.size(), plane, pin, forced);
 }
 
 AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimit) const {
   const Netlist& nl = sim_.netlist();
+  const NetlistImage& image = *image_;
   SCANDIAG_REQUIRE(fault.gate < nl.gateCount(), "fault site out of range");
   AtpgResult result;
 
   // The "fault line" whose good value must be the complement of the stuck
   // value: the site's output, or the driver seen by the faulted pin.
   const GateId faultLine =
-      fault.isOutputFault() ? fault.gate : fanin_[faninStart_[fault.gate] + fault.pin];
+      fault.isOutputFault() ? fault.gate : image.fanins(fault.gate)[fault.pin];
   const V3 stuck = fault.stuckAt ? V1 : V0;
   const V3 activate = v3Not(stuck);
-  const bool dffPinFault = !fault.isOutputFault() && type_[fault.gate] == GateType::Dff;
+  const bool dffPinFault = !fault.isOutputFault() && image.type[fault.gate] == GateType::Dff;
 
   std::vector<V3> good = allX_;
   std::vector<V3> faulty = allX_;
@@ -170,9 +161,9 @@ AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimi
   std::vector<std::vector<GateId>> buckets(lev.maxLevel + 1);
   std::vector<std::uint8_t> queued(nl.gateCount(), 0);
   auto schedule = [&](GateId id) {
-    for (std::uint32_t e = fanoutStart_[id]; e < fanoutStart_[id + 1]; ++e) {
-      const GateId user = fanout_[e];
-      if (queued[user]) continue;
+    for (const GateId user : image.fanouts(id)) {
+      // A DFF's D edge is sequential: only combinational users get events.
+      if (isSourceType(image.type[user]) || queued[user]) continue;
       queued[user] = 1;
       buckets[lev.level[user]].push_back(user);
     }
@@ -227,7 +218,7 @@ AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimi
     coneObs = std::move(reach.reachableOutputs);
     for (std::size_t k = reach.reachableDffs.findFirst(); k != BitVector::npos;
          k = reach.reachableDffs.findNext(k))
-      coneObs.push_back(nl.gate(nl.dffs()[k]).fanins[0]);
+      coneObs.push_back(image.fanins(nl.dffs()[k])[0]);
   }
 
   auto isD = [&](GateId line) {
@@ -251,25 +242,24 @@ AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimi
       // fault is activated even though no fanin carries a plane-level D.
       bool hasD = !fault.isOutputFault() && id == fault.gate && good[faultLine] == activate;
       GateId xInput = kInvalidGate;
-      for (std::uint32_t e = faninStart_[id]; e < faninStart_[id + 1]; ++e) {
-        const GateId f = fanin_[e];
+      for (const GateId f : image.fanins(id)) {
         if (isD(f)) hasD = true;
         if (good[f] == VX && xInput == kInvalidGate) xInput = f;
       }
       if (hasD && xInput != kInvalidGate)
-        return std::make_pair(xInput, nonControlling(type_[id]));
+        return std::make_pair(xInput, nonControlling(image.type[id]));
     }
     return std::nullopt;
   };
 
   // Backtrace an objective to a source decision through X-valued gates.
   auto backtrace = [&](GateId line, V3 target) -> std::optional<std::pair<GateId, bool>> {
-    while (!isSourceType(type_[line])) {
-      if (invertingType(type_[line])) target = v3Not(target);
+    while (!isSourceType(image.type[line])) {
+      if (invertingType(image.type[line])) target = v3Not(target);
       GateId next = kInvalidGate;
-      for (std::uint32_t e = faninStart_[line]; e < faninStart_[line + 1]; ++e) {
-        if (good[fanin_[e]] == VX) {
-          next = fanin_[e];
+      for (const GateId f : image.fanins(line)) {
+        if (good[f] == VX) {
+          next = f;
           break;
         }
       }

@@ -12,8 +12,9 @@
 //  * decisions are made only at sources (PIs and scan cells), chosen by
 //    backtracing the current objective through X-valued gates;
 //  * the objective is fault activation first, then D-frontier propagation;
-//  * implication is event-driven: generate() starts from the all-X plane
-//    precomputed at construction, injects the fault, and after each
+//  * implication is event-driven over the netlist image's types and CSR
+//    adjacency: generate() starts from the all-X plane precomputed at
+//    construction, injects the fault, and after each
 //    decision, flip or pop re-evaluates (in both planes, level by level) only
 //    the gates whose inputs changed; the faulty plane is forced at the fault
 //    site, and the D-frontier and observation checks scan only the fault's
@@ -81,13 +82,8 @@ class PodemAtpg {
   std::uint8_t eval(GateId id, const std::uint8_t* plane, int pin, std::uint8_t forced) const;
 
   LogicSimulator sim_;
-  // Flat per-gate arrays (CSR adjacency) for the event-driven search.
-  std::vector<GateType> type_;
-  std::vector<std::uint32_t> faninStart_;   // [gate], [gate + 1] bound fanin_
-  std::vector<GateId> fanin_;
-  std::vector<std::uint32_t> fanoutStart_;  // combinational users only
-  std::vector<GateId> fanout_;
-  std::vector<std::uint32_t> orderPos_;     // index in the levelized order
+  const NetlistImage* image_;  // the netlist's: types and CSR adjacency
+  std::vector<std::uint32_t> orderPos_;  // index in the levelized order
   /// Good plane with every PI and scan cell at X (0, 1, 2 = X); equal to the
   /// faulty plane until the fault is injected.
   std::vector<std::uint8_t> allX_;

@@ -64,7 +64,7 @@ std::uint64_t BistController::runSession(const PatternSet& patterns,
         const std::size_t cell = cellAt(c, posIndex);
         if (cell != static_cast<std::size_t>(-1)) {
           const GateId dff = netlist_->dffs()[cell];
-          in = patterns.stream(dff).test(*loadPattern);
+          in = patterns.bit(dff, *loadPattern);
         }
       }
       chain[c][L - 1] = in;
@@ -79,7 +79,7 @@ std::uint64_t BistController::runSession(const PatternSet& patterns,
 
     // Capture cycle: evaluate one functional cycle with the loaded state.
     for (GateId pi : netlist_->inputs())
-      values[pi] = patterns.stream(pi).test(t) ? ~SimWord{0} : SimWord{0};
+      values[pi] = patterns.bit(pi, t) ? ~SimWord{0} : SimWord{0};
     for (std::size_t c = 0; c < W; ++c) {
       for (std::size_t p = 0; p < topology_->chainLength(c); ++p) {
         values[netlist_->dffs()[topology_->chain(c)[p]]] =

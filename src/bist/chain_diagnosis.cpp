@@ -68,10 +68,10 @@ std::vector<BitVector> ChainIntegrityModel::captureObservation(
   // (their bits passed through the stuck cell on the way in).
   std::vector<SimWord> values(netlist_->gateCount(), 0);
   for (GateId pi : netlist_->inputs())
-    values[pi] = patterns.stream(pi).test(t) ? ~SimWord{0} : SimWord{0};
+    values[pi] = patterns.bit(pi, t) ? ~SimWord{0} : SimWord{0};
   for (std::size_t c = 0; c < W; ++c) {
     for (std::size_t p = 0; p < topology_->chainLength(c); ++p) {
-      bool bit = patterns.stream(netlist_->dffs()[topology_->chain(c)[p]]).test(t);
+      bool bit = patterns.bit(netlist_->dffs()[topology_->chain(c)[p]], t);
       if (fault && fault->chain == c && p <= fault->position) bit = fault->stuckAt;
       values[netlist_->dffs()[topology_->chain(c)[p]]] = bit ? ~SimWord{0} : SimWord{0};
     }

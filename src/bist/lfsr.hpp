@@ -10,6 +10,7 @@
 // has period 2^degree - 1 over the nonzero states.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "bist/primitive_polys.hpp"
@@ -41,6 +42,14 @@ class Lfsr {
 
   /// n output bits, LSB-first packed (n <= 64).
   std::uint64_t stepBits(unsigned n);
+
+  /// The next n output bits into words[0 .. ceil(n / 64)), LSB-first — the
+  /// bits n calls of step() return, leaving the same state. Block form: with
+  /// m the smallest tap exponent, the next m bits depend only on bits
+  /// already in the register, so one step of the recurrence yields m of them
+  /// (m = 17 for the degree-24 PRPG; m = 1 is the bit-by-bit loop). Bits of
+  /// the last word beyond n are cleared.
+  void fill(std::uint64_t* words, std::size_t n);
 
   /// The low r stage values as an r-bit label, without stepping. This models
   /// "the output of any r stages of the LFSR ... regarded as an r-bit binary

@@ -20,7 +20,8 @@ struct PrpgConfig {
 };
 
 /// Fills a PatternSet for `netlist`: for each pattern, first the scan-load
-/// bits of all DFFs (netlist DFF order), then the primary-input bits.
+/// bits of all DFFs (netlist DFF order), then the primary-input bits — the
+/// PatternSet's row order, so pattern t is one run of the LFSR's stream.
 PatternSet generatePatterns(const Netlist& netlist, std::size_t numPatterns,
                             const PrpgConfig& config = {});
 

@@ -7,17 +7,7 @@
 namespace scandiag {
 
 ConeWalker::ConeWalker(const Netlist& netlist, const Levelization& lev, std::uint32_t epoch)
-    : netlist_(&netlist),
-      lev_(&lev),
-      epoch_(epoch),
-      stamp_(netlist.gateCount(), 0),
-      dffOrdinal_(netlist.gateCount(), kNone),
-      outputPos_(netlist.gateCount(), kNone) {
-  for (std::size_t k = 0; k < netlist.dffs().size(); ++k)
-    dffOrdinal_[netlist.dffs()[k]] = static_cast<std::uint32_t>(k);
-  for (std::size_t k = 0; k < netlist.outputs().size(); ++k)
-    outputPos_[netlist.outputs()[k]] = static_cast<std::uint32_t>(k);
-}
+    : image_(netlist.image().get()), lev_(&lev), epoch_(epoch), stamp_(netlist.gateCount(), 0) {}
 
 FaultCone ConeWalker::walk(GateId site) {
   SCANDIAG_REQUIRE(site < stamp_.size(), "cone site out of range");
@@ -25,25 +15,24 @@ FaultCone ConeWalker::walk(GateId site) {
     std::fill(stamp_.begin(), stamp_.end(), 0u);
     epoch_ = 1;
   }
-  const Netlist& netlist = *netlist_;
-  const auto& fanouts = netlist.fanouts();
+  const NetlistImage& image = *image_;
   FaultCone cone;
-  cone.reachableDffs = BitVector(netlist.dffs().size());
+  cone.reachableDffs = BitVector(image.numDffs);
   auto visit = [&](GateId g) {
     stamp_[g] = epoch_;
-    if (outputPos_[g] != kNone) cone.reachableOutputs.push_back(g);
+    if (image.outputPos[g] != kNone) cone.reachableOutputs.push_back(g);
   };
   visit(site);
   stack_.assign(1, site);
   while (!stack_.empty()) {
     const GateId g = stack_.back();
     stack_.pop_back();
-    if (!isSourceType(netlist.gate(g).type)) cone.gates.push_back(g);
-    for (GateId user : fanouts[g]) {
+    if (!isSourceType(image.type[g])) cone.gates.push_back(g);
+    for (const GateId user : image.fanouts(g)) {
       // An error reaching a DFF is captured; no same-cycle propagation
       // through it. Marked even when user == site: a scan cell whose Q-cone
       // feeds back to its own D captures its own fault effect.
-      const std::uint32_t k = dffOrdinal_[user];
+      const std::uint32_t k = image.dffOrdinal(user);
       if (k != kNone) cone.reachableDffs.set(k);
       if (stamp_[user] == epoch_) continue;
       visit(user);
@@ -52,12 +41,14 @@ FaultCone ConeWalker::walk(GateId site) {
   }
   // The site gate itself is in cone.gates only if combinational; a faulty
   // source (PI / scan cell output stuck) needs no re-evaluation of itself.
+  // Evaluation order is (level, id): one sort of packed keys.
   const auto& level = lev_->level;
-  std::sort(cone.gates.begin(), cone.gates.end(), [&](GateId a, GateId b) {
-    return level[a] != level[b] ? level[a] < level[b] : a < b;
-  });
+  keys_.clear();
+  for (const GateId g : cone.gates) keys_.push_back((std::uint64_t{level[g]} << 32) | g);
+  std::sort(keys_.begin(), keys_.end());
+  for (std::size_t i = 0; i < keys_.size(); ++i) cone.gates[i] = static_cast<GateId>(keys_[i]);
   std::sort(cone.reachableOutputs.begin(), cone.reachableOutputs.end(),
-            [&](GateId a, GateId b) { return outputPos_[a] < outputPos_[b]; });
+            [&](GateId a, GateId b) { return image.outputPos[a] < image.outputPos[b]; });
   return cone;
 }
 

@@ -16,6 +16,7 @@
 #include "common/bitvector.hpp"
 #include "netlist/levelizer.hpp"
 #include "netlist/netlist.hpp"
+#include "netlist/netlist_image.hpp"
 
 namespace scandiag {
 
@@ -29,12 +30,13 @@ struct FaultCone {
   std::vector<GateId> reachableOutputs;
 };
 
-/// Reusable forward walk over one netlist. The gate-indexed visit stamps and
-/// DFF-ordinal index are built once, so each walk costs O(cone), not
-/// O(gates). Single-owner: a walk mutates the stamps.
+/// Reusable forward walk over one netlist's image. The netlist constants
+/// (DFF ordinals, output positions) are the image's, so a fresh walker
+/// allocates only its gate-indexed visit stamps and each walk costs O(cone),
+/// not O(gates). Single-owner: a walk mutates the stamps and reused buffers.
 class ConeWalker {
  public:
-  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kNone = NetlistImage::kNone;
 
   /// `epoch` is the stamp of the last walk (tests start it near the wrap).
   ConeWalker(const Netlist& netlist, const Levelization& lev, std::uint32_t epoch = 0);
@@ -44,16 +46,15 @@ class ConeWalker {
   FaultCone walk(GateId site);
 
   /// Ordinal of DFF `id` in netlist.dffs(), or kNone for other gates.
-  std::uint32_t dffOrdinal(GateId id) const { return dffOrdinal_[id]; }
+  std::uint32_t dffOrdinal(GateId id) const { return image_->dffOrdinal(id); }
 
  private:
-  const Netlist* netlist_;
+  const NetlistImage* image_;
   const Levelization* lev_;
   std::uint32_t epoch_;
-  std::vector<std::uint32_t> stamp_;       // [gate] epoch of its last visit
-  std::vector<std::uint32_t> dffOrdinal_;  // [gate]
-  std::vector<std::uint32_t> outputPos_;   // [gate] index in outputs(), or kNone
+  std::vector<std::uint32_t> stamp_;  // [gate] epoch of its last visit
   std::vector<GateId> stack_;
+  std::vector<std::uint64_t> keys_;   // (level << 32) | id of the cone's gates
 };
 
 /// One walk on a fresh ConeWalker (O(gates) setup; hot loops keep a walker).

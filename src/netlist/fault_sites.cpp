@@ -1,8 +1,7 @@
 #include "netlist/fault_sites.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
+#include "netlist/netlist_image.hpp"
 
 namespace scandiag {
 
@@ -29,24 +28,24 @@ bool branchCollapses(GateType type, bool stuckAt) {
 /// Calls emit(site) for every site in enumeration order.
 template <typename Emit>
 void forEachFaultSite(const Netlist& netlist, bool collapse, Emit&& emit) {
-  const auto& fanouts = netlist.fanouts();
-  const std::vector<GateId>& outputs = netlist.outputs();
-  for (GateId id = 0; id < netlist.gateCount(); ++id) {
-    const Gate& g = netlist.gate(id);
-    if (g.type == GateType::Const0 || g.type == GateType::Const1) continue;
+  const NetlistImage& image = *netlist.image();
+  for (GateId id = 0; id < image.gateCount(); ++id) {
+    const GateType type = image.type[id];
+    if (type == GateType::Const0 || type == GateType::Const1) continue;
     // Stem faults. A stem that drives nothing is unobservable; skip it so the
     // sampler never wastes budget on structurally undetectable faults.
-    if (!fanouts[id].empty() || std::find(outputs.begin(), outputs.end(), id) != outputs.end()) {
+    if (!image.fanouts(id).empty() || image.outputPos[id] != NetlistImage::kNone) {
       emit(FaultSite{id, FaultSite::kOutputPin, false});
       emit(FaultSite{id, FaultSite::kOutputPin, true});
     }
     // Branch faults where the driver fans out.
-    for (std::size_t pin = 0; pin < g.fanins.size(); ++pin) {
-      const GateId driver = g.fanins[pin];
+    const std::span<const GateId> fanins = image.fanins(id);
+    for (std::size_t pin = 0; pin < fanins.size(); ++pin) {
+      const GateId driver = fanins[pin];
       SCANDIAG_REQUIRE(driver != kInvalidGate, "dangling fanin during fault enumeration");
-      if (fanouts[driver].size() <= 1) continue;
+      if (image.fanouts(driver).size() <= 1) continue;
       for (const bool sa : {false, true}) {
-        if (!collapse || !branchCollapses(g.type, sa))
+        if (!collapse || !branchCollapses(type, sa))
           emit(FaultSite{id, static_cast<int>(pin), sa});
       }
     }

@@ -21,7 +21,14 @@ struct Levelization {
   std::size_t maxLevel = 0;
 };
 
-/// Fresh levelization; Netlist::levelization() caches this result.
+struct NetlistImage;
+
+/// Fresh levelization over the netlist's image (built and cached first if the
+/// netlist has none); Netlist::levelization() caches this result.
 Levelization levelize(const Netlist& netlist);
+
+/// The same pass over an explicit image of `netlist`: how the netlist builds
+/// its image and levelization together.
+Levelization levelize(const Netlist& netlist, const NetlistImage& image);
 
 }  // namespace scandiag

@@ -7,6 +7,7 @@
 #include "common/assert.hpp"
 #include "netlist/fault_sites.hpp"
 #include "netlist/levelizer.hpp"
+#include "netlist/netlist_image.hpp"
 
 namespace scandiag {
 
@@ -131,21 +132,21 @@ std::size_t Netlist::combGateCount() const {
   return n;
 }
 
-const std::vector<std::vector<GateId>>& Netlist::fanouts() const {
-  if (!fanoutsValid_) {
-    fanouts_.assign(gates_.size(), {});
-    for (GateId id = 0; id < gates_.size(); ++id) {
-      for (GateId f : gates_[id].fanins) {
-        if (f != kInvalidGate) fanouts_[f].push_back(id);
-      }
-    }
-    fanoutsValid_ = true;
+const std::shared_ptr<const NetlistImage>& Netlist::image() const {
+  if (!image_) {
+    // The levelization runs over the image's CSR and the program needs the
+    // levels, so both are built here and published together.
+    auto image = std::make_shared<NetlistImage>(*this);
+    auto lev = std::make_shared<const Levelization>(levelize(*this, *image));
+    image->buildProgram(*lev);
+    levelization_ = std::move(lev);
+    image_ = std::move(image);
   }
-  return fanouts_;
+  return image_;
 }
 
 const Levelization& Netlist::levelization() const {
-  if (!levelization_) levelization_ = std::make_shared<const Levelization>(levelize(*this));
+  if (!levelization_) (void)image();
   return *levelization_;
 }
 
@@ -166,12 +167,12 @@ void Netlist::validate() const {
     }
   }
   // Levelization throws on combinational cycles; the results stay cached.
-  (void)levelization();
+  (void)image();
   (void)collapsedFaults();
 }
 
 void Netlist::invalidateCaches() {
-  fanoutsValid_ = false;
+  image_.reset();
   levelization_.reset();
   collapsedFaults_.reset();
 }

@@ -21,6 +21,7 @@ namespace scandiag {
 
 struct Levelization;  // netlist/levelizer.hpp
 struct FaultSite;     // netlist/fault_sites.hpp
+struct NetlistImage;  // netlist/netlist_image.hpp
 
 using GateId = std::uint32_t;
 inline constexpr GateId kInvalidGate = static_cast<GateId>(-1);
@@ -86,11 +87,13 @@ class Netlist {
   /// Number of combinational gates (everything that is not Input/Dff).
   std::size_t combGateCount() const;
 
-  /// Fanout lists, built lazily and cached; invalidated by mutation.
-  const std::vector<std::vector<GateId>>& fanouts() const;
-  std::size_t fanoutCount(GateId id) const { return fanouts().at(id).size(); }
+  /// The flat read-only image every simulator, walker and PODEM reads
+  /// (types, CSR fanins/fanouts, source ordinals, the evaluation program).
+  /// Built lazily with the levelization, cached, shared by copies, and
+  /// dropped by every mutator, like the two caches below.
+  const std::shared_ptr<const NetlistImage>& image() const;
 
-  /// levelize(*this), cached like fanouts() (copies share it).
+  /// levelize(*this), cached and built with the image (copies share it).
   const Levelization& levelization() const;
 
   /// enumerateFaultSites(*this, collapse=true), cached and shared like the
@@ -101,7 +104,7 @@ class Netlist {
   /// Structural validation: every fanin resolved, every DFF has a D input,
   /// fanin arities match gate types, no combinational cycles.
   /// Throws std::invalid_argument describing the first violation. Fills all
-  /// three caches (fanouts, levelization, collapsed faults); only a validated
+  /// three caches (image, levelization, collapsed faults); only a validated
   /// netlist may be shared across threads.
   void validate() const;
 
@@ -115,9 +118,8 @@ class Netlist {
   std::vector<GateId> dffs_;
   std::vector<GateId> outputs_;
   std::unordered_map<std::string, GateId> byName_;
-  mutable std::vector<std::vector<GateId>> fanouts_;  // lazy cache
-  mutable bool fanoutsValid_ = false;
-  mutable std::shared_ptr<const Levelization> levelization_;  // lazy cache
+  mutable std::shared_ptr<const NetlistImage> image_;         // lazy cache
+  mutable std::shared_ptr<const Levelization> levelization_;  // built with image_
   mutable std::shared_ptr<const std::vector<FaultSite>> collapsedFaults_;  // lazy cache
 };
 

@@ -18,6 +18,16 @@ Netlist validated(Netlist netlist) {
   return netlist;
 }
 
+/// Polled before fault simulation: true when the request's deadline is
+/// already spent. Any other stop (a drain) unwinds here, as it would at the
+/// partition loop's first poll.
+bool deadlineSpent(const RunControl& control, const Watchdog* deadline) {
+  if (!control.shouldStop()) return false;
+  if (deadline != nullptr && deadline->tripped()) return true;
+  control.throwIfStopped();
+  return false;
+}
+
 DiagnoseReply errorReply(DiagnoseReply reply, std::string message) {
   reply.status = ReplyStatus::Error;
   reply.resolved = false;
@@ -72,6 +82,7 @@ DiagnoseReply DiagnosisService::handleInject(const DiagnoseRequest& request, Dia
     return errorReply(std::move(reply), "no gate named '" + request.gateName + "'");
   }
   const FaultSite fault{site, FaultSite::kOutputPin, request.stuckAt1};
+  if (deadlineSpent(control, deadline)) return allCellsDeadline(std::move(reply));
 
   FaultResponse response;
   {
@@ -93,12 +104,14 @@ DiagnoseReply DiagnosisService::handleDefect(const DiagnoseRequest& request, Dia
   // A spec the circuit cannot draw is refused like a malformed one. The
   // pools read only the validated netlist's caches, so they are built
   // outside the simulator lock; generate() fault-simulates every component
-  // and holds the lock like InjectFault's single simulate().
+  // and holds the lock like InjectFault's single simulate(). A deadline
+  // spent by then skips generation: the all-cells superset needs none.
   FaultResponse response;
   try {
     DefectMix mix = parseDefectSpec(request.defectSpec);
     if (request.defectSeed != 0) mix.seed = request.defectSeed;
     const DefectScenarioGenerator generator(simulator_, mix);
+    if (deadlineSpent(control, deadline)) return allCellsDeadline(std::move(reply));
     const std::lock_guard<std::mutex> lock(simMutex_);
     response = generator.generate(request.defectIndex).composed;
   } catch (const std::invalid_argument& e) {
@@ -166,24 +179,28 @@ DiagnoseReply DiagnosisService::diagnoseResponse(const FaultResponse& response,
     ++used;
   }
 
-  if (used == 0) {
-    // Deadline expired before any partition ran: the only sound superset is
-    // every cell. Still a valid (if useless) degraded answer.
-    reply.status = ReplyStatus::Deadline;
-    reply.resolved = false;
-    reply.confidence = 0.0;
-    reply.partitionsUsed = 0;
-    reply.candidateCells.reserve(topology_.numCells());
-    for (std::size_t c = 0; c < topology_.numCells(); ++c) {
-      reply.candidateCells.push_back(static_cast<std::uint32_t>(c));
-    }
-    return reply;
-  }
+  if (used == 0) return allCellsDeadline(std::move(reply));
 
   const std::vector<Partition> prefix(partitions.begin(),
                                       partitions.begin() + static_cast<std::ptrdiff_t>(used));
   const RecoveredDiagnosis recovered = recovery_.recover(prefix, verdicts, nullptr);
   return finishReply(std::move(reply), recovered, used, deadlineHit);
+}
+
+DiagnoseReply DiagnosisService::allCellsDeadline(DiagnoseReply reply) const {
+  // Deadline expired before any partition ran: the only sound superset is
+  // every cell. Still a valid (if useless) degraded answer; `detected` stays
+  // set because the superset covers any response the request could have.
+  reply.status = ReplyStatus::Deadline;
+  reply.detected = true;
+  reply.resolved = false;
+  reply.confidence = 0.0;
+  reply.partitionsUsed = 0;
+  reply.candidateCells.reserve(topology_.numCells());
+  for (std::size_t c = 0; c < topology_.numCells(); ++c) {
+    reply.candidateCells.push_back(static_cast<std::uint32_t>(c));
+  }
+  return reply;
 }
 
 DiagnoseReply DiagnosisService::finishReply(DiagnoseReply reply,

@@ -15,7 +15,10 @@
 // adaptive and --prune.
 //
 // handle() implements the graceful-degradation half of the request
-// lifecycle. Partitions are evaluated one at a time through
+// lifecycle. The deadline is first polled before fault simulation, after
+// the request is parsed (and a defect spec checked): a spent one answers the
+// all-cells superset without taking the simulator lock. Partitions are
+// evaluated one at a time through
 // SessionEngine::runPartition with the RunControl polled between them; when
 // the per-request watchdog trips, the partitions that DID run are fed to
 // DiagnosisRecovery — an intersection over fewer partitions is a guaranteed
@@ -55,7 +58,7 @@ class DiagnosisService {
 
   /// Serves one request to a terminal reply (Ok / Deadline / Error — never
   /// Busy; admission is the server's job). `deadline` zero means none; a
-  /// negative one is already spent, so no partition runs and the reply is
+  /// negative one is already spent, so nothing is simulated and the reply is
   /// the all-cells Deadline superset (the server's budget is unsigned and
   /// never negative). `cancel` (optional) is the drain token; when it trips
   /// without the deadline having tripped, this throws OperationCancelled.
@@ -78,6 +81,8 @@ class DiagnosisService {
   /// `control`, then recovery over the partitions that ran.
   DiagnoseReply diagnoseResponse(const FaultResponse& response, DiagnoseReply reply,
                                  const RunControl& control, const Watchdog* deadline) const;
+  /// The reply when the deadline is spent before any partition runs.
+  DiagnoseReply allCellsDeadline(DiagnoseReply reply) const;
   DiagnoseReply finishReply(DiagnoseReply reply, const RecoveredDiagnosis& recovered,
                             std::size_t partitionsUsed, bool deadlineHit) const;
 

@@ -1,6 +1,7 @@
 #include "sim/bridge_faults.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -24,13 +25,14 @@ std::string_view bridgeKindName(BridgeKind kind) {
 
 namespace {
 
-/// Bridge feedback check over one netlist. The gate-indexed visit stamps are
-/// allocated once, so each check costs O(the two fanout cones walked), not
-/// O(gates) — the ConeWalker idiom. Single-owner: a check mutates the stamps.
+/// Bridge feedback check over one netlist's image. The gate-indexed visit
+/// stamps are allocated once, so each check costs O(the two fanout cones
+/// walked), not O(gates) — the ConeWalker idiom. Single-owner: a check
+/// mutates the stamps.
 class FeedbackChecker {
  public:
   explicit FeedbackChecker(const Netlist& netlist)
-      : netlist_(&netlist), stamp_(netlist.gateCount(), 0) {}
+      : image_(netlist.image().get()), stamp_(netlist.gateCount(), 0) {}
 
   bool feedbackFree(GateId a, GateId b) { return !reaches(a, b) && !reaches(b, a); }
 
@@ -41,14 +43,13 @@ class FeedbackChecker {
       std::fill(stamp_.begin(), stamp_.end(), 0u);
       epoch_ = 1;
     }
-    const auto& fanouts = netlist_->fanouts();
     stamp_[from] = epoch_;
     stack_.assign(1, from);
     while (!stack_.empty()) {
       const GateId g = stack_.back();
       stack_.pop_back();
-      for (GateId user : fanouts[g]) {
-        if (netlist_->gate(user).type == GateType::Dff) continue;  // sequential edge
+      for (const GateId user : image_->fanouts(g)) {
+        if (image_->type[user] == GateType::Dff) continue;  // sequential edge
         if (user == to) return true;
         if (stamp_[user] == epoch_) continue;
         stamp_[user] = epoch_;
@@ -58,7 +59,7 @@ class FeedbackChecker {
     return false;
   }
 
-  const Netlist* netlist_;
+  const NetlistImage* image_;
   std::vector<std::uint32_t> stamp_;  // [gate] epoch of its last visit
   std::vector<GateId> stack_;
   std::uint32_t epoch_ = 0;
@@ -108,17 +109,16 @@ FaultResponse simulateBridge(const FaultSimulator& simulator, const BridgeFault&
   const std::size_t numPatterns = simulator.patterns().numPatterns();
   const std::size_t words = simulator.patterns().wordCount();
 
-  // Union of the two cones, evaluation-ordered.
-  const FaultCone coneA = computeCone(nl, sim.levelization(), bridge.a);
-  const FaultCone coneB = computeCone(nl, sim.levelization(), bridge.b);
-  FaultCone cone;
-  cone.gates = coneA.gates;
-  cone.gates.insert(cone.gates.end(), coneB.gates.begin(), coneB.gates.end());
+  // Union of the two cones (one walker for both), merged in evaluation order.
+  ConeWalker walker(nl, sim.levelization());
+  const FaultCone coneA = walker.walk(bridge.a);
+  const FaultCone coneB = walker.walk(bridge.b);
   const auto& level = sim.levelization().level;
-  std::sort(cone.gates.begin(), cone.gates.end(), [&](GateId x, GateId y) {
-    return level[x] != level[y] ? level[x] < level[y] : x < y;
-  });
-  cone.gates.erase(std::unique(cone.gates.begin(), cone.gates.end()), cone.gates.end());
+  FaultCone cone;
+  std::set_union(coneA.gates.begin(), coneA.gates.end(), coneB.gates.begin(), coneB.gates.end(),
+                 std::back_inserter(cone.gates), [&](GateId x, GateId y) {
+                   return level[x] != level[y] ? level[x] < level[y] : x < y;
+                 });
   cone.reachableDffs = coneA.reachableDffs | coneB.reachableDffs;
 
   FaultResponse resp;
@@ -157,7 +157,7 @@ FaultResponse simulateBridge(const FaultSimulator& simulator, const BridgeFault&
       values[id] = sim.evalGate(id, values);
     }
     for (std::size_t i = 0; i < coneOrdinals.size(); ++i) {
-      const GateId driver = nl.gate(nl.dffs()[coneOrdinals[i]]).fanins[0];
+      const GateId driver = sim.image().fanins(nl.dffs()[coneOrdinals[i]])[0];
       errs[i].setWord(w, values[driver] ^ simulator.goodValue(driver, w));
     }
   }

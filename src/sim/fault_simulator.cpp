@@ -6,28 +6,29 @@
 namespace scandiag {
 
 PatternSet::PatternSet(const Netlist& netlist, std::size_t numPatterns)
-    : numPatterns_(numPatterns), streams_(netlist.gateCount()) {
+    : image_(netlist.image()), numPatterns_(numPatterns), words_((numPatterns + 63) / 64) {
   SCANDIAG_REQUIRE(numPatterns > 0, "pattern set must be nonempty");
-  for (GateId id = 0; id < netlist.gateCount(); ++id) {
-    const GateType t = netlist.gate(id).type;
-    if (t == GateType::Input || t == GateType::Dff) streams_[id].resize(numPatterns);
-  }
+  block_.assign((netlist.dffs().size() + netlist.inputs().size()) * words_, SimWord{0});
 }
 
-const BitVector& PatternSet::stream(GateId id) const {
-  SCANDIAG_REQUIRE(isSource(id), "stream() on a non-source gate");
-  return streams_[id];
-}
-
-BitVector& PatternSet::stream(GateId id) {
-  SCANDIAG_REQUIRE(isSource(id), "stream() on a non-source gate");
-  return streams_[id];
+bool PatternSet::bit(GateId id, std::size_t t) const {
+  const std::uint32_t r = rowOf(id);
+  SCANDIAG_REQUIRE(r != NetlistImage::kNone, "bit() on a non-source gate");
+  SCANDIAG_REQUIRE(t < numPatterns_, "pattern index out of range");
+  return (block_[r * words_ + t / 64] >> (t % 64)) & 1u;
 }
 
 SimWord PatternSet::word(GateId id, std::size_t w) const {
-  const BitVector& s = streams_[id];
-  if (s.empty()) return SimWord{0};
-  return w < s.wordCount() ? s.word(w) : SimWord{0};
+  const std::uint32_t r = rowOf(id);
+  if (r == NetlistImage::kNone || w >= words_) return SimWord{0};
+  return block_[r * words_ + w];
+}
+
+void PatternSet::setRowBit(std::size_t row, std::size_t t, bool value) {
+  SCANDIAG_REQUIRE(t < numPatterns_, "pattern index out of range");
+  SimWord& w = block_[row * words_ + t / 64];
+  const SimWord mask = SimWord{1} << (t % 64);
+  w = value ? (w | mask) : (w & ~mask);
 }
 
 FaultSimulator::FaultSimulator(const Netlist& netlist, const PatternSet& patterns)
@@ -39,21 +40,28 @@ FaultSimulator::FaultSimulator(const Netlist& netlist, const PatternSet& pattern
       slotOf_(netlist.gateCount(), ConeWalker::kNone) {
   obs::PhaseScope phase(obs::Phase::GoodMachineSim);
   const std::size_t words = patterns.wordCount();
-  const std::size_t numDffs = netlist.dffs().size();
-
+  const std::vector<GateId>& dffs = netlist.dffs();
+  const std::vector<GateId>& inputs = netlist.inputs();
   goodValues_.assign(words, std::vector<SimWord>(netlist.gateCount(), 0));
-  goodCaptures_.assign(numDffs, BitVector(patterns.numPatterns()));
   for (std::size_t w = 0; w < words; ++w) {
     std::vector<SimWord>& values = goodValues_[w];
-    for (GateId id = 0; id < netlist.gateCount(); ++id) {
-      if (patterns.isSource(id)) values[id] = patterns.word(id, w);
-    }
+    for (std::size_t k = 0; k < dffs.size(); ++k) values[dffs[k]] = patterns.rowWord(k, w);
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      values[inputs[i]] = patterns.rowWord(dffs.size() + i, w);
     sim_.evaluate(values);
-    for (std::size_t k = 0; k < numDffs; ++k) {
-      const GateId driver = netlist.gate(netlist.dffs()[k]).fanins[0];
-      goodCaptures_[k].setWord(w, values[driver]);
-    }
   }
+}
+
+std::vector<BitVector> FaultSimulator::goodCaptures() const {
+  const NetlistImage& image = sim_.image();
+  const std::vector<GateId>& dffs = netlist_->dffs();
+  std::vector<BitVector> captures(dffs.size(), BitVector(patterns_->numPatterns()));
+  for (std::size_t k = 0; k < dffs.size(); ++k) {
+    const GateId driver = image.fanins(dffs[k])[0];
+    for (std::size_t w = 0; w < goodValues_.size(); ++w)
+      captures[k].setWord(w, goodValues_[w][driver]);
+  }
+  return captures;
 }
 
 FaultResponse FaultSimulator::dffPinResponse(const FaultSite& fault) const {
@@ -66,10 +74,11 @@ FaultResponse FaultSimulator::dffPinResponse(const FaultSite& fault) const {
   resp.fault = fault;
   resp.failingCells = BitVector(netlist_->dffs().size());
   const std::size_t k = walker_.dffOrdinal(fault.gate);
+  const GateId driver = sim_.image().fanins(fault.gate)[0];
   BitVector err(numPatterns);
   for (std::size_t w = 0; w < words; ++w) {
     const SimWord stuck = fault.stuckAt ? ~SimWord{0} : SimWord{0};
-    err.setWord(w, goodCaptures_[k].word(w) ^ stuck);
+    err.setWord(w, goodValues_[w][driver] ^ stuck);
   }
   if (err.any()) {
     resp.failingCells.set(k);
@@ -88,7 +97,7 @@ const FaultSimulator::ConeEntry& FaultSimulator::coneEntry(GateId site) const {
   }
   ConeEntry entry;
   entry.cone = walker_.walk(site);
-  entry.sourceSite = isSourceType(netlist_->gate(site).type);
+  entry.sourceSite = isSourceType(sim_.image().type[site]);
   entry.ordinals = entry.cone.reachableDffs.toIndices();
   // Save-slot layout: cone.gates in order, then (for a source site) one
   // extra slot for the site itself, which evaluateFaulty forces directly.
@@ -96,7 +105,7 @@ const FaultSimulator::ConeEntry& FaultSimulator::coneEntry(GateId site) const {
   for (std::uint32_t j = 0; j < gates.size(); ++j) slotOf_[gates[j]] = j;
   if (entry.sourceSite) slotOf_[site] = static_cast<std::uint32_t>(gates.size());
   for (const std::size_t k : entry.ordinals) {
-    const GateId driver = netlist_->gate(netlist_->dffs()[k]).fanins[0];
+    const GateId driver = sim_.image().fanins(netlist_->dffs()[k])[0];
     entry.drivers.push_back(driver);
     entry.driverSlot.push_back(slotOf_[driver]);
   }

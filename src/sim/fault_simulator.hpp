@@ -16,6 +16,7 @@
 #pragma once
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -24,25 +25,38 @@
 
 namespace scandiag {
 
-/// Pseudorandom stimulus for every source gate (PIs and scan-loaded DFFs),
-/// one bit per (source, pattern).
+/// Stimulus for every source gate (PIs and scan-loaded DFFs), one bit per
+/// (source, pattern), in one dense block of sources x words. Row k is DFF
+/// ordinal k, row dffs().size() + i is primary input i — the order the PRPG
+/// emits them. Pattern lanes beyond numPatterns() stay 0.
 class PatternSet {
  public:
   PatternSet(const Netlist& netlist, std::size_t numPatterns);
 
   std::size_t numPatterns() const { return numPatterns_; }
-  std::size_t wordCount() const { return (numPatterns_ + 63) / 64; }
+  std::size_t wordCount() const { return words_; }
+  std::size_t sourceCount() const { return block_.size() / words_; }
 
-  bool isSource(GateId id) const { return !streams_[id].empty(); }
-  const BitVector& stream(GateId id) const;
-  BitVector& stream(GateId id);
-
-  /// 64-pattern slice for simulation; patterns beyond numPatterns() are 0.
+  bool isSource(GateId id) const { return rowOf(id) != NetlistImage::kNone; }
+  /// Pattern t's bit of source `id`.
+  bool bit(GateId id, std::size_t t) const;
+  /// 64-pattern slice for simulation; 0 for non-sources and beyond the set.
   SimWord word(GateId id, std::size_t w) const;
 
+  /// Row access (see the class comment for the row order).
+  SimWord rowWord(std::size_t row, std::size_t w) const { return block_[row * words_ + w]; }
+  SimWord* row(std::size_t row) { return block_.data() + row * words_; }
+  void setRowBit(std::size_t row, std::size_t t, bool value);
+
  private:
+  std::uint32_t rowOf(GateId id) const {
+    return id < image_->gateCount() ? image_->sourceRow[id] : NetlistImage::kNone;
+  }
+
+  std::shared_ptr<const NetlistImage> image_;
   std::size_t numPatterns_;
-  std::vector<BitVector> streams_;  // empty for non-source gates
+  std::size_t words_;
+  std::vector<SimWord> block_;  // [row * wordCount() + w]
 };
 
 struct FaultResponse {
@@ -63,11 +77,11 @@ struct FaultResponse {
 /// (restoring it before returning), so concurrent calls on a *shared*
 /// instance are not allowed — create one simulator per thread instead, as
 /// the SoC driver does, or hold one lock around every call, as serve does.
-/// Construction costs the good-machine simulation plus a few gate-indexed
-/// integer arrays (the levelization is the netlist's); a site's cone is
-/// walked, in O(cone), on its first fault. The read-only accessors
-/// (goodValue/goodCaptures/...) observe the fault-free state whenever no
-/// simulate() call is in flight.
+/// Construction costs one pass of the image's program per 64-pattern word
+/// plus a few gate-indexed integer arrays (the image and levelization are
+/// the netlist's); a site's cone is walked, in O(cone), on its first fault.
+/// The read-only accessors (goodValue/goodCaptures/...) observe the
+/// fault-free state whenever no simulate() call is in flight.
 class FaultSimulator {
  public:
   FaultSimulator(const Netlist& netlist, const PatternSet& patterns);
@@ -76,8 +90,9 @@ class FaultSimulator {
   const PatternSet& patterns() const { return *patterns_; }
   const LogicSimulator& simulator() const { return sim_; }
 
-  /// Fault-free captured value of each DFF (by ordinal), per pattern.
-  const std::vector<BitVector>& goodCaptures() const { return goodCaptures_; }
+  /// Fault-free captured value of each DFF (by ordinal), per pattern, read
+  /// off the good machine on each call.
+  std::vector<BitVector> goodCaptures() const;
 
   /// Fault-free value word of any gate (pattern-per-bit), for extensions that
   /// re-evaluate against the good machine (e.g. bridging faults).
@@ -136,7 +151,6 @@ class FaultSimulator {
   // store and restores them before returning, and grows the cone cache (see
   // the class comment).
   mutable std::vector<std::vector<SimWord>> goodValues_;  // [word][gate]
-  std::vector<BitVector> goodCaptures_;                   // [dff ordinal][pattern]
   mutable ConeWalker walker_;
   mutable std::vector<std::uint32_t> entryOf_;  // [gate] index into cones_ or kNone
   mutable std::deque<ConeEntry> cones_;         // stable addresses

@@ -223,8 +223,8 @@ TEST(Podem, CubeApplyFillsDeterministically) {
   bool sameAb = true, anyDiffAc = false;
   for (GateId id = 0; id < nl.gateCount(); ++id) {
     if (!a.isSource(id)) continue;
-    sameAb &= (a.stream(id) == b.stream(id));
-    anyDiffAc |= (a.stream(id) != c.stream(id));
+    sameAb &= (a.word(id, 0) == b.word(id, 0));
+    anyDiffAc |= (a.word(id, 0) != c.word(id, 0));
   }
   EXPECT_TRUE(sameAb);
   EXPECT_TRUE(anyDiffAc);  // different fill seed changes only X bits

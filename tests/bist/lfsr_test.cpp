@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 namespace scandiag {
 namespace {
@@ -15,6 +16,52 @@ TEST(PrimitivePolys, TableBounds) {
     ASSERT_FALSE(taps.empty());
     EXPECT_EQ(taps.front(), d);  // leading exponent == degree
     EXPECT_NE(primitiveTapMask(d) & (1ull << (d - 1)), 0u);
+  }
+}
+
+/// Checks fill(n) against n calls of step() on a twin register: the bits,
+/// the cleared tail of the last word, and the state both end in.
+void expectFillMatchesStep(const LfsrConfig& config, std::uint64_t seed, std::size_t n) {
+  Lfsr block(config, seed), bitwise(config, seed);
+  std::vector<std::uint64_t> words((n + 63) / 64, ~std::uint64_t{0});
+  block.fill(words.data(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ((words[i / 64] >> (i % 64)) & 1u, bitwise.step() ? 1u : 0u)
+        << "degree " << config.degree << " n " << n << " bit " << i;
+  if (n % 64 != 0) {
+    EXPECT_EQ(words.back() >> (n % 64), 0u) << "degree " << config.degree;
+  }
+  EXPECT_EQ(block.state(), bitwise.state()) << "degree " << config.degree << " n " << n;
+}
+
+TEST(BlockLfsr, FillMatchesStepForEveryTableDegree) {
+  // m (the smallest tap) ranges from 1 (degrees 12, 13, 14, 19, 26, 27, 30,
+  // 32: the bit-by-bit loop) to 28 (degree 31); the counts straddle word and
+  // block boundaries.
+  for (unsigned degree = 3; degree <= 32; ++degree) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{17}, std::size_t{63},
+                                std::size_t{64}, std::size_t{65}, std::size_t{1000},
+                                std::size_t{4099}})
+      expectFillMatchesStep(LfsrConfig{degree, 0}, 0xACE1 ^ (std::uint64_t{degree} << 8), n);
+  }
+}
+
+TEST(BlockLfsr, FillContinuesTheStreamAcrossCalls) {
+  // Consecutive fills (as one pattern column after another) and wide custom
+  // taps: degree 63 with taps {63, 62} advances 62 bits per step.
+  const LfsrConfig wide{63, (std::uint64_t{1} << 62) | (std::uint64_t{1} << 61)};
+  for (const LfsrConfig& config : {LfsrConfig{24, 0}, LfsrConfig{31, 0}, wide}) {
+    Lfsr block(config, 0xACE1), bitwise(config, 0xACE1);
+    for (const std::size_t n : {std::size_t{100}, std::size_t{3}, std::size_t{128},
+                                std::size_t{777}}) {
+      std::vector<std::uint64_t> words((n + 63) / 64);
+      block.fill(words.data(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ((words[i / 64] >> (i % 64)) & 1u, bitwise.step() ? 1u : 0u)
+            << "degree " << config.degree << " bit " << i;
+    }
+    EXPECT_EQ(block.state(), bitwise.state());
+    expectFillMatchesStep(config, 0xF00D, 2000);
   }
 }
 

@@ -91,7 +91,7 @@ TEST(ConeAnalysis, PropagationStopsAtDff) {
 TEST(ConeAnalysis, MatchesBruteForceOnGeneratedCircuit) {
   const Netlist nl = generateNamedCircuit("s344");
   const Levelization lev = levelize(nl);
-  const auto& fanouts = nl.fanouts();
+  const NetlistImage& image = *nl.image();
   for (GateId site = 0; site < nl.gateCount(); site += 7) {
     const FaultCone cone = computeCone(nl, lev, site);
     // Brute-force BFS.
@@ -102,7 +102,7 @@ TEST(ConeAnalysis, MatchesBruteForceOnGeneratedCircuit) {
     while (!queue.empty()) {
       const GateId g = queue.back();
       queue.pop_back();
-      for (GateId u : fanouts[g]) {
+      for (GateId u : image.fanouts(g)) {
         if (nl.gate(u).type == GateType::Dff) {
           // Recorded even when u == site (self-capture via feedback).
           for (std::size_t k = 0; k < nl.dffs().size(); ++k)
@@ -133,7 +133,7 @@ FaultCone referenceCone(const Netlist& nl, const std::vector<std::size_t>& ordin
     const GateId g = queue.front();
     queue.pop_front();
     if (!isSourceType(nl.gate(g).type)) cone.gates.push_back(g);
-    for (GateId u : nl.fanouts()[g]) {
+    for (GateId u : nl.image()->fanouts(g)) {
       if (nl.gate(u).type == GateType::Dff) {
         cone.reachableDffs.set(ordinal[u]);
         visited[u] = true;

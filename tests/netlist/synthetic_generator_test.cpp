@@ -28,12 +28,12 @@ TEST_P(ProfileSweep, CountsMatchProfileExactly) {
 
 TEST_P(ProfileSweep, EveryGateIsObserved) {
   const Netlist nl = generateNamedCircuit(GetParam());
-  const auto& fanouts = nl.fanouts();
+  const NetlistImage& image = *nl.image();
   for (GateId id = 0; id < nl.gateCount(); ++id) {
     if (isSourceType(nl.gate(id).type)) continue;
     const bool isPo = std::find(nl.outputs().begin(), nl.outputs().end(), id) !=
                       nl.outputs().end();
-    EXPECT_TRUE(isPo || !fanouts[id].empty())
+    EXPECT_TRUE(isPo || !image.fanouts(id).empty())
         << "dangling gate " << nl.gateName(id) << " in " << GetParam();
   }
 }

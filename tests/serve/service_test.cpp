@@ -17,6 +17,7 @@
 #include "bist/prpg.hpp"
 #include "diagnosis/tester_log.hpp"
 #include "netlist/synthetic_generator.hpp"
+#include "obs/metrics.hpp"
 #include "sim/fault_list.hpp"
 
 namespace scandiag::serve {
@@ -208,6 +209,43 @@ TEST_F(ServiceTest, DeadlineReplyIsAlwaysASoundSuperset) {
   EXPECT_EQ(decoded.partitionsTotal, reply.partitionsTotal);
   EXPECT_EQ(decoded.candidateCells, reply.candidateCells);
   EXPECT_EQ(decoded.message, reply.message);
+}
+
+TEST_F(ServiceTest, SpentDeadlineRepliesBeforeSimulating) {
+  // A spent deadline is polled before the simulator lock: the reply is the
+  // all-cells Deadline superset a spent deadline always gave, and no fault
+  // (inject) or defect component (scenario) is simulated for it. Request
+  // parsing and spec refusals still come first.
+  const auto [fault, response] = detectedFault();
+  DiagnoseRequest defect;
+  defect.kind = DiagnoseRequest::Kind::DefectScenario;
+  defect.defectSpec = "2,bridge,open";
+  defect.defectIndex = 3;
+  const auto faultsSimulated = [] {
+    return obs::MetricsRegistry::instance().snapshot().counter(obs::Counter::FaultsSimulated);
+  };
+  for (const DiagnoseRequest& request :
+       {injectRequest(netlist_->gateName(fault.gate), fault.stuckAt), defect}) {
+    const std::uint64_t before = faultsSimulated();
+    const DiagnoseReply reply = service_->handle(request, 11, kSpentDeadline, nullptr);
+    EXPECT_EQ(faultsSimulated(), before);
+    EXPECT_EQ(reply.status, ReplyStatus::Deadline) << reply.message;
+    EXPECT_EQ(reply.requestId, 11u);
+    EXPECT_TRUE(reply.detected);
+    EXPECT_FALSE(reply.resolved);
+    EXPECT_EQ(reply.confidence, 0.0);
+    EXPECT_EQ(reply.partitionsUsed, 0u);
+    EXPECT_EQ(reply.partitionsTotal, service_->pipeline().partitions().size());
+    ASSERT_EQ(reply.candidateCells.size(), service_->topology().numCells());
+    for (std::uint32_t c = 0; c < reply.candidateCells.size(); ++c)
+      EXPECT_EQ(reply.candidateCells[c], c);
+    EXPECT_TRUE(reply.message.empty());
+  }
+  EXPECT_EQ(service_->handle(injectRequest("no_such_gate", false), 12, kSpentDeadline, nullptr)
+                .status,
+            ReplyStatus::Error);
+  defect.defectSpec = "2,bogus";
+  EXPECT_EQ(service_->handle(defect, 13, kSpentDeadline, nullptr).status, ReplyStatus::Error);
 }
 
 TEST_F(ServiceTest, UndrawableDefectSpecIsErrorReply) {

@@ -5,8 +5,12 @@
 #include <thread>
 #include <vector>
 
+#include "atpg/podem.hpp"
 #include "bist/prpg.hpp"
 #include "inject/defect_zoo.hpp"
+#include "netlist/synthetic_generator.hpp"
+#include "sim/bridge_faults.hpp"
+#include "sim/fault_list.hpp"
 #include "soc/soc_builder.hpp"
 
 namespace scandiag {
@@ -133,6 +137,51 @@ TEST(SharedNetlist, FourThreadsReadItLikeOneThread) {
     threads.emplace_back([&, k] { parallel[k] = run(k); });
   for (std::thread& t : threads) t.join();
   for (std::size_t k = 0; k < soc.coreCount(); ++k) serial[k] = run(k);
+  EXPECT_EQ(parallel, serial);
+}
+
+TEST(SharedNetlist, FourThreadsReadOneImageLikeOneThread) {
+  // One validated netlist, four unsynchronized threads, each through every
+  // reader of its image: the PRPG fill, the good machine's program, cone
+  // walks and the fault simulator, bridge checks and simulation, PODEM and
+  // the cube fill. validate() built the image with the levelization, so the
+  // threads only read it: the results match one thread's, and the sanitizer
+  // jobs see no race.
+  const Netlist nl = generateNamedCircuit("s1423");
+  const auto run = [&](std::size_t k) {
+    std::vector<std::uint64_t> out;
+    PrpgConfig prpg;
+    prpg.seed = 0x5eed + k;
+    const PatternSet patterns = generatePatterns(nl, 96, prpg);
+    const FaultSimulator sim(nl, patterns);
+    for (const BitVector& stream : sim.goodCaptures()) out.push_back(stream.word(0));
+    const std::vector<FaultSite> faults = FaultList::enumerateCollapsed(nl).sample(30, 0xA0 + k);
+    for (const FaultSite& f : faults) {
+      const FaultResponse r = sim.simulate(f);
+      out.insert(out.end(), r.failingCellOrdinals.begin(), r.failingCellOrdinals.end());
+    }
+    for (const BridgeFault& b : enumerateBridgeCandidates(nl, 8, k)) {
+      const FaultResponse r = simulateBridge(sim, b);
+      out.insert(out.end(), r.failingCellOrdinals.begin(), r.failingCellOrdinals.end());
+    }
+    const PodemAtpg atpg(nl);
+    std::vector<TestCube> cubes;
+    for (const FaultSite& f : faults) {
+      AtpgResult r = atpg.generate(f, 100);
+      out.push_back(static_cast<std::uint64_t>(r.outcome));
+      if (r.outcome == AtpgOutcome::Detected) cubes.push_back(std::move(r.cube));
+    }
+    if (!cubes.empty()) {
+      const PatternSet fill = patternsFromCubes(nl, cubes, k);
+      for (const GateId id : nl.dffs()) out.push_back(fill.word(id, 0));
+    }
+    return out;
+  };
+  std::vector<std::vector<std::uint64_t>> parallel(4), serial(4);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < 4; ++k) threads.emplace_back([&, k] { parallel[k] = run(k); });
+  for (std::thread& t : threads) t.join();
+  for (std::size_t k = 0; k < 4; ++k) serial[k] = run(k);
   EXPECT_EQ(parallel, serial);
 }
 

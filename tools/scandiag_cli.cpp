@@ -48,7 +48,7 @@
 //   --partitions N    (default 8)      --groups N      (default 16; interval
 //                     and two-step need at most one group per chain position,
 //                     random and two-step a power of two — else exit 2)
-//   --patterns N      (default 128)    --faults N      (default 500)
+//   --patterns N      (default 128, at most 16384)   --faults N (default 500)
 //   --chains N        (default 1)      --prune         (off; <= 32 chains)
 //   --seed N          (dr's fault-sample seed, default 0xFA17)
 //   --sa 0|1          diagnose's stuck-at value (default 1)
@@ -187,12 +187,25 @@ Netlist loadCircuit(const std::string& spec) {
   return generateNamedCircuit(spec);
 }
 
+/// Most patterns one command applies. Every count the repo runs fits (the
+/// largest is 8,192), and a set of cells x patterns bits stays allocatable.
+constexpr std::uint64_t kMaxPatterns = 16384;
+
+/// --patterns (diagnose, dr, soc-dr, plan, serve). Zero patterns apply no
+/// test at all, so it is a usage error, refused with any count above the cap
+/// before any work.
+std::size_t patternsFrom(const Args& args) {
+  const std::size_t patterns = args.getN("patterns", 128, kMaxPatterns);
+  if (patterns == 0) throw std::invalid_argument("--patterns must be at least 1");
+  return patterns;
+}
+
 DiagnosisConfig configFrom(const Args& args) {
   DiagnosisConfig c;
   c.scheme = parseSchemeKind(args.get("scheme", "two-step"));
   c.numPartitions = args.getN("partitions", 8);
   c.groupsPerPartition = args.getN("groups", 16);
-  c.numPatterns = args.getN("patterns", 128);
+  c.numPatterns = patternsFrom(args);
   c.pruning = args.getFlag("prune");
   return c;
 }
@@ -350,6 +363,7 @@ int diagnoseNoisy(const Netlist& nl, const Args& args, const FaultSite& fault,
 }
 
 int cmdDiagnose(const Args& args) {
+  const DiagnosisConfig config = configFrom(args);  // refuses bad counts before any work
   Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
   const std::string faultSpec = args.get("fault", "");
   if (faultSpec.empty()) throw std::invalid_argument("diagnose needs --fault <gate-name>");
@@ -362,7 +376,7 @@ int cmdDiagnose(const Args& args) {
     return diagnoseNoisy(nl, args, fault, faultSpec + "/SA" + (sa ? "1" : "0"), *noise);
 
   DiagnoserOptions opts;
-  opts.diagnosis = configFrom(args);
+  opts.diagnosis = config;
   opts.numChains = args.getN("chains", 1);
   const Diagnoser diag(std::move(nl), opts);
   const Diagnoser::Result r = diag.diagnoseInjectedFault(fault);
@@ -728,10 +742,10 @@ int socDrDefects(const Args& args, const Soc& soc, const WorkloadConfig& workloa
 
 int cmdSocDr(const Args& args) {
   const std::string which = args.positionalAt(1, "soc spec");
-  const Soc soc = buildSocFromSpec(which);
   WorkloadConfig workload = presets::socWorkload();
   workload.numFaults = faultsFrom(args, 500);
-  workload.numPatterns = args.getN("patterns", 128);
+  workload.numPatterns = patternsFrom(args);
+  const Soc soc = buildSocFromSpec(which);
   const bool preset = which == "soc1" || which == "d695";
   const DiagnosisConfig given = configFrom(args);
   DiagnosisConfig config = which == "soc1"   ? presets::soc1Config(given.scheme, given.pruning)
@@ -791,10 +805,10 @@ int cmdMergeJournals(const Args& args) {
 }
 
 int cmdPlan(const Args& args) {
-  const Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
   WorkloadConfig wc;
-  wc.numPatterns = args.getN("patterns", 128);
+  wc.numPatterns = patternsFrom(args);
   wc.numFaults = faultsFrom(args, 200);
+  const Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
   const CircuitWorkload work = prepareWorkload(nl, wc, args.getN("chains", 1));
 
   PlanRequest request;
