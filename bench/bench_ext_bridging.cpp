@@ -28,7 +28,7 @@ int main() {
   std::vector<FaultResponse> responses;
   double meanFailing = 0, meanSpan = 0;
   for (const BridgeFault& bridge : enumerateBridgeCandidates(nl, 2500, 0xB71D)) {
-    FaultResponse r = simulateBridge(sim, bridge);
+    FaultResponse r = sim.simulateBridge(bridge);
     if (!r.detected()) continue;
     meanFailing += static_cast<double>(r.failingCellCount());
     const auto cells = r.failingCells.toIndices();

@@ -1,5 +1,7 @@
 #include "diagnosis/candidate_analyzer.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace scandiag {
@@ -35,41 +37,56 @@ std::string InconsistencyReport::describe() const {
   return out;
 }
 
-namespace {
+LiveIntersection::LiveIntersection(std::size_t length)
+    : positions_(length, true), live_(positions_.wordCount()), pending_(live_.size()) {
+  for (std::uint32_t w = 0; w < live_.size(); ++w) live_[w] = w;
+}
 
-/// True iff some failing group of `part` selects at least one position.
-bool failingAny(const Partition& part, const BitVector& failing) {
-  for (std::size_t g = failing.findFirst(); g != BitVector::npos; g = failing.findNext(g)) {
-    if (part.groups[g].any()) return true;
+bool LiveIntersection::meets(const Partition& part, const BitVector& failing) {
+  SCANDIAG_REQUIRE(part.length() == positions_.size(), "BitVector size mismatch");
+  const std::size_t live = live_.size();
+  std::fill_n(pending_.begin(), live, BitVector::Word{0});
+  failing.forEachSet([&](std::size_t g) {
+    const BitVector::Word* group = part.groups[g].data();
+    for (std::size_t k = 0; k < live; ++k) pending_[k] |= group[live_[k]];
+  });
+  const BitVector::Word* words = positions_.data();
+  BitVector::Word any = 0;
+  for (std::size_t k = 0; k < live; ++k) any |= pending_[k] &= words[live_[k]];
+  return any != 0;
+}
+
+void LiveIntersection::commit() {
+  BitVector::Word* words = positions_.data();
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < live_.size(); ++k) {
+    words[live_[k]] = pending_[k];
+    if (pending_[k] != 0) live_[kept++] = live_[k];
+  }
+  live_.resize(kept);
+}
+
+bool LiveIntersection::meets(const BitVector& group) const {
+  const BitVector::Word* words = positions_.data();
+  const BitVector::Word* other = group.data();
+  for (const std::uint32_t w : live_) {
+    if ((words[w] & other[w]) != 0) return true;
   }
   return false;
 }
 
-/// True iff `positions` meets the union of the failing groups of `part`.
-bool failingIntersects(const Partition& part, const BitVector& failing,
-                       const BitVector& positions) {
-  SCANDIAG_REQUIRE(positions.size() == part.length(), "BitVector size mismatch");
-  for (std::size_t w = 0; w < positions.wordCount(); ++w) {
-    if (positions.word(w) != 0 && (positions.word(w) & part.failingWord(failing, w)) != 0)
-      return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-BitVector CandidateAnalyzer::intersect(const std::vector<Partition>& partitions,
+BitVector CandidateAnalyzer::intersect(std::span<const Partition> partitions,
                                        const GroupVerdicts& verdicts) const {
   SCANDIAG_REQUIRE(partitions.size() == verdicts.failing.size(),
                    "verdicts do not match partitions");
-  BitVector positions(topology_->maxChainLength(), true);
+  LiveIntersection live(topology_->maxChainLength());
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    partitions[p].intersectFailing(verdicts.failing[p], positions);
+    live.step(partitions[p], verdicts.failing[p]);
   }
-  return positions;
+  return live.release();
 }
 
-CandidateSet CandidateAnalyzer::analyze(const std::vector<Partition>& partitions,
+CandidateSet CandidateAnalyzer::analyze(std::span<const Partition> partitions,
                                         const GroupVerdicts& verdicts) const {
   CandidateSet out;
   out.positions = intersect(partitions, verdicts);
@@ -77,71 +94,77 @@ CandidateSet CandidateAnalyzer::analyze(const std::vector<Partition>& partitions
   return out;
 }
 
-CheckedAnalysis CandidateAnalyzer::analyzeChecked(const std::vector<Partition>& partitions,
+CheckedAnalysis CandidateAnalyzer::analyzeChecked(std::span<const Partition> partitions,
                                                   const GroupVerdicts& verdicts) const {
   SCANDIAG_REQUIRE(partitions.size() == verdicts.failing.size(),
                    "verdicts do not match partitions");
   const std::size_t length = topology_->maxChainLength();
 
-  bool anyFailing = false;
-  for (std::size_t p = 0; p < partitions.size() && !anyFailing; ++p) {
-    anyFailing = failingAny(partitions[p], verdicts.failing[p]);
-  }
-
   CheckedAnalysis out;
-  if (!anyFailing) {
-    // A fully passing schedule is consistent (the device passed); the empty
-    // candidate set is the correct answer, not an inconsistency.
-    out.candidates.positions = BitVector(length);
-    out.candidates.cells = topology_->expandPositions(out.candidates.positions);
-    return out;
-  }
-
-  BitVector& positions = out.candidates.positions;
-  positions = BitVector(length, true);
+  out.usedPartitions.reserve(partitions.size());
+  LiveIntersection live(length);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     const Partition& part = partitions[p];
     const BitVector& failing = verdicts.failing[p];
-    if (!failingAny(part, failing)) {
+    if (live.meets(part, failing)) {
+      live.commit();
+      out.usedPartitions.push_back(p);
+      continue;
+    }
+    // Until a partition is used the intersection is the whole axis, so a
+    // miss there means no failing group selects any position.
+    bool selects = false;
+    if (!out.usedPartitions.empty()) {
+      for (std::size_t g = failing.findFirst(); g != BitVector::npos && !selects;
+           g = failing.findNext(g)) {
+        selects = part.groups[g].any();
+      }
+    }
+    if (!selects) {
       // The fault fired (some partition failed) yet this partition saw
       // nothing — impossible, its groups cover every position.
       out.inconsistencies.push_back({InconsistencyKind::AllGroupsPassing, p, BitVector::npos});
       continue;
     }
-    if (!failingIntersects(part, failing, positions)) {
-      // Intersecting would exonerate everything. Suspect the session whose
-      // pass verdict hides the current candidates: the first passing group
-      // of p that overlaps them (it must exist — groups cover).
-      std::size_t suspect = BitVector::npos;
-      for (std::size_t g = 0; g < part.groupCount(); ++g) {
-        if (!failing.test(g) && part.groups[g].intersects(positions)) {
-          suspect = g;
-          break;
-        }
+    // Intersecting would exonerate everything. Suspect the session whose
+    // pass verdict hides the current candidates: the first passing group
+    // of p that overlaps them (it must exist — groups cover).
+    std::size_t suspect = BitVector::npos;
+    for (std::size_t g = 0; g < part.groupCount(); ++g) {
+      if (!failing.test(g) && live.meets(part.groups[g])) {
+        suspect = g;
+        break;
       }
-      out.inconsistencies.push_back({InconsistencyKind::DisjointFailingUnion, p, suspect});
-      continue;
     }
-    part.intersectFailing(failing, positions);
-    out.usedPartitions.push_back(p);
+    out.inconsistencies.push_back({InconsistencyKind::DisjointFailingUnion, p, suspect});
+  }
+
+  if (out.usedPartitions.empty()) {
+    // Nothing failed anywhere: a fully passing schedule is consistent (the
+    // device passed), and the empty candidate set is the correct answer.
+    out.inconsistencies.clear();
+    out.candidates.positions = BitVector(length);
+    out.candidates.cells = topology_->expandPositions(out.candidates.positions);
+    return out;
   }
 
   // Post-check: a failing group with no overlap with the final candidates is
   // a suspected phantom (pass→fail flip). It never removed candidates, so it
   // is reported but its partition stays used.
   for (const std::size_t p : out.usedPartitions) {
-    for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-      if (verdicts.failing[p].test(g) && !partitions[p].groups[g].intersects(positions)) {
+    verdicts.failing[p].forEachSet([&](std::size_t g) {
+      if (!live.meets(partitions[p].groups[g])) {
         out.inconsistencies.push_back({InconsistencyKind::PhantomFailingGroup, p, g});
       }
-    }
+    });
   }
 
-  out.candidates.cells = topology_->expandPositions(positions);
+  out.candidates.positions = live.release();
+  out.candidates.cells = topology_->expandPositions(out.candidates.positions);
   return out;
 }
 
-UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& partitions,
+UnionAnalysis CandidateAnalyzer::analyzeUnion(std::span<const Partition> partitions,
                                               const GroupVerdicts& verdicts) const {
   SCANDIAG_REQUIRE(partitions.size() == verdicts.failing.size(),
                    "verdicts do not match partitions");
@@ -151,27 +174,31 @@ UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& part
   BitVector& floorPositions = out.supersetFloor.positions;
   floorPositions = BitVector(length);
   // Per-cluster intersections on the selection axis, in formation order.
-  std::vector<BitVector> intersections;
+  std::vector<LiveIntersection> clusters;
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     const Partition& part = partitions[p];
     const BitVector& failing = verdicts.failing[p];
-    if (!failingAny(part, failing)) continue;  // a pass exonerates nothing here
-    failing.forEachSet([&](std::size_t g) { floorPositions |= part.groups[g]; });
+    LiveIntersection fresh(length);
+    if (!fresh.meets(part, failing)) continue;  // a pass exonerates nothing here
+    fresh.commit();
+    floorPositions |= fresh.positions();
     bool merged = false;
-    for (BitVector& cluster : intersections) {
-      if (failingIntersects(part, failing, cluster)) {
-        part.intersectFailing(failing, cluster);
+    for (LiveIntersection& cluster : clusters) {
+      if (cluster.meets(part, failing)) {
+        cluster.commit();
         merged = true;
         break;
       }
     }
-    if (!merged) intersections.push_back(part.failingUnion(failing));
+    if (!merged) clusters.push_back(std::move(fresh));
   }
 
-  out.clusters = intersections.size();
+  out.clusters = clusters.size();
   out.withinBudget = out.clusters <= kMaxUnionFaults;
   out.candidates.positions = BitVector(length);
-  for (const BitVector& cluster : intersections) out.candidates.positions |= cluster;
+  for (const LiveIntersection& cluster : clusters) {
+    out.candidates.positions |= cluster.positions();
+  }
   out.candidates.cells = topology_->expandPositions(out.candidates.positions);
   out.supersetFloor.cells = topology_->expandPositions(floorPositions);
   return out;

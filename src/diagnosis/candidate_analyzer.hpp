@@ -7,6 +7,11 @@
 // this is sound: every truly failing cell lies in a failing group of every
 // partition, so it always survives (tested as the soundness invariant).
 //
+// Every mode runs on one kernel, LiveIntersection: the running intersection
+// plus the indices of its nonzero ("live") words. After the first partition
+// the intersection is a few clustered positions, so a step, a suspect search
+// and a phantom check each read only those words, not the whole axis.
+//
 // analyzeChecked() adds the noisy-tester invariants. For a real (permanent)
 // fault and a correct tester, three things can never happen, because each
 // partition's groups cover every position:
@@ -22,6 +27,8 @@
 // candidates stay a meaningful superset for the recovery layer to refine.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,21 +106,54 @@ struct UnionAnalysis {
   bool withinBudget = true;
 };
 
+/// The running intersection of partitions' failing unions on the selection
+/// axis, with the ascending indices of its nonzero ("live") words. A step ORs
+/// one partition's failing groups over the live words only, so once the
+/// intersection has shrunk to a few clustered positions every step and every
+/// membership test costs O(live words x groups read), not O(axis words).
+/// Scratch of one analysis call: sized by the axis word count, never shared.
+class LiveIntersection {
+ public:
+  /// Every position of an axis of `length` (no partition stepped yet).
+  explicit LiveIntersection(std::size_t length);
+
+  /// Computes (failing union of `part`) ∩ the intersection over the live
+  /// words, in one pass, and holds it for commit(). True iff it is nonempty.
+  bool meets(const Partition& part, const BitVector& failing);
+  /// Makes the last meets() result the intersection; dead words drop out.
+  void commit();
+  /// meets() then commit(): the plain intersection step (may empty the set).
+  void step(const Partition& part, const BitVector& failing) {
+    meets(part, failing);
+    commit();
+  }
+  /// True iff `group` shares a position with the intersection.
+  bool meets(const BitVector& group) const;
+
+  const BitVector& positions() const { return positions_; }
+  BitVector release() { return std::move(positions_); }
+
+ private:
+  BitVector positions_;
+  std::vector<std::uint32_t> live_;       // ascending indices of nonzero words
+  std::vector<BitVector::Word> pending_;  // [k] meets() result for word live_[k]
+};
+
 class CandidateAnalyzer {
  public:
   explicit CandidateAnalyzer(const ScanTopology& topology) : topology_(&topology) {}
 
-  CandidateSet analyze(const std::vector<Partition>& partitions,
+  CandidateSet analyze(std::span<const Partition> partitions,
                        const GroupVerdicts& verdicts) const;
 
   /// analyze() on the selection axis alone: the intersection of the
   /// partitions' failing unions, with no cell expansion.
-  BitVector intersect(const std::vector<Partition>& partitions,
+  BitVector intersect(std::span<const Partition> partitions,
                       const GroupVerdicts& verdicts) const;
 
   /// Inclusion–exclusion with the impossibility checks above. On clean
   /// verdicts this returns exactly analyze()'s candidates and no reports.
-  CheckedAnalysis analyzeChecked(const std::vector<Partition>& partitions,
+  CheckedAnalysis analyzeChecked(std::span<const Partition> partitions,
                                  const GroupVerdicts& verdicts) const;
 
   /// Checked union mode: each partition's failing union is attributed to a
@@ -128,7 +168,7 @@ class CandidateAnalyzer {
   /// instead of wrongly exonerating the other faults' cells. Fully passing
   /// partitions contribute nothing (with an intermittent defect a pass does
   /// not exonerate).
-  UnionAnalysis analyzeUnion(const std::vector<Partition>& partitions,
+  UnionAnalysis analyzeUnion(std::span<const Partition> partitions,
                              const GroupVerdicts& verdicts) const;
 
  private:

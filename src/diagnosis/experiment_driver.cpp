@@ -179,12 +179,12 @@ std::vector<double> DiagnosisPipeline::evaluateSweep(
       control.throwIfStopped();
       obs::count(obs::Counter::FaultsDiagnosed);
       const GroupVerdicts verdicts = engine_.run(prepared_, r, &scratch);
-      BitVector positions(length, true);
+      LiveIntersection live(length);
       std::vector<std::size_t>& counts = prefixCandidates[i];
       counts.reserve(partitions.size());
       for (std::size_t p = 0; p < partitions.size(); ++p) {
-        partitions[p].intersectFailing(verdicts.failing[p], positions);
-        counts.push_back(topology_->expandPositions(positions).count());
+        live.step(partitions[p], verdicts.failing[p]);
+        counts.push_back(topology_->expandPositions(live.positions()).count());
       }
     }
   });

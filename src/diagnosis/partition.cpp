@@ -33,20 +33,6 @@ BitVector Partition::failingUnion(const BitVector& failing) const {
   return out;
 }
 
-BitVector::Word Partition::failingWord(const BitVector& failing, std::size_t w) const {
-  BitVector::Word out = 0;
-  failing.forEachSet([&](std::size_t g) { out |= groups[g].word(w); });
-  return out;
-}
-
-void Partition::intersectFailing(const BitVector& failing, BitVector& positions) const {
-  SCANDIAG_REQUIRE(positions.size() == length(), "BitVector size mismatch");
-  BitVector::Word* words = positions.data();
-  for (std::size_t w = 0; w < positions.wordCount(); ++w) {
-    if (words[w] != 0) words[w] &= failingWord(failing, w);
-  }
-}
-
 void Partition::validate() const {
   SCANDIAG_ASSERT(!groups.empty(), "partition has no groups");
   for (const BitVector& g : groups)

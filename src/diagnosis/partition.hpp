@@ -30,14 +30,6 @@ struct Partition {
   /// every position a failing session keeps suspect.
   BitVector failingUnion(const BitVector& failing) const;
 
-  /// Word `w` of failingUnion(failing), built without materializing it.
-  BitVector::Word failingWord(const BitVector& failing, std::size_t w) const;
-
-  /// positions &= failingUnion(failing), in place and without allocating;
-  /// words already zero are skipped, so a sparse running intersection costs
-  /// O(its nonzero words x failing groups).
-  void intersectFailing(const BitVector& failing, BitVector& positions) const;
-
   /// Checks disjointness and coverage; throws std::logic_error on violation.
   void validate() const;
 };

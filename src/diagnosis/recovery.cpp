@@ -1,8 +1,7 @@
 #include "diagnosis/recovery.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
@@ -29,13 +28,12 @@ BitVector majorityRow(const BitVector& original, const std::vector<BitVector>& r
 
 }  // namespace
 
-RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& partitions,
+RecoveredDiagnosis DiagnosisRecovery::recover(std::span<const Partition> partitions,
                                               const GroupVerdicts& verdicts,
                                               const PartitionRerun& rerun) const {
   obs::PhaseScope phase(obs::Phase::Recovery);
   RecoveredDiagnosis out;
   CheckedAnalysis checked = analyzer_.analyzeChecked(partitions, verdicts);
-  out.inconsistencies = checked.inconsistencies;
   if (!checked.inconsistencies.empty()) {
     obs::count(obs::Counter::InconsistenciesDetected, checked.inconsistencies.size());
   }
@@ -44,31 +42,35 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
     return out;
   }
 
-  // Suspect partitions, ascending so the budget is spent deterministically.
-  // Remember each partition's first-reported kind: DisjointFailingUnion gets
-  // the replay-stability short-circuit below.
-  std::set<std::size_t> suspects;
-  std::map<std::size_t, InconsistencyKind> suspectKind;
+  // Suspect partitions, ascending so the budget is spent deterministically,
+  // each with its first-reported kind: DisjointFailingUnion gets the
+  // replay-stability short-circuit below.
+  std::vector<std::pair<std::size_t, InconsistencyKind>> suspects;
+  suspects.reserve(checked.inconsistencies.size());
   for (const InconsistencyReport& report : checked.inconsistencies) {
-    suspects.insert(report.partition);
-    suspectKind.emplace(report.partition, report.kind);
+    suspects.emplace_back(report.partition, report.kind);
   }
+  std::stable_sort(suspects.begin(), suspects.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  suspects.erase(std::unique(suspects.begin(), suspects.end(),
+                             [](const auto& a, const auto& b) { return a.first == b.first; }),
+                 suspects.end());
+  out.inconsistencies = std::move(checked.inconsistencies);
 
-  GroupVerdicts repaired = verdicts;
   // Majority-voted rows invalidate the XOR-additive signature bookkeeping, so
   // the repaired verdicts carry none (pruning is skipped on the noisy path).
-  repaired.hasSignatures = false;
-  repaired.errorSig.clear();
+  GroupVerdicts repaired;
+  repaired.failing = verdicts.failing;
 
   std::size_t budget = policy_.sessionBudget;
   std::size_t repairedPartitions = 0;
-  std::set<std::size_t> deterministic;
+  bool deterministic = false;
   if (policy_.enabled() && rerun) {
-    for (const std::size_t p : suspects) {
+    for (const auto& [p, kind] : suspects) {
       const std::size_t perRerun = partitions[p].groupCount();
       if (perRerun > budget) continue;  // cannot afford even one re-run
-      const bool disjointUnion =
-          suspectKind.at(p) == InconsistencyKind::DisjointFailingUnion;
+      const bool disjointUnion = kind == InconsistencyKind::DisjointFailingUnion;
+      bool replayStable = false;
       std::vector<BitVector> rows;
       for (std::size_t attempt = 1;
            attempt <= policy_.maxRetriesPerSession && perRerun <= budget; ++attempt) {
@@ -78,18 +80,15 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
         budget -= perRerun;
         out.retrySessions += perRerun;
         obs::count(obs::Counter::RetrySessionsSpent, perRerun);
-        const bool replayStable =
-            disjointUnion && attempt == 1 && row.failing == repaired.failing[p];
+        replayStable = disjointUnion && attempt == 1 && row.failing == repaired.failing[p];
         rows.push_back(std::move(row.failing));
-        if (replayStable) {
-          // The disjoint union reproduced exactly: deterministic condition
-          // (a genuine multi-fault union), not noise. Keep the row, stop
-          // burning budget on majority votes.
-          deterministic.insert(p);
-          break;
-        }
+        // A disjoint union that reproduced exactly is a deterministic
+        // condition (a genuine multi-fault union), not noise: keep the row,
+        // stop burning budget on majority votes.
+        if (replayStable) break;
       }
-      if (rows.empty() || deterministic.count(p) != 0) continue;
+      deterministic = deterministic || replayStable;
+      if (rows.empty() || replayStable) continue;
       const BitVector voted = majorityRow(repaired.failing[p], rows);
       if (voted != repaired.failing[p]) {
         repaired.failing[p] = voted;
@@ -98,7 +97,7 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
     }
   }
 
-  if (!deterministic.empty()) {
+  if (deterministic) {
     // Short-circuit to the checked union mode: the replay-stable disjoint
     // partitions are evidence of simultaneous faults, so the single-fault
     // intersection model no longer applies to any partition. Cluster the
@@ -139,33 +138,38 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
   // used partition lies, the term omitting the liar intersects only honest
   // unions, so the result is a superset of the true failing cells; with no
   // liar every term contains the plain intersection, so it only ever widens.
-  if (phantoms > 0 && !finalAnalysis.usedPartitions.empty()) {
-    const std::size_t length = topology_->maxChainLength();
-    std::vector<BitVector> unions;
-    unions.reserve(finalAnalysis.usedPartitions.size());
-    for (const std::size_t p : finalAnalysis.usedPartitions) {
-      unions.push_back(partitions[p].failingUnion(repaired.failing[p]));
-    }
-    BitVector widened(length);
-    for (std::size_t skip = 0; skip < unions.size(); ++skip) {
-      BitVector term(length, true);
-      for (std::size_t q = 0; q < unions.size(); ++q) {
-        if (q != skip) term &= unions[q];
+  //
+  // A position is in that union iff at most one used partition's failing
+  // union misses it, so one pass per axis word counts the misses in two
+  // bit-sliced accumulators (missed once, missed at least twice).
+  const std::vector<std::size_t>& used = finalAnalysis.usedPartitions;
+  if (phantoms > 0 && !used.empty()) {
+    BitVector& widened = out.candidates.positions;
+    for (std::size_t w = 0; w < widened.wordCount(); ++w) {
+      BitVector::Word once = 0, twice = 0;
+      for (const std::size_t p : used) {
+        BitVector::Word hit = 0;
+        const std::vector<BitVector>& groups = partitions[p].groups;
+        repaired.failing[p].forEachSet([&](std::size_t g) { hit |= groups[g].word(w); });
+        twice |= once & ~hit;
+        once |= ~hit;
       }
-      widened |= term;
+      widened.setWord(w, ~twice);
     }
-    out.candidates.positions = std::move(widened);
-    out.candidates.cells = topology_->expandPositions(out.candidates.positions);
+    out.candidates.cells = topology_->expandPositions(widened);
   }
-  std::set<std::size_t> dropped;
-  for (std::size_t p = 0; p < partitions.size(); ++p) dropped.insert(p);
-  for (const std::size_t p : finalAnalysis.usedPartitions) dropped.erase(p);
-  out.droppedPartitions.assign(dropped.begin(), dropped.end());
+  for (std::size_t p = 0, next = 0; p < partitions.size(); ++p) {
+    if (next < used.size() && used[next] == p) {
+      ++next;
+    } else {
+      out.droppedPartitions.push_back(p);
+    }
+  }
   out.resolved = finalAnalysis.consistent();
 
   double confidence = partitions.empty()
                           ? 1.0
-                          : static_cast<double>(finalAnalysis.usedPartitions.size()) /
+                          : static_cast<double>(used.size()) /
                                 static_cast<double>(partitions.size());
   for (std::size_t i = 0; i < repairedPartitions; ++i) confidence *= 0.95;
   for (std::size_t i = 0; i < phantoms; ++i) confidence *= 0.9;

@@ -24,7 +24,8 @@
 //      verdict in a used partition shrinks it below the true cells while
 //      pointing the phantom reports at the honest partitions), so the
 //      candidates are replaced by the leave-one-out widening over the used
-//      partitions — a guaranteed superset whenever at most one of them lies.
+//      partitions — a guaranteed superset whenever at most one of them lies:
+//      the positions that at most one used partition's failing union misses.
 //
 // The result always contains every position that survives the consistent
 // partitions — for a single verdict flip on a clean schedule this is a
@@ -34,6 +35,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "diagnosis/candidate_analyzer.hpp"
@@ -108,7 +110,7 @@ class DiagnosisRecovery {
   /// partitions via `rerun` within the budget and falls back to dropping
   /// them. `rerun` may be null when retrying is impossible (offline logs) —
   /// detection then goes straight to degradation.
-  RecoveredDiagnosis recover(const std::vector<Partition>& partitions,
+  RecoveredDiagnosis recover(std::span<const Partition> partitions,
                              const GroupVerdicts& verdicts,
                              const PartitionRerun& rerun) const;
 

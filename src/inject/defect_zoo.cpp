@@ -204,7 +204,7 @@ DefectScenario DefectScenarioGenerator::generate(std::size_t index) const {
         case DefectKind::Bridge: {
           const BridgeFault bridge = bridgePool_[rng.nextBelow(bridgePool_.size())];
           if (usedSites.count(bridge.a) != 0 || usedSites.count(bridge.b) != 0) break;
-          FaultResponse resp = simulateBridge(*sim_, bridge);
+          FaultResponse resp = sim_->simulateBridge(bridge);
           if (!resp.detected()) break;
           comp.kind = kind;
           comp.bridge = bridge;
@@ -370,7 +370,9 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
         for (const DefectComponent& comp : scenario.components) {
           switch (comp.kind) {
             case DefectKind::StuckAt: partResponses.push_back(local.simulate(comp.fault)); break;
-            case DefectKind::Bridge: partResponses.push_back(simulateBridge(local, comp.bridge)); break;
+            case DefectKind::Bridge:
+              partResponses.push_back(local.simulateBridge(comp.bridge));
+              break;
             case DefectKind::StuckOpen:
               partResponses.push_back(simulateOpen(local, comp.fault.gate));
               break;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "common/errors.hpp"
 #include "bist/prpg.hpp"
@@ -181,9 +182,8 @@ DiagnoseReply DiagnosisService::diagnoseResponse(const FaultResponse& response,
 
   if (used == 0) return allCellsDeadline(std::move(reply));
 
-  const std::vector<Partition> prefix(partitions.begin(),
-                                      partitions.begin() + static_cast<std::ptrdiff_t>(used));
-  const RecoveredDiagnosis recovered = recovery_.recover(prefix, verdicts, nullptr);
+  const RecoveredDiagnosis recovered =
+      recovery_.recover(std::span(partitions).first(used), verdicts, nullptr);
   return finishReply(std::move(reply), recovered, used, deadlineHit);
 }
 

@@ -100,37 +100,53 @@ std::vector<BridgeFault> enumerateBridgeCandidates(const Netlist& netlist, std::
   return bridges;
 }
 
-FaultResponse simulateBridge(const FaultSimulator& simulator, const BridgeFault& bridge) {
-  const Netlist& nl = simulator.netlist();
-  SCANDIAG_REQUIRE(bridge.a < nl.gateCount() && bridge.b < nl.gateCount(),
+FaultResponse FaultSimulator::simulateBridge(const BridgeFault& bridge) const {
+  SCANDIAG_REQUIRE(bridge.a < netlist_->gateCount() && bridge.b < netlist_->gateCount(),
                    "bridge net out of range");
   SCANDIAG_REQUIRE(bridge.a != bridge.b, "bridge needs two distinct nets");
-  const LogicSimulator& sim = simulator.simulator();
-  const std::size_t numPatterns = simulator.patterns().numPatterns();
-  const std::size_t words = simulator.patterns().wordCount();
+  const std::size_t numPatterns = patterns_->numPatterns();
+  const std::size_t words = patterns_->wordCount();
 
-  // Union of the two cones (one walker for both), merged in evaluation order.
-  ConeWalker walker(nl, sim.levelization());
-  const FaultCone coneA = walker.walk(bridge.a);
-  const FaultCone coneB = walker.walk(bridge.b);
-  const auto& level = sim.levelization().level;
-  FaultCone cone;
+  // Union of the two cones, merged in evaluation order. The walker is the
+  // simulator's own; the cone cache is not consulted (it counts its hits).
+  const FaultCone coneA = walker_.walk(bridge.a);
+  const FaultCone coneB = walker_.walk(bridge.b);
+  const auto& level = sim_.levelization().level;
+  std::vector<GateId> gates;
   std::set_union(coneA.gates.begin(), coneA.gates.end(), coneB.gates.begin(), coneB.gates.end(),
-                 std::back_inserter(cone.gates), [&](GateId x, GateId y) {
+                 std::back_inserter(gates), [&](GateId x, GateId y) {
                    return level[x] != level[y] ? level[x] < level[y] : x < y;
                  });
-  cone.reachableDffs = coneA.reachableDffs | coneB.reachableDffs;
+  const BitVector reachable = coneA.reachableDffs | coneB.reachableDffs;
 
   FaultResponse resp;
   resp.fault = FaultSite{bridge.a, FaultSite::kOutputPin, false};  // reporting only
-  resp.failingCells = BitVector(nl.dffs().size());
-  if (cone.reachableDffs.none()) return resp;
+  resp.failingCells = BitVector(netlist_->dffs().size());
+  if (reachable.none()) return resp;
 
-  const std::vector<std::size_t> coneOrdinals = cone.reachableDffs.toIndices();
-  std::vector<BitVector> errs(coneOrdinals.size(), BitVector(numPatterns));
-  std::vector<SimWord> values;
+  const std::vector<std::size_t> ordinals = reachable.toIndices();
+  std::vector<GateId> drivers;
+  drivers.reserve(ordinals.size());
+  for (const std::size_t k : ordinals) {
+    drivers.push_back(sim_.image().fanins(netlist_->dffs()[k])[0]);
+  }
+  // Save slots: the union cone's gates, then both bridged nets (a source net
+  // lies outside its own cone; a net in the cone is simply saved twice).
+  const std::size_t numGates = gates.size();
+  const std::size_t numCells = ordinals.size();
+  scratch_.saved.resize(numGates + 2);
+  scratch_.errWords.assign(numCells * words, SimWord{0});
+  const std::size_t rem = numPatterns % 64;
+  const SimWord tailMask = rem == 0 ? ~SimWord{0} : (SimWord{1} << rem) - 1;
+
   for (std::size_t w = 0; w < words; ++w) {
-    values = simulator.goodBatch(w);
+    std::vector<SimWord>& values = goodValues_[w];
+    for (std::size_t j = 0; j < numGates; ++j) scratch_.saved[j] = values[gates[j]];
+    scratch_.saved[numGates] = values[bridge.a];
+    scratch_.saved[numGates + 1] = values[bridge.b];
+    for (std::size_t i = 0; i < numCells; ++i) {
+      scratch_.errWords[i * words + w] = values[drivers[i]];  // good; XORed below
+    }
     // Bridged net values from the (independent) driven values. No feedback:
     // neither net's driven value depends on the other, so one application is
     // the fixed point.
@@ -152,21 +168,28 @@ FaultResponse simulateBridge(const FaultSimulator& simulator, const BridgeFault&
     }
     values[bridge.a] = na;
     values[bridge.b] = nb;
-    for (GateId id : cone.gates) {
+    for (const GateId id : gates) {
       if (id == bridge.a || id == bridge.b) continue;  // bridged values stay forced
-      values[id] = sim.evalGate(id, values);
+      values[id] = sim_.evalGate(id, values);
     }
-    for (std::size_t i = 0; i < coneOrdinals.size(); ++i) {
-      const GateId driver = sim.image().fanins(nl.dffs()[coneOrdinals[i]])[0];
-      errs[i].setWord(w, values[driver] ^ simulator.goodValue(driver, w));
+    const SimWord mask = w + 1 == words ? tailMask : ~SimWord{0};
+    for (std::size_t i = 0; i < numCells; ++i) {
+      SimWord& err = scratch_.errWords[i * words + w];
+      err = (err ^ values[drivers[i]]) & mask;
     }
+    for (std::size_t j = 0; j < numGates; ++j) values[gates[j]] = scratch_.saved[j];
+    values[bridge.a] = scratch_.saved[numGates];
+    values[bridge.b] = scratch_.saved[numGates + 1];
   }
-  for (std::size_t i = 0; i < coneOrdinals.size(); ++i) {
-    if (errs[i].any()) {
-      resp.failingCells.set(coneOrdinals[i]);
-      resp.failingCellOrdinals.push_back(coneOrdinals[i]);
-      resp.errorStreams.push_back(std::move(errs[i]));
-    }
+
+  for (std::size_t i = 0; i < numCells; ++i) {
+    const SimWord* ew = scratch_.errWords.data() + i * words;
+    if (std::all_of(ew, ew + words, [](SimWord x) { return x == 0; })) continue;
+    BitVector err(numPatterns);
+    for (std::size_t w = 0; w < words; ++w) err.setWord(w, ew[w]);
+    resp.failingCells.set(ordinals[i]);
+    resp.failingCellOrdinals.push_back(ordinals[i]);
+    resp.errorStreams.push_back(std::move(err));
   }
   return resp;
 }

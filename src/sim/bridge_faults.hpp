@@ -7,7 +7,8 @@
 // Fig. 2 discussion of overlapping/non-overlapping cone segments — so it
 // stresses two-step partitioning's clustering assumption harder than any
 // single stuck-at. The diagnosis stack consumes the resulting FaultResponse
-// unchanged (it never cared what produced the error streams).
+// unchanged (it never cared what produced the error streams); a bridge is
+// simulated by FaultSimulator::simulateBridge against the good machine.
 //
 // Only non-feedback bridges are modeled (no combinational path between the
 // two nets in either direction): feedback bridges can oscillate and need a
@@ -44,10 +45,5 @@ bool isFeedbackFree(const Netlist& netlist, GateId a, GateId b);
 /// neighbouring wires). Kinds cycle through all four.
 std::vector<BridgeFault> enumerateBridgeCandidates(const Netlist& netlist, std::size_t count,
                                                    std::uint64_t seed);
-
-/// Simulates one bridge against the fault simulator's good machine and
-/// returns the standard response (failing cells + error streams). The
-/// returned FaultResponse's `fault` field carries site a for reporting only.
-FaultResponse simulateBridge(const FaultSimulator& simulator, const BridgeFault& bridge);
 
 }  // namespace scandiag

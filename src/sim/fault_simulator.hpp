@@ -25,6 +25,8 @@
 
 namespace scandiag {
 
+struct BridgeFault;
+
 /// Stimulus for every source gate (PIs and scan-loaded DFFs), one bit per
 /// (source, pattern), in one dense block of sources x words. Row k is DFF
 /// ordinal k, row dffs().size() + i is primary input i — the order the PRPG
@@ -95,7 +97,7 @@ class FaultSimulator {
   std::vector<BitVector> goodCaptures() const;
 
   /// Fault-free value word of any gate (pattern-per-bit), for extensions that
-  /// re-evaluate against the good machine (e.g. bridging faults).
+  /// re-evaluate against the good machine (e.g. stuck-open faults).
   SimWord goodValue(GateId id, std::size_t word) const { return goodValues_.at(word).at(id); }
   /// Complete good evaluation of one 64-pattern batch.
   const std::vector<SimWord>& goodBatch(std::size_t word) const { return goodValues_.at(word); }
@@ -104,6 +106,13 @@ class FaultSimulator {
   /// fault cone's gates instead of copying the whole good-value vector per
   /// 64-pattern word). Output is bit-identical to simulateReference().
   FaultResponse simulate(const FaultSite& fault) const;
+
+  /// One bridge (sim/bridge_faults.hpp), simulated like simulate(): the union
+  /// of the two nets' cones is saved, evaluated in place and restored, per
+  /// 64-pattern word. The response's `fault` field carries site a for
+  /// reporting only. Counts no observability counters and leaves the cone
+  /// cache untouched, so stuck-at counters stay bridge-agnostic.
+  FaultResponse simulateBridge(const BridgeFault& bridge) const;
 
   /// Reference implementation: recomputes the cone and copies the full
   /// good-value vector per word (the pre-cache algorithm). Kept as the parity

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+
+#include "common/rng.hpp"
 #include "diagnosis/candidate_analyzer.hpp"
 #include "diagnosis/experiment_driver.hpp"
 #include "diagnosis/interval_partitioner.hpp"
@@ -143,6 +148,252 @@ TEST(AnalyzeChecked, SingleFlipAnywhereKeepsTrueCell) {
       }
     }
   }
+}
+
+// ---- Parity with the whole-axis analyzer -----------------------------------
+
+// The analyzer as it was before the live-word kernel: every step and every
+// check loops over all words of the axis. Kept here as the reference.
+namespace reference {
+
+BitVector::Word failingWord(const Partition& part, const BitVector& failing, std::size_t w) {
+  BitVector::Word out = 0;
+  failing.forEachSet([&](std::size_t g) { out |= part.groups[g].word(w); });
+  return out;
+}
+
+void intersectFailing(const Partition& part, const BitVector& failing, BitVector& positions) {
+  BitVector::Word* words = positions.data();
+  for (std::size_t w = 0; w < positions.wordCount(); ++w) {
+    if (words[w] != 0) words[w] &= failingWord(part, failing, w);
+  }
+}
+
+bool failingAny(const Partition& part, const BitVector& failing) {
+  for (std::size_t g = failing.findFirst(); g != BitVector::npos; g = failing.findNext(g)) {
+    if (part.groups[g].any()) return true;
+  }
+  return false;
+}
+
+bool failingIntersects(const Partition& part, const BitVector& failing,
+                       const BitVector& positions) {
+  for (std::size_t w = 0; w < positions.wordCount(); ++w) {
+    if (positions.word(w) != 0 && (positions.word(w) & failingWord(part, failing, w)) != 0)
+      return true;
+  }
+  return false;
+}
+
+BitVector intersect(std::size_t length, const std::vector<Partition>& partitions,
+                    const GroupVerdicts& verdicts) {
+  BitVector positions(length, true);
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    intersectFailing(partitions[p], verdicts.failing[p], positions);
+  }
+  return positions;
+}
+
+CheckedAnalysis analyzeChecked(const ScanTopology& topology,
+                               const std::vector<Partition>& partitions,
+                               const GroupVerdicts& verdicts) {
+  const std::size_t length = topology.maxChainLength();
+  bool anyFailing = false;
+  for (std::size_t p = 0; p < partitions.size() && !anyFailing; ++p) {
+    anyFailing = failingAny(partitions[p], verdicts.failing[p]);
+  }
+  CheckedAnalysis out;
+  if (!anyFailing) {
+    out.candidates.positions = BitVector(length);
+    out.candidates.cells = topology.expandPositions(out.candidates.positions);
+    return out;
+  }
+  BitVector& positions = out.candidates.positions;
+  positions = BitVector(length, true);
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    const Partition& part = partitions[p];
+    const BitVector& failing = verdicts.failing[p];
+    if (!failingAny(part, failing)) {
+      out.inconsistencies.push_back({InconsistencyKind::AllGroupsPassing, p, BitVector::npos});
+      continue;
+    }
+    if (!failingIntersects(part, failing, positions)) {
+      std::size_t suspect = BitVector::npos;
+      for (std::size_t g = 0; g < part.groupCount(); ++g) {
+        if (!failing.test(g) && part.groups[g].intersects(positions)) {
+          suspect = g;
+          break;
+        }
+      }
+      out.inconsistencies.push_back({InconsistencyKind::DisjointFailingUnion, p, suspect});
+      continue;
+    }
+    intersectFailing(part, failing, positions);
+    out.usedPartitions.push_back(p);
+  }
+  for (const std::size_t p : out.usedPartitions) {
+    for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
+      if (verdicts.failing[p].test(g) && !partitions[p].groups[g].intersects(positions)) {
+        out.inconsistencies.push_back({InconsistencyKind::PhantomFailingGroup, p, g});
+      }
+    }
+  }
+  out.candidates.cells = topology.expandPositions(positions);
+  return out;
+}
+
+UnionAnalysis analyzeUnion(const ScanTopology& topology,
+                           const std::vector<Partition>& partitions,
+                           const GroupVerdicts& verdicts) {
+  const std::size_t length = topology.maxChainLength();
+  UnionAnalysis out;
+  BitVector& floorPositions = out.supersetFloor.positions;
+  floorPositions = BitVector(length);
+  std::vector<BitVector> intersections;
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    const Partition& part = partitions[p];
+    const BitVector& failing = verdicts.failing[p];
+    if (!failingAny(part, failing)) continue;
+    failing.forEachSet([&](std::size_t g) { floorPositions |= part.groups[g]; });
+    bool merged = false;
+    for (BitVector& cluster : intersections) {
+      if (failingIntersects(part, failing, cluster)) {
+        intersectFailing(part, failing, cluster);
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) intersections.push_back(part.failingUnion(failing));
+  }
+  out.clusters = intersections.size();
+  out.withinBudget = out.clusters <= kMaxUnionFaults;
+  out.candidates.positions = BitVector(length);
+  for (const BitVector& cluster : intersections) out.candidates.positions |= cluster;
+  out.candidates.cells = topology.expandPositions(out.candidates.positions);
+  out.supersetFloor.cells = topology.expandPositions(floorPositions);
+  return out;
+}
+
+}  // namespace reference
+
+/// Verdict rows for `parts`: the clean rows of one to three random clusters
+/// of failing positions, then one of: an all-passing schedule, uniformly
+/// random rows, or up to three edits (a lost row, a verdict moved to another
+/// group, a phantom group, a single flip).
+GroupVerdicts seededVerdicts(const std::vector<Partition>& parts, std::size_t length,
+                             Xoroshiro128& rng) {
+  BitVector truth(length);
+  for (std::size_t c = 1 + rng.nextBelow(3); c > 0; --c) {
+    const std::size_t start = rng.nextBelow(length);
+    const std::size_t span = 1 + rng.nextBelow(8);
+    for (std::size_t i = start; i < std::min(length, start + span); ++i) truth.set(i);
+  }
+  GroupVerdicts verdicts;
+  for (const Partition& part : parts) {
+    BitVector row(part.groupCount());
+    for (std::size_t g = 0; g < part.groupCount(); ++g) {
+      if (part.groups[g].intersects(truth)) row.set(g);
+    }
+    verdicts.failing.push_back(std::move(row));
+  }
+  const std::uint64_t mode = rng.nextBelow(10);
+  if (mode == 0) {
+    for (BitVector& row : verdicts.failing) row.resetAll();
+  } else if (mode == 1) {
+    for (BitVector& row : verdicts.failing) {
+      for (std::size_t g = 0; g < row.size(); ++g) row.set(g, rng.nextBelow(4) == 0);
+    }
+  } else {
+    for (std::size_t e = rng.nextBelow(4); e > 0; --e) {
+      BitVector& row = verdicts.failing[rng.nextBelow(parts.size())];
+      const std::size_t g = rng.nextBelow(row.size());
+      switch (rng.nextBelow(4)) {
+        case 0:
+          row.resetAll();
+          break;
+        case 1:
+          row.resetAll();
+          row.set(g);
+          break;
+        case 2:
+          row.set(g);
+          break;
+        default:
+          row.flip(g);
+          break;
+      }
+    }
+  }
+  return verdicts;
+}
+
+void expectSameCandidates(const CandidateSet& expected, const CandidateSet& actual,
+                          const std::string& where) {
+  EXPECT_EQ(expected.positions.size(), actual.positions.size()) << where;
+  EXPECT_EQ(expected.positions.toIndices(), actual.positions.toIndices()) << where;
+  EXPECT_EQ(expected.cells.toIndices(), actual.cells.toIndices()) << where;
+}
+
+// The live-word kernel against the whole-axis analyzer above, on seeded
+// interval, random-selection and two-step schedules over 1 and 4 chains
+// whose lengths are not multiples of 64, with verdict rows that hit every
+// report kind and fully passing schedules. Checked analysis must agree on
+// candidates, reports (in order) and used partitions; the plain and union
+// modes on their outputs.
+TEST(AnalyzeChecked, MatchesReferenceOnSeededVerdicts) {
+  const std::array<ScanTopology, 3> topologies = {ScanTopology::singleChain(150),
+                                                  ScanTopology::blockChains(1333, 4),
+                                                  ScanTopology::singleChain(709)};
+  std::array<std::size_t, 3> kinds{};
+  std::size_t passingSchedules = 0;
+  Xoroshiro128 rng(0xC0FFEE);
+  for (const ScanTopology& topo : topologies) {
+    const std::size_t length = topo.maxChainLength();
+    const CandidateAnalyzer analyzer(topo);
+    for (const SchemeKind scheme :
+         {SchemeKind::IntervalBased, SchemeKind::RandomSelection, SchemeKind::TwoStep}) {
+      for (const std::size_t groups : {std::size_t{4}, std::size_t{16}}) {
+        DiagnosisConfig config;
+        config.scheme = scheme;
+        config.numPartitions = 3 + rng.nextBelow(6);
+        config.groupsPerPartition = groups;
+        const std::vector<Partition> parts = buildPartitions(config, length);
+        for (std::size_t trial = 0; trial < 120; ++trial) {
+          const GroupVerdicts verdicts = seededVerdicts(parts, length, rng);
+          const std::string where = schemeName(scheme) + " length " + std::to_string(length) +
+                                    " groups " + std::to_string(groups) + " trial " +
+                                    std::to_string(trial);
+          const CheckedAnalysis expected = reference::analyzeChecked(topo, parts, verdicts);
+          const CheckedAnalysis actual = analyzer.analyzeChecked(parts, verdicts);
+          expectSameCandidates(expected.candidates, actual.candidates, where);
+          ASSERT_EQ(expected.inconsistencies.size(), actual.inconsistencies.size()) << where;
+          for (std::size_t i = 0; i < expected.inconsistencies.size(); ++i) {
+            const InconsistencyReport& e = expected.inconsistencies[i];
+            const InconsistencyReport& a = actual.inconsistencies[i];
+            EXPECT_EQ(e.kind, a.kind) << where << " report " << i;
+            EXPECT_EQ(e.partition, a.partition) << where << " report " << i;
+            EXPECT_EQ(e.group, a.group) << where << " report " << i;
+            ++kinds[static_cast<std::size_t>(e.kind)];
+          }
+          EXPECT_EQ(expected.usedPartitions, actual.usedPartitions) << where;
+          if (expected.usedPartitions.empty()) ++passingSchedules;
+
+          EXPECT_EQ(reference::intersect(length, parts, verdicts).toIndices(),
+                    analyzer.intersect(parts, verdicts).toIndices())
+              << where;
+          const UnionAnalysis unionExpected = reference::analyzeUnion(topo, parts, verdicts);
+          const UnionAnalysis unionActual = analyzer.analyzeUnion(parts, verdicts);
+          expectSameCandidates(unionExpected.candidates, unionActual.candidates, where);
+          expectSameCandidates(unionExpected.supersetFloor, unionActual.supersetFloor, where);
+          EXPECT_EQ(unionExpected.clusters, unionActual.clusters) << where;
+          EXPECT_EQ(unionExpected.withinBudget, unionActual.withinBudget) << where;
+        }
+      }
+    }
+  }
+  // The rows reached every report kind and fully passing schedules.
+  for (const std::size_t count : kinds) EXPECT_GT(count, 50u);
+  EXPECT_GT(passingSchedules, 50u);
 }
 
 }  // namespace

@@ -4,9 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "common/journal.hpp"
 #include "diagnosis/experiment_driver.hpp"
 #include "diagnosis/interval_partitioner.hpp"
 #include "diagnosis/recovery.hpp"
+#include "inject/noisy_pipeline.hpp"
+#include "netlist/synthetic_generator.hpp"
 
 namespace scandiag {
 namespace {
@@ -295,6 +302,97 @@ TEST(DiagnosisRecovery, ReplayStableDisjointUnionShortCircuitsToUnionAnalysis) {
   // One extra cluster costs a single 0.9 penalty; nothing was repaired.
   EXPECT_DOUBLE_EQ(d.confidence, 0.9);
   EXPECT_GT(reruns, 0u);
+}
+
+// ---- Pinned outputs ----------------------------------------------------------
+
+std::uint64_t digestBits(const BitVector& bits, std::uint64_t h) {
+  h = fnv1a64(static_cast<std::uint64_t>(bits.size()), h);
+  for (std::size_t w = 0; w < bits.wordCount(); ++w) h = fnv1a64(bits.word(w), h);
+  return h;
+}
+
+std::uint64_t digestCandidates(const CandidateSet& candidates, std::uint64_t h) {
+  return digestBits(candidates.cells, digestBits(candidates.positions, h));
+}
+
+TEST(DiagnosisRecovery, MatchesParentDigests) {
+  // Every field of NoisyPipeline::diagnose's result, and of a recover() call
+  // on the same noisy schedule (reports in order, dropped partitions, union
+  // mode), over s953 / s9234 / s35932 x flip rates x retry budgets x 1 and 4
+  // chains. Recorded before analysis moved onto the live-word kernel and the
+  // widening onto per-word miss counts, so both provably kept every
+  // candidate, report, confidence, resolved flag and retry count.
+  struct Expected {
+    const char* circuit;
+    std::size_t chains;
+    std::uint64_t digest;
+  };
+  const Expected expected[] = {
+      {"s953", 1, 0x757247e6a9070f9eULL},   {"s953", 4, 0x4664eaff7ec30535ULL},
+      {"s9234", 1, 0x48dbc3fa7ddaf23dULL},  {"s9234", 4, 0xace526e2f0fa067aULL},
+      {"s35932", 1, 0xd702847198eecd1eULL}, {"s35932", 4, 0x2c8dbf515618e488ULL},
+  };
+  for (const Expected& e : expected) {
+    SCOPED_TRACE(std::string(e.circuit) + " x " + std::to_string(e.chains) + " chains");
+    const Netlist nl = generateNamedCircuit(e.circuit);
+    WorkloadConfig wc;
+    wc.numFaults = 60;
+    const CircuitWorkload work = prepareWorkload(nl, wc, e.chains);
+    DiagnosisConfig config;  // two-step, 8 partitions x 16 groups (8 on s953's short chains)
+    config.groupsPerPartition =
+        std::min<std::size_t>(16, std::bit_floor(work.topology.maxChainLength()));
+    const DiagnosisPipeline base(work.topology, config);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const double flipRate : {0.005, 0.01, 0.05}) {
+      for (const std::size_t budget : {std::size_t{0}, std::size_t{16}, std::size_t{64}}) {
+        NoiseConfig noise;
+        noise.flipRate = flipRate;
+        RetryPolicy retry;
+        retry.sessionBudget = budget;
+        const NoisyPipeline pipeline(work.topology, config, noise, retry);
+        const VerdictCorruptor corruptor(noise);
+        const DiagnosisRecovery recovery(work.topology, retry);
+        for (std::size_t i = 0; i < work.responses.size(); ++i) {
+          const FaultResponse& r = work.responses[i];
+          const ResilientDiagnosis d = pipeline.diagnose(r, i);
+          h = digestCandidates(d.candidates, h);
+          for (const std::uint64_t v :
+               {std::uint64_t{d.candidateCount}, std::uint64_t{d.actualCount},
+                std::uint64_t{d.misdiagnosed}, std::bit_cast<std::uint64_t>(d.confidence),
+                std::uint64_t{d.resolved}, std::uint64_t{d.inconsistencies},
+                std::uint64_t{d.retrySessions}, std::uint64_t{d.injectedEvents}}) {
+            h = fnv1a64(v, h);
+          }
+
+          const BitVector failingPositions = work.topology.collapseCells(r.failingCells);
+          GroupVerdicts verdicts = base.engine().run(base.prepared(), r);
+          corruptor.corrupt(verdicts, base.partitions(), failingPositions, i, 0);
+          const PartitionRerun rerun = [&](std::size_t p, std::size_t attempt) {
+            PartitionVerdictRow row = base.engine().runPartition(base.prepared(), p, r);
+            corruptor.corruptRow(row, base.partitions()[p], p, failingPositions, i, attempt);
+            return row;
+          };
+          const RecoveredDiagnosis rd = recovery.recover(base.partitions(), verdicts, rerun);
+          h = digestCandidates(rd.candidates, h);
+          for (const InconsistencyReport& report : rd.inconsistencies) {
+            h = fnv1a64(static_cast<std::uint64_t>(report.kind), h);
+            h = fnv1a64(std::uint64_t{report.partition}, h);
+            h = fnv1a64(std::uint64_t{report.group}, h);
+          }
+          for (const std::size_t p : rd.droppedPartitions) h = fnv1a64(std::uint64_t{p}, h);
+          for (const std::uint64_t v :
+               {std::uint64_t{rd.inconsistencies.size()},
+                std::uint64_t{rd.droppedPartitions.size()}, std::uint64_t{rd.retrySessions},
+                std::bit_cast<std::uint64_t>(rd.confidence), std::uint64_t{rd.resolved},
+                std::uint64_t{rd.unionDiagnosis}, std::uint64_t{rd.unionClusters}}) {
+            h = fnv1a64(v, h);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(h, e.digest) << std::hex << "0x" << h;
+  }
 }
 
 }  // namespace

@@ -220,7 +220,9 @@ TEST_F(ParallelDeterminism, SocMetricsCountersAreBitIdenticalAcrossThreadCounts)
 
 TEST_F(ParallelDeterminism, NoisyMetricsCountersAreBitIdenticalAcrossThreadCounts) {
   // Noise + recovery is the hardest case: retries, inconsistency detection,
-  // and injected-event counts must all be scheduling-independent.
+  // and injected-event counts must all be scheduling-independent — and so
+  // must the report, which the analyzer's per-call scratch feeds from
+  // several pool lanes at once.
   if (!obs::kMetricsCompiled) GTEST_SKIP() << "instrumentation compiled out";
   const CircuitWorkload& work = s953Workload();
   NoiseConfig noise;
@@ -229,8 +231,26 @@ TEST_F(ParallelDeterminism, NoisyMetricsCountersAreBitIdenticalAcrossThreadCount
   retry.sessionBudget = 24;
   const NoisyPipeline pipeline(work.topology, configFor(SchemeKind::TwoStep, false), noise,
                                retry);
+  std::vector<NoisyDrReport> reports;
   expectCountersThreadInvariant(
-      kThreadCounts, [&] { pipeline.evaluate(work.responses); }, "noisy two-step");
+      kThreadCounts, [&] { reports.push_back(pipeline.evaluate(work.responses)); },
+      "noisy two-step");
+  for (std::size_t i = 1; i < reports.size(); ++i) {
+    const NoisyDrReport& serial = reports.front();
+    const NoisyDrReport& parallel = reports[i];
+    const std::string what = "noisy two-step run " + std::to_string(i);
+    EXPECT_EQ(serial.dr, parallel.dr) << what;
+    EXPECT_EQ(serial.faults, parallel.faults) << what;
+    EXPECT_EQ(serial.sumCandidates, parallel.sumCandidates) << what;
+    EXPECT_EQ(serial.sumActual, parallel.sumActual) << what;
+    EXPECT_EQ(serial.misdiagnosisRate, parallel.misdiagnosisRate) << what;
+    EXPECT_EQ(serial.emptyRate, parallel.emptyRate) << what;
+    EXPECT_EQ(serial.meanConfidence, parallel.meanConfidence) << what;
+    EXPECT_EQ(serial.totalInconsistencies, parallel.totalInconsistencies) << what;
+    EXPECT_EQ(serial.totalRetrySessions, parallel.totalRetrySessions) << what;
+    EXPECT_EQ(serial.unresolved, parallel.unresolved) << what;
+  }
+  EXPECT_EQ(reports.size(), 1 + std::size(kThreadCounts));
 }
 
 TEST_F(ParallelDeterminism, DiagnoseStaysSoundUnderConcurrency) {

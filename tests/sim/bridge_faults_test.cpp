@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "bist/prpg.hpp"
 #include "diagnosis/experiment_driver.hpp"
+#include "netlist/cone_analysis.hpp"
 #include "netlist/synthetic_generator.hpp"
 
 namespace scandiag {
@@ -33,7 +37,7 @@ TEST(BridgeFaults, WiredAndSemantics) {
   Fixture f;
   const PatternSet pats = generatePatterns(f.nl, 64);
   const FaultSimulator sim(f.nl, pats);
-  const FaultResponse r = simulateBridge(sim, {f.a, f.b, BridgeKind::WiredAnd});
+  const FaultResponse r = sim.simulateBridge({f.a, f.b, BridgeKind::WiredAnd});
   // Cell ffa errs exactly when x=1 & y=0 (a reads 0 instead of 1); ffb when
   // x=0 & y=1.
   for (std::size_t i = 0; i < r.failingCellOrdinals.size(); ++i) {
@@ -50,7 +54,7 @@ TEST(BridgeFaults, DominantSemantics) {
   Fixture f;
   const PatternSet pats = generatePatterns(f.nl, 64);
   const FaultSimulator sim(f.nl, pats);
-  const FaultResponse r = simulateBridge(sim, {f.a, f.b, BridgeKind::ADominatesB});
+  const FaultResponse r = sim.simulateBridge({f.a, f.b, BridgeKind::ADominatesB});
   // Only ffb can err (b reads a), exactly when x != y.
   ASSERT_EQ(r.failingCellCount(), 1u);
   EXPECT_EQ(r.failingCellOrdinals[0], 1u);
@@ -101,7 +105,7 @@ TEST(BridgeFaults, DiagnosisStackConsumesBridgeResponses) {
 
   std::size_t detected = 0;
   for (const BridgeFault& bridge : enumerateBridgeCandidates(nl, 60, 0xB1d)) {
-    const FaultResponse r = simulateBridge(sim, bridge);
+    const FaultResponse r = sim.simulateBridge(bridge);
     if (!r.detected()) continue;
     ++detected;
     const FaultDiagnosis d = pipeline.diagnose(r);
@@ -116,9 +120,92 @@ TEST(BridgeFaults, InvalidBridgesRejected) {
   Fixture f;
   const PatternSet pats = generatePatterns(f.nl, 16);
   const FaultSimulator sim(f.nl, pats);
-  EXPECT_THROW(simulateBridge(sim, {f.a, f.a, BridgeKind::WiredAnd}), std::invalid_argument);
-  EXPECT_THROW(simulateBridge(sim, {f.a, static_cast<GateId>(999), BridgeKind::WiredAnd}),
+  EXPECT_THROW(sim.simulateBridge({f.a, f.a, BridgeKind::WiredAnd}), std::invalid_argument);
+  EXPECT_THROW(sim.simulateBridge({f.a, static_cast<GateId>(999), BridgeKind::WiredAnd}),
                std::invalid_argument);
+}
+
+/// Bridge simulation as it was before it ran in place: both cones walked
+/// afresh and a full copy of the good values per 64-pattern word.
+FaultResponse copyingReference(const FaultSimulator& simulator, const BridgeFault& bridge) {
+  const Netlist& nl = simulator.netlist();
+  const LogicSimulator& sim = simulator.simulator();
+  const FaultCone coneA = computeCone(nl, sim.levelization(), bridge.a);
+  const FaultCone coneB = computeCone(nl, sim.levelization(), bridge.b);
+  const auto& level = sim.levelization().level;
+  std::vector<GateId> gates;
+  std::set_union(coneA.gates.begin(), coneA.gates.end(), coneB.gates.begin(), coneB.gates.end(),
+                 std::back_inserter(gates), [&](GateId x, GateId y) {
+                   return level[x] != level[y] ? level[x] < level[y] : x < y;
+                 });
+  const std::vector<std::size_t> ordinals =
+      (coneA.reachableDffs | coneB.reachableDffs).toIndices();
+  FaultResponse resp;
+  resp.failingCells = BitVector(nl.dffs().size());
+  std::vector<BitVector> errs(ordinals.size(), BitVector(simulator.patterns().numPatterns()));
+  for (std::size_t w = 0; w < simulator.patterns().wordCount(); ++w) {
+    std::vector<SimWord> values = simulator.goodBatch(w);
+    const SimWord va = values[bridge.a], vb = values[bridge.b];
+    switch (bridge.kind) {
+      case BridgeKind::WiredAnd:
+        values[bridge.a] = values[bridge.b] = va & vb;
+        break;
+      case BridgeKind::WiredOr:
+        values[bridge.a] = values[bridge.b] = va | vb;
+        break;
+      case BridgeKind::ADominatesB:
+        values[bridge.b] = va;
+        break;
+      case BridgeKind::BDominatesA:
+        values[bridge.a] = vb;
+        break;
+    }
+    for (const GateId id : gates) {
+      if (id != bridge.a && id != bridge.b) values[id] = sim.evalGate(id, values);
+    }
+    for (std::size_t i = 0; i < ordinals.size(); ++i) {
+      const GateId driver = sim.image().fanins(nl.dffs()[ordinals[i]])[0];
+      errs[i].setWord(w, values[driver] ^ simulator.goodValue(driver, w));
+    }
+  }
+  for (std::size_t i = 0; i < ordinals.size(); ++i) {
+    if (!errs[i].any()) continue;
+    resp.failingCells.set(ordinals[i]);
+    resp.failingCellOrdinals.push_back(ordinals[i]);
+    resp.errorStreams.push_back(std::move(errs[i]));
+  }
+  return resp;
+}
+
+TEST(BridgeFaults, InPlaceMatchesCopyingReference) {
+  // 200 patterns leave a partial tail word; stuck-at faults simulated in
+  // between share the simulator's walker, scratch and good-value store.
+  for (const char* circuit : {"s953", "s9234"}) {
+    SCOPED_TRACE(circuit);
+    const Netlist nl = generateNamedCircuit(circuit);
+    const PatternSet pats = generatePatterns(nl, 200);
+    const FaultSimulator sim(nl, pats);
+    std::vector<std::vector<SimWord>> good;
+    for (std::size_t w = 0; w < pats.wordCount(); ++w) good.push_back(sim.goodBatch(w));
+    const std::vector<FaultSite>& stuck = *nl.collapsedFaults();
+    std::size_t detected = 0, next = 0;
+    for (const BridgeFault& bridge : enumerateBridgeCandidates(nl, 80, 0xB21D6E)) {
+      const FaultResponse expected = copyingReference(sim, bridge);
+      const FaultResponse actual = sim.simulateBridge(bridge);
+      const std::string what = std::string(bridgeKindName(bridge.kind)) + " " +
+                               nl.gateName(bridge.a) + "~" + nl.gateName(bridge.b);
+      EXPECT_EQ(actual.fault.gate, bridge.a) << what;
+      EXPECT_EQ(actual.failingCells, expected.failingCells) << what;
+      EXPECT_EQ(actual.failingCellOrdinals, expected.failingCellOrdinals) << what;
+      EXPECT_EQ(actual.errorStreams, expected.errorStreams) << what;
+      detected += actual.detected() ? 1 : 0;
+      (void)sim.simulate(stuck[next++ % stuck.size()]);
+    }
+    EXPECT_GT(detected, 20u);
+    for (std::size_t w = 0; w < pats.wordCount(); ++w) {
+      EXPECT_EQ(sim.goodBatch(w), good[w]) << "word " << w;
+    }
+  }
 }
 
 }  // namespace

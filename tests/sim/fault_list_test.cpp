@@ -135,21 +135,27 @@ TEST(FaultList, UniversesMatchParentDigests) {
   // Every (gate, pin, stuckAt) of both universes, in order, and of three
   // samples of the collapsed one. Recorded while the enumeration still lived
   // in sim/ and re-walked the netlist on every call, so moving it into the
-  // netlist's cache provably kept every universe and every sample.
+  // netlist's cache provably kept every universe and every sample. The sweep
+  // digest covers more samples (sizes from 0 to the whole universe, the
+  // batch workloads' 4 x 2,000, three seeds); it was recorded while sample()
+  // still shuffled a copy of the universe, so the sparse shuffle provably
+  // draws the same faults in the same order.
   struct Expected {
     const char* circuit;
     std::size_t collapsed, all;
-    std::uint64_t collapsedDigest, allDigest, sampleDigest;
+    std::uint64_t collapsedDigest, allDigest, sampleDigest, sweepDigest;
   };
   const Expected expected[] = {
-      {"s27", 44, 58, 0xd351274fa115c8a4ULL, 0xf406672afcd131a4ULL, 0xc4c28d181a02e299ULL},
-      {"s953", 1637, 2200, 0x9465e09f630b83c2ULL, 0x23a96517a279d77dULL, 0xac199af6f7b13708ULL},
+      {"s27", 44, 58, 0xd351274fa115c8a4ULL, 0xf406672afcd131a4ULL, 0xc4c28d181a02e299ULL,
+       0x8c7c7ff0c0ca17b2ULL},
+      {"s953", 1637, 2200, 0x9465e09f630b83c2ULL, 0x23a96517a279d77dULL, 0xac199af6f7b13708ULL,
+       0x64aa265fac35693cULL},
       {"s9234", 22904, 30614, 0xc7aefea7b788a831ULL, 0xdb9fd881c9149834ULL,
-       0x4cd15a671c0a73b4ULL},
+       0x4cd15a671c0a73b4ULL, 0x44c2b3ea715f49c6ULL},
       {"s35932", 68000, 90550, 0xda20e3f25497d58bULL, 0x3a92b8da4dc898dcULL,
-       0x814d36e1d873d1e0ULL},
+       0x814d36e1d873d1e0ULL, 0x21ee50dc65790125ULL},
       {"s38417", 91934, 123148, 0x9d7f1f393b041f31ULL, 0xcdfac9828394ae09ULL,
-       0xaa75608d37d8e78bULL},
+       0xaa75608d37d8e78bULL, 0x48a046a683243155ULL},
   };
   constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
   for (const Expected& e : expected) {
@@ -160,11 +166,21 @@ TEST(FaultList, UniversesMatchParentDigests) {
     std::uint64_t sampled = kBasis;
     for (const std::size_t n : {std::size_t{24}, std::size_t{1600}, collapsed.size() + 1})
       sampled = digestSites(collapsed.sample(n, 0xFA17), sampled);
+    const std::size_t size = collapsed.size();
+    std::uint64_t swept = kBasis;
+    for (const std::uint64_t seed :
+         {std::uint64_t{1}, std::uint64_t{7919}, std::uint64_t{0xBE7C}}) {
+      for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{64}, size / 3,
+                                  size - 1, size, std::size_t{8000}}) {
+        swept = digestSites(collapsed.sample(n, seed), swept);
+      }
+    }
     EXPECT_EQ(collapsed.size(), e.collapsed);
     EXPECT_EQ(all.size(), e.all);
     EXPECT_EQ(digestSites(collapsed.faults(), kBasis), e.collapsedDigest);
     EXPECT_EQ(digestSites(all.faults(), kBasis), e.allDigest);
     EXPECT_EQ(sampled, e.sampleDigest);
+    EXPECT_EQ(swept, e.sweepDigest) << std::hex << "0x" << swept;
   }
 }
 

@@ -161,7 +161,7 @@ TEST(SharedNetlist, FourThreadsReadOneImageLikeOneThread) {
       out.insert(out.end(), r.failingCellOrdinals.begin(), r.failingCellOrdinals.end());
     }
     for (const BridgeFault& b : enumerateBridgeCandidates(nl, 8, k)) {
-      const FaultResponse r = simulateBridge(sim, b);
+      const FaultResponse r = sim.simulateBridge(b);
       out.insert(out.end(), r.failingCellOrdinals.begin(), r.failingCellOrdinals.end());
     }
     const PodemAtpg atpg(nl);
